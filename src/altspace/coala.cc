@@ -30,62 +30,21 @@ struct CoalaCkptState {
   size_t quality_merges = 0;
   size_t dissimilarity_merges = 0;
   ConvergenceTrace trace;
+
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar("step", step);
+    ar("iter", iter);
+    ar("dist", dist);
+    ar("violations", violations);
+    ar("active", active);
+    ar("sizes", sizes);
+    ar("members", members);
+    ar("quality_merges", quality_merges);
+    ar("dissimilarity_merges", dissimilarity_merges);
+    ar("trace", trace);
+  }
 };
-
-void WriteCoalaPayload(json::Writer* w, const CoalaCkptState& s) {
-  w->BeginObject();
-  w->Key("step");
-  w->Uint(s.step);
-  w->Key("iter");
-  w->Uint(s.iter);
-  w->Key("dist");
-  ckpt::WriteMatrix(w, s.dist);
-  w->Key("violations");
-  ckpt::WriteMatrix(w, s.violations);
-  w->Key("active");
-  ckpt::WriteIntVector(w, s.active);
-  w->Key("sizes");
-  ckpt::WriteSizeVector(w, s.sizes);
-  w->Key("members");
-  w->BeginArray();
-  for (const std::vector<int>& m : s.members) ckpt::WriteIntVector(w, m);
-  w->EndArray();
-  w->Key("quality_merges");
-  w->Uint(s.quality_merges);
-  w->Key("dissimilarity_merges");
-  w->Uint(s.dissimilarity_merges);
-  w->Key("trace");
-  ckpt::WriteTrace(w, s.trace);
-  w->EndObject();
-}
-
-Status ReadCoalaPayload(const json::Value& v, CoalaCkptState* s) {
-  MC_ASSIGN_OR_RETURN(s->step, ckpt::SizeField(v, "step"));
-  MC_ASSIGN_OR_RETURN(s->iter, ckpt::SizeField(v, "iter"));
-  MC_ASSIGN_OR_RETURN(const json::Value* d, ckpt::Field(v, "dist"));
-  MC_ASSIGN_OR_RETURN(s->dist, ckpt::ReadMatrix(*d));
-  MC_ASSIGN_OR_RETURN(const json::Value* viol, ckpt::Field(v, "violations"));
-  MC_ASSIGN_OR_RETURN(s->violations, ckpt::ReadMatrix(*viol));
-  MC_ASSIGN_OR_RETURN(const json::Value* act, ckpt::Field(v, "active"));
-  MC_ASSIGN_OR_RETURN(s->active, ckpt::ReadIntVector(*act));
-  MC_ASSIGN_OR_RETURN(const json::Value* sz, ckpt::Field(v, "sizes"));
-  MC_ASSIGN_OR_RETURN(s->sizes, ckpt::ReadSizeVector(*sz));
-  MC_ASSIGN_OR_RETURN(const json::Value* mem, ckpt::Field(v, "members"));
-  if (!mem->is_array()) {
-    return Status::ComputationError("checkpoint: COALA members malformed");
-  }
-  for (const json::Value& m : mem->array_items()) {
-    MC_ASSIGN_OR_RETURN(std::vector<int> vec, ckpt::ReadIntVector(m));
-    s->members.push_back(std::move(vec));
-  }
-  MC_ASSIGN_OR_RETURN(s->quality_merges,
-                      ckpt::SizeField(v, "quality_merges"));
-  MC_ASSIGN_OR_RETURN(s->dissimilarity_merges,
-                      ckpt::SizeField(v, "dissimilarity_merges"));
-  MC_ASSIGN_OR_RETURN(const json::Value* tr, ckpt::Field(v, "trace"));
-  MC_ASSIGN_OR_RETURN(s->trace, ckpt::ReadTrace(*tr));
-  return Status::OK();
-}
 
 uint64_t CoalaFingerprint(const Matrix& data, const std::vector<int>& given,
                           const CoalaOptions& options) {
@@ -146,48 +105,39 @@ Result<Clustering> RunCoala(const Matrix& data, const std::vector<int>& given,
   size_t iter = 0;
   bool stopped_early = false;
 
-  // --- Checkpoint/resume ----------------------------------------------
   Checkpointer* ckp = options.budget.checkpoint;
-  const uint64_t fp =
-      ckp != nullptr ? CoalaFingerprint(data, given, options) : 0;
+  const ckpt::Slot slot{
+      ckp, "coala", ckp != nullptr ? CoalaFingerprint(data, given, options) : 0,
+      options.diagnostics};
   CoalaCkptState state;
   size_t ckpt_step = 0;
-  if (ckp != nullptr) {
-    if (auto restored = ckp->TryRestore("coala", fp, options.diagnostics)) {
-      Status parsed = ReadCoalaPayload(restored->payload, &state);
-      if (parsed.ok() && state.dist.rows() == n && state.dist.cols() == n &&
-          state.violations.rows() == n && state.violations.cols() == n &&
-          state.active.size() == n && state.sizes.size() == n &&
-          state.members.size() == n) {
-        dist = std::move(state.dist);
-        violations = std::move(state.violations);
-        for (size_t i = 0; i < n; ++i) active[i] = state.active[i] != 0;
-        sizes = std::move(state.sizes);
-        members = std::move(state.members);
-        local_stats.quality_merges = state.quality_merges;
-        local_stats.dissimilarity_merges = state.dissimilarity_merges;
-        iter = state.iter;
-        ckpt_step = state.step;
-        remaining = 0;
-        for (size_t i = 0; i < n; ++i) remaining += active[i] ? 1 : 0;
-        if (options.diagnostics != nullptr) {
-          options.diagnostics->trace = state.trace;
-        }
-      } else {
-        AddWarning(options.diagnostics, "coala",
-                   "checkpoint payload rejected (" +
-                       (parsed.ok() ? std::string("state shape mismatch")
-                                    : parsed.message()) +
-                       "); cold start");
-      }
-    }
+  // Post-restore shape check: every merge-state array covers n objects.
+  const auto check_shape = [n](const CoalaCkptState& s) -> Status {
+    const bool ok = s.dist.rows() == n && s.dist.cols() == n &&
+                    s.violations.rows() == n && s.violations.cols() == n &&
+                    s.active.size() == n && s.sizes.size() == n &&
+                    s.members.size() == n;
+    return ok ? Status::OK()
+              : Status::ComputationError("checkpoint: state shape mismatch");
+  };
+  if (slot.Restore(&state, check_shape)) {
+    dist = std::move(state.dist);
+    violations = std::move(state.violations);
+    for (size_t i = 0; i < n; ++i) active[i] = state.active[i] != 0;
+    sizes = std::move(state.sizes);
+    members = std::move(state.members);
+    local_stats.quality_merges = state.quality_merges;
+    local_stats.dissimilarity_merges = state.dissimilarity_merges;
+    iter = state.iter;
+    ckpt_step = state.step;
+    remaining = 0;
+    for (size_t i = 0; i < n; ++i) remaining += active[i] ? 1 : 0;
   }
   // Persists the full merge state; `flush` forces an unconditional write
   // (cancellation path), otherwise the policy decides. The O(n^2) state
-  // capture lives inside the payload writer, which the checkpointer only
-  // invokes for snapshots it actually serializes.
+  // capture runs only for snapshots the checkpointer actually serializes.
   auto snapshot = [&](bool flush) -> Status {
-    auto payload = [&](json::Writer* w) {
+    return slot.Snapshot(&ckpt_step, flush, [&] {
       CoalaCkptState s;
       s.step = ckpt_step;
       s.iter = iter;
@@ -198,19 +148,13 @@ Result<Clustering> RunCoala(const Matrix& data, const std::vector<int>& given,
       s.members = members;
       s.quality_merges = local_stats.quality_merges;
       s.dissimilarity_merges = local_stats.dissimilarity_merges;
-      if (options.diagnostics != nullptr) s.trace = options.diagnostics->trace;
-      WriteCoalaPayload(w, s);
-    };
-    Status st = flush ? ckp->Flush("coala", fp, payload)
-                      : ckp->AtPersistencePoint("coala", fp, ckpt_step, payload);
-    ++ckpt_step;
-    return flush ? Status::OK() : st;
+      return s;
+    });
   };
-  // ---------------------------------------------------------------------
 
   while (remaining > options.k) {
     if (guard.Cancelled()) {
-      if (ckp != nullptr) (void)snapshot(/*flush=*/true);
+      (void)snapshot(/*flush=*/true);
       return guard.CancelledStatus();
     }
     if (guard.ShouldStop(iter)) {
@@ -302,7 +246,7 @@ Result<Clustering> RunCoala(const Matrix& data, const std::vector<int>& given,
     // Persistence point: the merge is complete and all state is
     // self-consistent. Covers the final merge too — a resume then simply
     // falls through the loop condition.
-    if (ckp != nullptr) MC_RETURN_IF_ERROR(snapshot(/*flush=*/false));
+    MC_RETURN_IF_ERROR(snapshot(/*flush=*/false));
   }
 
   // A budget-stopped run returns the partial dendrogram cut: more than

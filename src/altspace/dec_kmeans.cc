@@ -26,6 +26,13 @@ struct State {
   std::vector<Matrix> reps;
   std::vector<std::vector<int>> labels;
   std::vector<Matrix> means;
+
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar("reps", reps);
+    ar("labels", labels);
+    ar("means", means);
+  }
 };
 
 // Cluster means from current labels (empty clusters keep their rep as mean).
@@ -85,6 +92,14 @@ struct RestartOutcome {
   std::vector<double> history;
   size_t iterations = 0;
   bool converged = false;
+
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar("state", state);
+    ar("history", history);
+    ar("iterations", iterations);
+    ar("converged", converged);
+  }
 };
 
 /// Mid-restart resume state / per-iteration persistence hook; same
@@ -233,68 +248,6 @@ Result<RestartOutcome> RunRestart(const Matrix& data,
   return out;
 }
 
-void WriteState(json::Writer* w, const State& s) {
-  w->BeginObject();
-  w->Key("reps");
-  w->BeginArray();
-  for (const Matrix& m : s.reps) ckpt::WriteMatrix(w, m);
-  w->EndArray();
-  w->Key("labels");
-  w->BeginArray();
-  for (const std::vector<int>& l : s.labels) ckpt::WriteIntVector(w, l);
-  w->EndArray();
-  w->Key("means");
-  w->BeginArray();
-  for (const Matrix& m : s.means) ckpt::WriteMatrix(w, m);
-  w->EndArray();
-  w->EndObject();
-}
-
-Status ReadState(const json::Value& v, State* s) {
-  MC_ASSIGN_OR_RETURN(const json::Value* reps, ckpt::Field(v, "reps"));
-  MC_ASSIGN_OR_RETURN(const json::Value* labels, ckpt::Field(v, "labels"));
-  MC_ASSIGN_OR_RETURN(const json::Value* means, ckpt::Field(v, "means"));
-  if (!reps->is_array() || !labels->is_array() || !means->is_array()) {
-    return Status::ComputationError("checkpoint: dec-kmeans state malformed");
-  }
-  for (const json::Value& m : reps->array_items()) {
-    MC_ASSIGN_OR_RETURN(Matrix mat, ckpt::ReadMatrix(m));
-    s->reps.push_back(std::move(mat));
-  }
-  for (const json::Value& l : labels->array_items()) {
-    MC_ASSIGN_OR_RETURN(std::vector<int> vec, ckpt::ReadIntVector(l));
-    s->labels.push_back(std::move(vec));
-  }
-  for (const json::Value& m : means->array_items()) {
-    MC_ASSIGN_OR_RETURN(Matrix mat, ckpt::ReadMatrix(m));
-    s->means.push_back(std::move(mat));
-  }
-  return Status::OK();
-}
-
-void WriteOutcome(json::Writer* w, const RestartOutcome& o) {
-  w->BeginObject();
-  w->Key("state");
-  WriteState(w, o.state);
-  w->Key("history");
-  ckpt::WriteDoubleVector(w, o.history);
-  w->Key("iterations");
-  w->Uint(o.iterations);
-  w->Key("converged");
-  w->Bool(o.converged);
-  w->EndObject();
-}
-
-Status ReadOutcome(const json::Value& v, RestartOutcome* o) {
-  MC_ASSIGN_OR_RETURN(const json::Value* st, ckpt::Field(v, "state"));
-  MC_RETURN_IF_ERROR(ReadState(*st, &o->state));
-  MC_ASSIGN_OR_RETURN(const json::Value* h, ckpt::Field(v, "history"));
-  MC_ASSIGN_OR_RETURN(o->history, ckpt::ReadDoubleVector(*h));
-  MC_ASSIGN_OR_RETURN(o->iterations, ckpt::SizeField(v, "iterations"));
-  MC_ASSIGN_OR_RETURN(o->converged, ckpt::BoolField(v, "converged"));
-  return Status::OK();
-}
-
 // Whole-invocation checkpoint state (restart loop level).
 struct DecCkptState {
   size_t step = 0;
@@ -308,70 +261,26 @@ struct DecCkptState {
   ConvergenceTrace trace;
   bool mid_restart = false;
   DecResume seed;
+
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar("step", step);
+    ar("restart", restart);
+    ar("rng", rng);
+    ar("winner", winner);
+    if (ar.Guard("have_best", have_best)) {
+      ar("best", best);
+      ar("best_objective", best_objective);
+    }
+    ar("last_error", last_error);
+    ar("trace", trace);
+    if (ar.Guard("mid_restart", mid_restart)) {
+      ar("next_iter", seed.start_iter);
+      ar("mid_state", seed.state);
+      ar("mid_history", seed.history);
+    }
+  }
 };
-
-void WriteDecPayload(json::Writer* w, const DecCkptState& s) {
-  w->BeginObject();
-  w->Key("step");
-  w->Uint(s.step);
-  w->Key("restart");
-  w->Uint(s.restart);
-  w->Key("rng");
-  ckpt::WriteRng(w, s.rng);
-  w->Key("winner");
-  w->Uint(s.winner);
-  w->Key("have_best");
-  w->Bool(s.have_best);
-  if (s.have_best) {
-    w->Key("best");
-    WriteOutcome(w, s.best);
-    w->Key("best_objective");
-    w->Double(s.best_objective);
-  }
-  w->Key("last_error");
-  ckpt::WriteStatus(w, s.last_error);
-  w->Key("trace");
-  ckpt::WriteTrace(w, s.trace);
-  w->Key("mid_restart");
-  w->Bool(s.mid_restart);
-  if (s.mid_restart) {
-    w->Key("next_iter");
-    w->Uint(s.seed.start_iter);
-    w->Key("mid_state");
-    WriteState(w, s.seed.state);
-    w->Key("mid_history");
-    ckpt::WriteDoubleVector(w, s.seed.history);
-  }
-  w->EndObject();
-}
-
-Status ReadDecPayload(const json::Value& v, DecCkptState* s) {
-  MC_ASSIGN_OR_RETURN(s->step, ckpt::SizeField(v, "step"));
-  MC_ASSIGN_OR_RETURN(s->restart, ckpt::SizeField(v, "restart"));
-  MC_ASSIGN_OR_RETURN(const json::Value* rng, ckpt::Field(v, "rng"));
-  MC_ASSIGN_OR_RETURN(s->rng, ckpt::ReadRng(*rng));
-  MC_ASSIGN_OR_RETURN(s->winner, ckpt::SizeField(v, "winner"));
-  MC_ASSIGN_OR_RETURN(s->have_best, ckpt::BoolField(v, "have_best"));
-  if (s->have_best) {
-    MC_ASSIGN_OR_RETURN(const json::Value* best, ckpt::Field(v, "best"));
-    MC_RETURN_IF_ERROR(ReadOutcome(*best, &s->best));
-    MC_ASSIGN_OR_RETURN(s->best_objective,
-                        ckpt::NumberField(v, "best_objective"));
-  }
-  MC_ASSIGN_OR_RETURN(const json::Value* err, ckpt::Field(v, "last_error"));
-  MC_RETURN_IF_ERROR(ckpt::ReadStatus(*err, &s->last_error));
-  MC_ASSIGN_OR_RETURN(const json::Value* tr, ckpt::Field(v, "trace"));
-  MC_ASSIGN_OR_RETURN(s->trace, ckpt::ReadTrace(*tr));
-  MC_ASSIGN_OR_RETURN(s->mid_restart, ckpt::BoolField(v, "mid_restart"));
-  if (s->mid_restart) {
-    MC_ASSIGN_OR_RETURN(s->seed.start_iter, ckpt::SizeField(v, "next_iter"));
-    MC_ASSIGN_OR_RETURN(const json::Value* ms, ckpt::Field(v, "mid_state"));
-    MC_RETURN_IF_ERROR(ReadState(*ms, &s->seed.state));
-    MC_ASSIGN_OR_RETURN(const json::Value* mh, ckpt::Field(v, "mid_history"));
-    MC_ASSIGN_OR_RETURN(s->seed.history, ckpt::ReadDoubleVector(*mh));
-  }
-  return Status::OK();
-}
 
 uint64_t DecFingerprint(const Matrix& data, const DecKMeansOptions& options) {
   Fingerprint fp;
@@ -417,48 +326,28 @@ Result<DecKMeansResult> RunDecorrelatedKMeans(
           ? std::min(options.max_iters, options.budget.max_iterations)
           : options.max_iters);
   Checkpointer* ck = options.budget.checkpoint;
-  const uint64_t fp = ck != nullptr ? DecFingerprint(data, options) : 0;
+  const ckpt::Slot slot{
+      ck, "dec-kmeans", ck != nullptr ? DecFingerprint(data, options) : 0,
+      options.diagnostics};
 
   DecCkptState state;
   state.rng = Rng(options.seed);
   bool resume_mid = false;
-  if (ck != nullptr) {
-    if (auto restored =
-            ck->TryRestore("dec-kmeans", fp, options.diagnostics)) {
-      DecCkptState loaded;
-      const Status parsed = ReadDecPayload(restored->payload, &loaded);
-      if (parsed.ok()) {
-        state = std::move(loaded);
-        resume_mid = state.mid_restart;
-        if (options.diagnostics != nullptr) {
-          options.diagnostics->trace = state.trace;
-          options.diagnostics->trace.winning_restart = state.winner;
-        }
-      } else {
-        AddWarning(options.diagnostics, "dec-kmeans",
-                   "checkpoint payload rejected (" + parsed.ToString() +
-                       "); cold start");
-      }
+  if (slot.Restore(&state)) {
+    resume_mid = state.mid_restart;
+    if (options.diagnostics != nullptr) {
+      options.diagnostics->trace.winning_restart = state.winner;
     }
   }
+
   // `prepare` defers the state copies until a snapshot is actually
   // serialized, keeping armed-but-not-due persistence points cheap.
   const auto snapshot =
       [&](bool flush, FunctionRef<void()> prepare = {}) -> Status {
-    if (ck == nullptr) return Status::OK();
-    const auto payload = [&](json::Writer* w) {
+    return slot.Snapshot(&state.step, flush, [&]() -> DecCkptState& {
       if (prepare) prepare();
-      if (options.diagnostics != nullptr) {
-        state.trace = options.diagnostics->trace;
-      }
-      WriteDecPayload(w, state);
-    };
-    const Status st = flush
-                          ? ck->Flush("dec-kmeans", fp, payload)
-                          : ck->AtPersistencePoint("dec-kmeans", fp,
-                                                   state.step, payload);
-    ++state.step;
-    return flush ? Status::OK() : st;
+      return state;
+    });
   };
 
   const size_t restarts = options.restarts == 0 ? 1 : options.restarts;

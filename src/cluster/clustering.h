@@ -39,6 +39,18 @@ struct Clustering {
 
   /// Relabels `labels` to dense 0..k-1 ids in place (noise preserved).
   void Canonicalize();
+
+  /// Checkpoint schema (see common/checkpoint.h): the pipeline's solved
+  /// solution set. An unset (NaN) quality round-trips as null.
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar("labels", labels);
+    ar("centroids", centroids);
+    ar("quality", quality);
+    ar("algorithm", algorithm);
+    ar("iterations", iterations);
+    ar("converged", converged);
+  }
 };
 
 /// Abstract base for algorithms producing one clustering from a data

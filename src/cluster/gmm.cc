@@ -242,51 +242,6 @@ Result<double> EmStep(const Matrix& data, double variance_floor,
   return ll;
 }
 
-void WriteGmmModelCkpt(json::Writer* w, const GmmModel& model) {
-  w->BeginObject();
-  w->Key("components");
-  w->BeginArray();
-  for (const GmmComponent& c : model.components) {
-    w->BeginObject();
-    w->Key("w");
-    w->Double(c.weight);
-    w->Key("m");
-    ckpt::WriteDoubleVector(w, c.mean);
-    w->Key("v");
-    ckpt::WriteDoubleVector(w, c.variances);
-    w->EndObject();
-  }
-  w->EndArray();
-  w->Key("ll");
-  w->Double(model.log_likelihood);
-  w->Key("iterations");
-  w->Uint(model.iterations);
-  w->Key("converged");
-  w->Bool(model.converged);
-  w->EndObject();
-}
-
-Result<GmmModel> ReadGmmModelCkpt(const json::Value& v) {
-  GmmModel model;
-  MC_ASSIGN_OR_RETURN(const json::Value* comps, ckpt::Field(v, "components"));
-  if (!comps->is_array()) {
-    return Status::ComputationError("checkpoint: GMM components not an array");
-  }
-  for (const json::Value& c : comps->array_items()) {
-    GmmComponent comp;
-    MC_ASSIGN_OR_RETURN(comp.weight, ckpt::NumberField(c, "w"));
-    MC_ASSIGN_OR_RETURN(const json::Value* m, ckpt::Field(c, "m"));
-    MC_ASSIGN_OR_RETURN(comp.mean, ckpt::ReadDoubleVector(*m));
-    MC_ASSIGN_OR_RETURN(const json::Value* var, ckpt::Field(c, "v"));
-    MC_ASSIGN_OR_RETURN(comp.variances, ckpt::ReadDoubleVector(*var));
-    model.components.push_back(std::move(comp));
-  }
-  MC_ASSIGN_OR_RETURN(model.log_likelihood, ckpt::NumberField(v, "ll"));
-  MC_ASSIGN_OR_RETURN(model.iterations, ckpt::SizeField(v, "iterations"));
-  MC_ASSIGN_OR_RETURN(model.converged, ckpt::BoolField(v, "converged"));
-  return model;
-}
-
 namespace {
 
 /// Mid-restart resume state / per-iteration persistence hook of one EM
@@ -387,71 +342,27 @@ struct GmmCkptState {
   ConvergenceTrace trace;
   bool mid_restart = false;
   GmmSeed seed;
+
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar("step", step);
+    ar("restart", restart);
+    ar("outer_rng", outer_rng);
+    ar("winner", winner);
+    if (ar.Guard("have_best", have_best)) {
+      ar("best", best);
+      ar("best_ll", best_ll);
+    }
+    ar("last_error", last_error);
+    ar("trace", trace);
+    if (ar.Guard("mid_restart", mid_restart)) {
+      ar("next_iter", seed.start_iter);
+      ar("model", seed.model);
+      ar("has_prev", seed.has_prev);
+      ar("prev_ll", seed.prev_ll);
+    }
+  }
 };
-
-void WriteGmmPayload(json::Writer* w, const GmmCkptState& s) {
-  w->BeginObject();
-  w->Key("step");
-  w->Uint(s.step);
-  w->Key("restart");
-  w->Uint(s.restart);
-  w->Key("outer_rng");
-  ckpt::WriteRng(w, s.outer_rng);
-  w->Key("winner");
-  w->Uint(s.winner);
-  w->Key("have_best");
-  w->Bool(s.have_best);
-  if (s.have_best) {
-    w->Key("best");
-    WriteGmmModelCkpt(w, s.best);
-    w->Key("best_ll");
-    w->Double(s.best_ll);
-  }
-  w->Key("last_error");
-  ckpt::WriteStatus(w, s.last_error);
-  w->Key("trace");
-  ckpt::WriteTrace(w, s.trace);
-  w->Key("mid_restart");
-  w->Bool(s.mid_restart);
-  if (s.mid_restart) {
-    w->Key("next_iter");
-    w->Uint(s.seed.start_iter);
-    w->Key("model");
-    WriteGmmModelCkpt(w, s.seed.model);
-    w->Key("has_prev");
-    w->Bool(s.seed.has_prev);
-    w->Key("prev_ll");
-    w->Double(s.seed.has_prev ? s.seed.prev_ll : 0.0);
-  }
-  w->EndObject();
-}
-
-Status ReadGmmPayload(const json::Value& v, GmmCkptState* s) {
-  MC_ASSIGN_OR_RETURN(s->step, ckpt::SizeField(v, "step"));
-  MC_ASSIGN_OR_RETURN(s->restart, ckpt::SizeField(v, "restart"));
-  MC_ASSIGN_OR_RETURN(const json::Value* outer, ckpt::Field(v, "outer_rng"));
-  MC_ASSIGN_OR_RETURN(s->outer_rng, ckpt::ReadRng(*outer));
-  MC_ASSIGN_OR_RETURN(s->winner, ckpt::SizeField(v, "winner"));
-  MC_ASSIGN_OR_RETURN(s->have_best, ckpt::BoolField(v, "have_best"));
-  if (s->have_best) {
-    MC_ASSIGN_OR_RETURN(const json::Value* best, ckpt::Field(v, "best"));
-    MC_ASSIGN_OR_RETURN(s->best, ReadGmmModelCkpt(*best));
-    MC_ASSIGN_OR_RETURN(s->best_ll, ckpt::NumberField(v, "best_ll"));
-  }
-  MC_ASSIGN_OR_RETURN(const json::Value* err, ckpt::Field(v, "last_error"));
-  MC_RETURN_IF_ERROR(ckpt::ReadStatus(*err, &s->last_error));
-  MC_ASSIGN_OR_RETURN(const json::Value* tr, ckpt::Field(v, "trace"));
-  MC_ASSIGN_OR_RETURN(s->trace, ckpt::ReadTrace(*tr));
-  MC_ASSIGN_OR_RETURN(s->mid_restart, ckpt::BoolField(v, "mid_restart"));
-  if (s->mid_restart) {
-    MC_ASSIGN_OR_RETURN(s->seed.start_iter, ckpt::SizeField(v, "next_iter"));
-    MC_ASSIGN_OR_RETURN(const json::Value* m, ckpt::Field(v, "model"));
-    MC_ASSIGN_OR_RETURN(s->seed.model, ReadGmmModelCkpt(*m));
-    MC_ASSIGN_OR_RETURN(s->seed.has_prev, ckpt::BoolField(v, "has_prev"));
-    MC_ASSIGN_OR_RETURN(s->seed.prev_ll, ckpt::NumberField(v, "prev_ll"));
-  }
-  return Status::OK();
-}
 
 uint64_t GmmFingerprint(const Matrix& data, const GmmOptions& options) {
   Fingerprint fp;
@@ -485,48 +396,29 @@ Result<GmmModel> FitGmm(const Matrix& data, const GmmOptions& options) {
           ? std::min(options.max_iters, options.budget.max_iterations)
           : options.max_iters);
   Checkpointer* ck = options.budget.checkpoint;
-  const uint64_t fp = ck != nullptr ? GmmFingerprint(data, options) : 0;
+  const ckpt::Slot slot{
+      ck, "gmm", ck != nullptr ? GmmFingerprint(data, options) : 0,
+      options.diagnostics};
 
   GmmCkptState state;
   state.outer_rng = Rng(options.seed);
   bool resume_mid = false;
-  if (ck != nullptr) {
-    if (auto restored = ck->TryRestore("gmm", fp, options.diagnostics)) {
-      GmmCkptState loaded;
-      const Status parsed = ReadGmmPayload(restored->payload, &loaded);
-      if (parsed.ok()) {
-        state = std::move(loaded);
-        resume_mid = state.mid_restart;
-        if (options.diagnostics != nullptr) {
-          options.diagnostics->trace = state.trace;
-          options.diagnostics->trace.winning_restart = state.winner;
-        }
-      } else {
-        AddWarning(options.diagnostics, "gmm",
-                   "checkpoint payload rejected (" + parsed.ToString() +
-                       "); cold start");
-      }
+  if (slot.Restore(&state)) {
+    resume_mid = state.mid_restart;
+    if (options.diagnostics != nullptr) {
+      options.diagnostics->trace.winning_restart = state.winner;
     }
   }
+
   // `prepare` defers the model/trace copies to the moment a snapshot is
   // actually serialized — an armed-but-not-due persistence point pays only
   // the policy check.
   const auto snapshot =
       [&](bool flush, FunctionRef<void()> prepare = {}) -> Status {
-    if (ck == nullptr) return Status::OK();
-    const auto payload = [&](json::Writer* w) {
+    return slot.Snapshot(&state.step, flush, [&]() -> GmmCkptState& {
       if (prepare) prepare();
-      if (options.diagnostics != nullptr) {
-        state.trace = options.diagnostics->trace;
-      }
-      WriteGmmPayload(w, state);
-    };
-    const Status st = flush
-                          ? ck->Flush("gmm", fp, payload)
-                          : ck->AtPersistencePoint("gmm", fp, state.step,
-                                                   payload);
-    ++state.step;
-    return flush ? Status::OK() : st;
+      return state;
+    });
   };
 
   const size_t restarts = options.restarts == 0 ? 1 : options.restarts;
@@ -551,7 +443,9 @@ Result<GmmModel> FitGmm(const Matrix& data, const GmmOptions& options) {
                   state.seed.start_iter = next_iter;
                   state.seed.model = model;
                   state.seed.has_prev = has_prev;
-                  state.seed.prev_ll = prev_ll;
+                  // A missing previous log-likelihood (-inf) is stored
+                  // as 0, which JSON can represent.
+                  state.seed.prev_ll = has_prev ? prev_ll : 0.0;
                 });
               };
     Result<GmmModel> model = FitGmmOnce(data, options, restart_seed, &guard,

@@ -33,6 +33,14 @@ struct GmmComponent {
   double LogDensity(const double* x, double logdet) const;
   /// sum_j log var_j for this component (d * log var when spherical).
   double PrecomputeLogDet(size_t d) const;
+
+  /// Checkpoint schema (see common/checkpoint.h).
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar("w", weight);
+    ar("m", mean);
+    ar("v", variances);
+  }
 };
 
 /// A fitted Gaussian mixture model. Reused by CAMI and co-EM, which run
@@ -58,6 +66,16 @@ struct GmmModel {
 
   /// Total data log-likelihood sum_i log p(x_i).
   double TotalLogLikelihood(const Matrix& data) const;
+
+  /// Checkpoint schema (see common/checkpoint.h), shared by the GMM and
+  /// co-EM payloads.
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar("components", components);
+    ar("ll", log_likelihood);
+    ar("iterations", iterations);
+    ar("converged", converged);
+  }
 };
 
 /// Options for EM fitting.
@@ -102,17 +120,6 @@ Status MStepFromResponsibilities(const Matrix& data,
 /// global variances, uniform weights).
 Result<GmmModel> InitGmm(const Matrix& data, size_t k, CovarianceType cov,
                          uint64_t seed);
-
-namespace json {
-class Writer;
-class Value;
-}  // namespace json
-
-/// Bit-exact checkpoint (de)serialization of a GmmModel (weights, means,
-/// variances, iteration bookkeeping) — shared by the GMM and co-EM
-/// checkpoint payloads.
-void WriteGmmModelCkpt(json::Writer* w, const GmmModel& model);
-Result<GmmModel> ReadGmmModelCkpt(const json::Value& v);
 
 /// `Clusterer` adapter.
 class GmmClusterer : public Clusterer {

@@ -260,85 +260,30 @@ struct KMeansCkptState {
   bool mid_restart = false;  ///< payload carries LloydSeed + child rng
   Rng child_rng;
   LloydSeed seed;
+
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar("step", step);
+    ar("restart", restart);
+    ar("outer_rng", outer_rng);
+    ar("winner", winner);
+    if (ar.Guard("have_best", have_best)) {
+      ar("best_labels", best.labels);
+      ar("best_centers", best.centers);
+      ar("best_sse", best.sse);
+      ar("best_iterations", best.iterations);
+      ar("best_converged", best.converged);
+    }
+    ar("last_error", last_error);
+    ar("trace", trace);
+    if (ar.Guard("mid_restart", mid_restart)) {
+      ar("child_rng", child_rng);
+      ar("next_iter", seed.start_iter);
+      ar("centers", seed.centers);
+      ar("labels", seed.labels);
+    }
+  }
 };
-
-void WriteKMeansPayload(json::Writer* w, const KMeansCkptState& s) {
-  w->BeginObject();
-  w->Key("step");
-  w->Uint(s.step);
-  w->Key("restart");
-  w->Uint(s.restart);
-  w->Key("outer_rng");
-  ckpt::WriteRng(w, s.outer_rng);
-  w->Key("winner");
-  w->Uint(s.winner);
-  w->Key("have_best");
-  w->Bool(s.have_best);
-  if (s.have_best) {
-    w->Key("best_labels");
-    ckpt::WriteIntVector(w, s.best.labels);
-    w->Key("best_centers");
-    ckpt::WriteMatrix(w, s.best.centers);
-    w->Key("best_sse");
-    w->Double(s.best.sse);
-    w->Key("best_iterations");
-    w->Uint(s.best.iterations);
-    w->Key("best_converged");
-    w->Bool(s.best.converged);
-  }
-  w->Key("last_error");
-  ckpt::WriteStatus(w, s.last_error);
-  w->Key("trace");
-  ckpt::WriteTrace(w, s.trace);
-  w->Key("mid_restart");
-  w->Bool(s.mid_restart);
-  if (s.mid_restart) {
-    w->Key("child_rng");
-    ckpt::WriteRng(w, s.child_rng);
-    w->Key("next_iter");
-    w->Uint(s.seed.start_iter);
-    w->Key("centers");
-    ckpt::WriteMatrix(w, s.seed.centers);
-    w->Key("labels");
-    ckpt::WriteIntVector(w, s.seed.labels);
-  }
-  w->EndObject();
-}
-
-Status ReadKMeansPayload(const json::Value& v, KMeansCkptState* s) {
-  MC_ASSIGN_OR_RETURN(s->step, ckpt::SizeField(v, "step"));
-  MC_ASSIGN_OR_RETURN(s->restart, ckpt::SizeField(v, "restart"));
-  MC_ASSIGN_OR_RETURN(const json::Value* outer, ckpt::Field(v, "outer_rng"));
-  MC_ASSIGN_OR_RETURN(s->outer_rng, ckpt::ReadRng(*outer));
-  MC_ASSIGN_OR_RETURN(s->winner, ckpt::SizeField(v, "winner"));
-  MC_ASSIGN_OR_RETURN(s->have_best, ckpt::BoolField(v, "have_best"));
-  if (s->have_best) {
-    MC_ASSIGN_OR_RETURN(const json::Value* bl, ckpt::Field(v, "best_labels"));
-    MC_ASSIGN_OR_RETURN(s->best.labels, ckpt::ReadIntVector(*bl));
-    MC_ASSIGN_OR_RETURN(const json::Value* bc, ckpt::Field(v, "best_centers"));
-    MC_ASSIGN_OR_RETURN(s->best.centers, ckpt::ReadMatrix(*bc));
-    MC_ASSIGN_OR_RETURN(s->best.sse, ckpt::NumberField(v, "best_sse"));
-    MC_ASSIGN_OR_RETURN(s->best.iterations,
-                        ckpt::SizeField(v, "best_iterations"));
-    MC_ASSIGN_OR_RETURN(s->best.converged,
-                        ckpt::BoolField(v, "best_converged"));
-  }
-  MC_ASSIGN_OR_RETURN(const json::Value* err, ckpt::Field(v, "last_error"));
-  MC_RETURN_IF_ERROR(ckpt::ReadStatus(*err, &s->last_error));
-  MC_ASSIGN_OR_RETURN(const json::Value* tr, ckpt::Field(v, "trace"));
-  MC_ASSIGN_OR_RETURN(s->trace, ckpt::ReadTrace(*tr));
-  MC_ASSIGN_OR_RETURN(s->mid_restart, ckpt::BoolField(v, "mid_restart"));
-  if (s->mid_restart) {
-    MC_ASSIGN_OR_RETURN(const json::Value* child, ckpt::Field(v, "child_rng"));
-    MC_ASSIGN_OR_RETURN(s->child_rng, ckpt::ReadRng(*child));
-    MC_ASSIGN_OR_RETURN(s->seed.start_iter, ckpt::SizeField(v, "next_iter"));
-    MC_ASSIGN_OR_RETURN(const json::Value* c, ckpt::Field(v, "centers"));
-    MC_ASSIGN_OR_RETURN(s->seed.centers, ckpt::ReadMatrix(*c));
-    MC_ASSIGN_OR_RETURN(const json::Value* l, ckpt::Field(v, "labels"));
-    MC_ASSIGN_OR_RETURN(s->seed.labels, ckpt::ReadIntVector(*l));
-  }
-  return Status::OK();
-}
 
 uint64_t KMeansFingerprint(const Matrix& data, const KMeansOptions& options) {
   Fingerprint fp;
@@ -374,28 +319,18 @@ Result<Clustering> RunKMeans(const Matrix& data,
           ? std::min(options.max_iters, options.budget.max_iterations)
           : options.max_iters);
   Checkpointer* ck = options.budget.checkpoint;
-  const uint64_t fp = ck != nullptr ? KMeansFingerprint(data, options) : 0;
+  const ckpt::Slot slot{
+      ck, "kmeans", ck != nullptr ? KMeansFingerprint(data, options) : 0,
+      options.diagnostics};
 
   KMeansCkptState state;
   state.outer_rng = Rng(options.seed);
   state.best.sse = std::numeric_limits<double>::infinity();
   bool resume_mid = false;
-  if (ck != nullptr) {
-    if (auto restored = ck->TryRestore("kmeans", fp, options.diagnostics)) {
-      KMeansCkptState loaded;
-      const Status parsed = ReadKMeansPayload(restored->payload, &loaded);
-      if (parsed.ok()) {
-        state = std::move(loaded);
-        resume_mid = state.mid_restart;
-        if (options.diagnostics != nullptr) {
-          options.diagnostics->trace = state.trace;
-          options.diagnostics->trace.winning_restart = state.winner;
-        }
-      } else {
-        AddWarning(options.diagnostics, "kmeans",
-                   "checkpoint payload rejected (" + parsed.ToString() +
-                       "); cold start");
-      }
+  if (slot.Restore(&state)) {
+    resume_mid = state.mid_restart;
+    if (options.diagnostics != nullptr) {
+      options.diagnostics->trace.winning_restart = state.winner;
     }
   }
 
@@ -406,19 +341,10 @@ Result<Clustering> RunKMeans(const Matrix& data,
   // a policy check and nothing else.
   const auto snapshot =
       [&](bool flush, FunctionRef<void()> prepare = {}) -> Status {
-    if (ck == nullptr) return Status::OK();
-    const auto payload = [&](json::Writer* w) {
+    return slot.Snapshot(&state.step, flush, [&]() -> KMeansCkptState& {
       if (prepare) prepare();
-      if (options.diagnostics != nullptr) {
-        state.trace = options.diagnostics->trace;
-      }
-      WriteKMeansPayload(w, state);
-    };
-    const Status st = flush ? ck->Flush("kmeans", fp, payload)
-                            : ck->AtPersistencePoint("kmeans", fp,
-                                                     state.step, payload);
-    ++state.step;
-    return flush ? Status::OK() : st;
+      return state;
+    });
   };
 
   const size_t restarts = options.restarts == 0 ? 1 : options.restarts;

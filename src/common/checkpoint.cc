@@ -337,12 +337,17 @@ std::optional<Checkpointer::Restored> Checkpointer::TryRestore(
       continue;
     }
     if (doc.GetString("fingerprint", "") != HexU64(fingerprint)) {
+      // A channel-level note (warnings()/TakeWarnings), never a run
+      // diagnostic: composite strategies share one slot across base runs,
+      // so a resumed run legitimately probes its siblings' snapshots, and
+      // a diagnostics warning would make its report differ from an
+      // uninterrupted run's.
       if (stale_fp_warned_.insert(algorithm).second) {
         Warn(algorithm,
              "checkpoint " + it->second +
                  " was written under a different configuration or dataset; "
                  "skipped (further stale probes of this slot are silent)",
-             diagnostics);
+             nullptr);
       }
       continue;
     }
@@ -534,6 +539,10 @@ Result<uint64_t> ReadU64(const json::Value& v) {
   return parsed;
 }
 
+namespace {
+
+// Member lookup helpers for the leaf codecs (missing field ->
+// kComputationError naming it).
 Result<const json::Value*> Field(const json::Value& v, const char* key) {
   const json::Value* f = v.Find(key);
   if (f == nullptr) {
@@ -561,11 +570,6 @@ Result<bool> BoolField(const json::Value& v, const char* key) {
   return f->bool_value();
 }
 
-Result<uint64_t> U64Field(const json::Value& v, const char* key) {
-  MC_ASSIGN_OR_RETURN(const json::Value* f, Field(v, key));
-  return ReadU64(*f);
-}
-
 Result<size_t> SizeField(const json::Value& v, const char* key) {
   MC_ASSIGN_OR_RETURN(double n, NumberField(v, key));
   if (n < 0) {
@@ -574,6 +578,16 @@ Result<size_t> SizeField(const json::Value& v, const char* key) {
   }
   return static_cast<size_t>(n);
 }
+
+// Moves a leaf codec's parse result into `out` (the archive's leaf Gets).
+template <class T>
+Status Assign(Result<T> parsed, T& out) {
+  if (!parsed.ok()) return parsed.status();
+  out = std::move(*parsed);
+  return Status::OK();
+}
+
+}  // namespace
 
 void WriteMatrix(json::Writer* w, const Matrix& m) {
   w->BeginObject();
@@ -783,6 +797,60 @@ Status ReadStatus(const json::Value& v, Status* out) {
   *out = Status(static_cast<StatusCode>(static_cast<int>(code)),
                 msg->string_value());
   return Status::OK();
+}
+
+Status ReadArchive::Get(const json::Value& v, size_t& out) {
+  if (!v.is_number()) return Status::ComputationError("not a number");
+  if (v.number_value() < 0) return Status::ComputationError("negative");
+  out = static_cast<size_t>(v.number_value());
+  return Status::OK();
+}
+
+Status ReadArchive::Get(const json::Value& v, bool& out) {
+  if (!v.is_bool()) return Status::ComputationError("not a bool");
+  out = v.bool_value();
+  return Status::OK();
+}
+
+Status ReadArchive::Get(const json::Value& v, double& out) {
+  if (v.is_null()) {
+    out = std::numeric_limits<double>::quiet_NaN();  // the writer's NaN/Inf
+    return Status::OK();
+  }
+  if (!v.is_number()) return Status::ComputationError("not a number");
+  out = v.number_value();
+  return Status::OK();
+}
+
+Status ReadArchive::Get(const json::Value& v, std::string& out) {
+  if (!v.is_string()) return Status::ComputationError("not a string");
+  out = v.string_value();
+  return Status::OK();
+}
+
+Status ReadArchive::Get(const json::Value& v, Hex out) {
+  return Assign(ReadU64(v), out.value);
+}
+Status ReadArchive::Get(const json::Value& v, Matrix& out) {
+  return Assign(ReadMatrix(v), out);
+}
+Status ReadArchive::Get(const json::Value& v, Rng& out) {
+  return Assign(ReadRng(v), out);
+}
+Status ReadArchive::Get(const json::Value& v, ConvergenceTrace& out) {
+  return Assign(ReadTrace(v), out);
+}
+Status ReadArchive::Get(const json::Value& v, Status& out) {
+  return ReadStatus(v, &out);
+}
+Status ReadArchive::Get(const json::Value& v, std::vector<int>& out) {
+  return Assign(ReadIntVector(v), out);
+}
+Status ReadArchive::Get(const json::Value& v, std::vector<double>& out) {
+  return Assign(ReadDoubleVector(v), out);
+}
+Status ReadArchive::Get(const json::Value& v, std::vector<size_t>& out) {
+  return Assign(ReadSizeVector(v), out);
 }
 
 }  // namespace ckpt

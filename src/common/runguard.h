@@ -146,6 +146,21 @@ struct RunDiagnostics {
   telemetry::ResourceProfile resource;
 
   std::string ToString() const;
+
+  /// Checkpoint schema (see common/checkpoint.h): the pipeline's attempt
+  /// ledger. `resource` is wall-clock dependent and not checkpointed.
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar("algorithm", algorithm);
+    ar("iterations", iterations);
+    ar("converged", converged);
+    ar("stop_reason", stop_reason);
+    ar("retries", retries);
+    ar("elapsed_ms", elapsed_ms);
+    ar("note", note);
+    ar("warnings", warnings);
+    ar("trace", trace);
+  }
 };
 
 /// Appends "<algorithm>: <message>" to diagnostics->warnings (no-op on a

@@ -162,100 +162,6 @@ Result<StrategyOutcome> RunStrategy(const Matrix& data,
   return out;
 }
 
-// ---- pipeline checkpoint payload -----------------------------------------
-
-// Reads a number that may have been serialized as null (NaN round-trip).
-Result<double> MaybeNanField(const json::Value& v, const char* key) {
-  MC_ASSIGN_OR_RETURN(const json::Value* f, ckpt::Field(v, key));
-  if (f->is_null()) return std::numeric_limits<double>::quiet_NaN();
-  if (!f->is_number()) {
-    return Status::ComputationError(std::string("checkpoint: field '") + key +
-                                    "' is not a number");
-  }
-  return f->number_value();
-}
-
-void WriteDiagCkpt(json::Writer* w, const RunDiagnostics& d) {
-  w->BeginObject();
-  w->Key("algorithm");
-  w->String(d.algorithm);
-  w->Key("iterations");
-  w->Uint(d.iterations);
-  w->Key("converged");
-  w->Bool(d.converged);
-  w->Key("stop_reason");
-  w->Int(static_cast<int>(d.stop_reason));
-  w->Key("retries");
-  w->Uint(d.retries);
-  w->Key("elapsed_ms");
-  w->Double(d.elapsed_ms);
-  w->Key("note");
-  w->String(d.note);
-  w->Key("warnings");
-  w->BeginArray();
-  for (const std::string& warning : d.warnings) w->String(warning);
-  w->EndArray();
-  w->Key("trace");
-  ckpt::WriteTrace(w, d.trace);
-  w->EndObject();
-}
-
-Result<RunDiagnostics> ReadDiagCkpt(const json::Value& v) {
-  RunDiagnostics d;
-  MC_ASSIGN_OR_RETURN(const json::Value* alg, ckpt::Field(v, "algorithm"));
-  d.algorithm = alg->string_value();
-  MC_ASSIGN_OR_RETURN(d.iterations, ckpt::SizeField(v, "iterations"));
-  MC_ASSIGN_OR_RETURN(d.converged, ckpt::BoolField(v, "converged"));
-  MC_ASSIGN_OR_RETURN(const double reason,
-                      ckpt::NumberField(v, "stop_reason"));
-  d.stop_reason = static_cast<StopReason>(static_cast<int>(reason));
-  MC_ASSIGN_OR_RETURN(d.retries, ckpt::SizeField(v, "retries"));
-  MC_ASSIGN_OR_RETURN(d.elapsed_ms, ckpt::NumberField(v, "elapsed_ms"));
-  MC_ASSIGN_OR_RETURN(const json::Value* note, ckpt::Field(v, "note"));
-  d.note = note->string_value();
-  MC_ASSIGN_OR_RETURN(const json::Value* warn, ckpt::Field(v, "warnings"));
-  if (!warn->is_array()) {
-    return Status::ComputationError("checkpoint: diag warnings malformed");
-  }
-  for (const json::Value& wv : warn->array_items()) {
-    d.warnings.push_back(wv.string_value());
-  }
-  MC_ASSIGN_OR_RETURN(const json::Value* tr, ckpt::Field(v, "trace"));
-  MC_ASSIGN_OR_RETURN(d.trace, ckpt::ReadTrace(*tr));
-  return d;
-}
-
-void WriteClusteringCkpt(json::Writer* w, const Clustering& c) {
-  w->BeginObject();
-  w->Key("labels");
-  ckpt::WriteIntVector(w, c.labels);
-  w->Key("centroids");
-  ckpt::WriteMatrix(w, c.centroids);
-  w->Key("quality");
-  w->Double(c.quality);  // NaN (unset) serializes as null
-  w->Key("algorithm");
-  w->String(c.algorithm);
-  w->Key("iterations");
-  w->Uint(c.iterations);
-  w->Key("converged");
-  w->Bool(c.converged);
-  w->EndObject();
-}
-
-Result<Clustering> ReadClusteringCkpt(const json::Value& v) {
-  Clustering c;
-  MC_ASSIGN_OR_RETURN(const json::Value* l, ckpt::Field(v, "labels"));
-  MC_ASSIGN_OR_RETURN(c.labels, ckpt::ReadIntVector(*l));
-  MC_ASSIGN_OR_RETURN(const json::Value* ctr, ckpt::Field(v, "centroids"));
-  MC_ASSIGN_OR_RETURN(c.centroids, ckpt::ReadMatrix(*ctr));
-  MC_ASSIGN_OR_RETURN(c.quality, MaybeNanField(v, "quality"));
-  MC_ASSIGN_OR_RETURN(const json::Value* alg, ckpt::Field(v, "algorithm"));
-  c.algorithm = alg->string_value();
-  MC_ASSIGN_OR_RETURN(c.iterations, ckpt::SizeField(v, "iterations"));
-  MC_ASSIGN_OR_RETURN(c.converged, ckpt::BoolField(v, "converged"));
-  return c;
-}
-
 // Stage-granularity state of one DiscoverMultipleClusterings invocation:
 // the chosen k (stage 1) and the attempt ledger including the solved
 // solution set (stage 2). Dedup + objective scoring are deterministic
@@ -269,84 +175,24 @@ struct PipelineCkptState {
   Status last_error = Status::OK();
   bool solved = false;
   std::string strategy_name;
-  SolutionSet solutions;
+  std::vector<Clustering> solutions;
   bool degraded = false;
+
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar("step", step);
+    ar("chosen_k", chosen_k);
+    ar("next_attempt", next_attempt);
+    ar("attempts", attempts);
+    ar("warnings", warnings);
+    ar("last_error", last_error);
+    if (ar.Guard("solved", solved)) {
+      ar("strategy_name", strategy_name);
+      ar("solutions", solutions);
+      ar("degraded", degraded);
+    }
+  }
 };
-
-void WritePipelinePayload(json::Writer* w, const PipelineCkptState& s) {
-  w->BeginObject();
-  w->Key("step");
-  w->Uint(s.step);
-  w->Key("chosen_k");
-  w->Uint(s.chosen_k);
-  w->Key("next_attempt");
-  w->Uint(s.next_attempt);
-  w->Key("attempts");
-  w->BeginArray();
-  for (const RunDiagnostics& d : s.attempts) WriteDiagCkpt(w, d);
-  w->EndArray();
-  w->Key("warnings");
-  w->BeginArray();
-  for (const std::string& warning : s.warnings) w->String(warning);
-  w->EndArray();
-  w->Key("last_error");
-  ckpt::WriteStatus(w, s.last_error);
-  w->Key("solved");
-  w->Bool(s.solved);
-  if (s.solved) {
-    w->Key("strategy_name");
-    w->String(s.strategy_name);
-    w->Key("solutions");
-    w->BeginArray();
-    for (size_t i = 0; i < s.solutions.size(); ++i) {
-      WriteClusteringCkpt(w, s.solutions.at(i));
-    }
-    w->EndArray();
-    w->Key("degraded");
-    w->Bool(s.degraded);
-  }
-  w->EndObject();
-}
-
-Status ReadPipelinePayload(const json::Value& v, PipelineCkptState* s) {
-  MC_ASSIGN_OR_RETURN(s->step, ckpt::SizeField(v, "step"));
-  MC_ASSIGN_OR_RETURN(s->chosen_k, ckpt::SizeField(v, "chosen_k"));
-  MC_ASSIGN_OR_RETURN(s->next_attempt, ckpt::SizeField(v, "next_attempt"));
-  MC_ASSIGN_OR_RETURN(const json::Value* att, ckpt::Field(v, "attempts"));
-  if (!att->is_array()) {
-    return Status::ComputationError("checkpoint: pipeline attempts malformed");
-  }
-  for (const json::Value& a : att->array_items()) {
-    MC_ASSIGN_OR_RETURN(RunDiagnostics d, ReadDiagCkpt(a));
-    s->attempts.push_back(std::move(d));
-  }
-  MC_ASSIGN_OR_RETURN(const json::Value* warn, ckpt::Field(v, "warnings"));
-  if (!warn->is_array()) {
-    return Status::ComputationError("checkpoint: pipeline warnings malformed");
-  }
-  for (const json::Value& wv : warn->array_items()) {
-    s->warnings.push_back(wv.string_value());
-  }
-  MC_ASSIGN_OR_RETURN(const json::Value* err, ckpt::Field(v, "last_error"));
-  MC_RETURN_IF_ERROR(ckpt::ReadStatus(*err, &s->last_error));
-  MC_ASSIGN_OR_RETURN(s->solved, ckpt::BoolField(v, "solved"));
-  if (s->solved) {
-    MC_ASSIGN_OR_RETURN(const json::Value* sn,
-                        ckpt::Field(v, "strategy_name"));
-    s->strategy_name = sn->string_value();
-    MC_ASSIGN_OR_RETURN(const json::Value* sols, ckpt::Field(v, "solutions"));
-    if (!sols->is_array()) {
-      return Status::ComputationError(
-          "checkpoint: pipeline solutions malformed");
-    }
-    for (const json::Value& sv : sols->array_items()) {
-      MC_ASSIGN_OR_RETURN(Clustering c, ReadClusteringCkpt(sv));
-      MC_RETURN_IF_ERROR(s->solutions.Add(std::move(c)));
-    }
-    MC_ASSIGN_OR_RETURN(s->degraded, ckpt::BoolField(v, "degraded"));
-  }
-  return Status::OK();
-}
 
 uint64_t PipelineFingerprint(const Matrix& data,
                              const DiscoveryOptions& options) {
@@ -382,56 +228,37 @@ Result<DiscoveryReport> DiscoverMultipleClusterings(
   telemetry::ResourceScope resource_scope;
   telemetry::EmitStage("pipeline", "start");
   Checkpointer* ck = options.budget.checkpoint;
-  const uint64_t fp = ck != nullptr ? PipelineFingerprint(data, options) : 0;
+  // Pipeline-stage warnings (corrupt checkpoint, restore notes) land in the
+  // report's warning list, not a per-algorithm RunDiagnostics.
+  RunDiagnostics restore_diag;
+  const ckpt::Slot slot{
+      ck, "pipeline", ck != nullptr ? PipelineFingerprint(data, options) : 0,
+      &restore_diag};
 
   DiscoveryReport report;
   PipelineCkptState state;
-  bool resumed = false;
-  if (ck != nullptr) {
-    // Pipeline-stage warnings (corrupt checkpoint, restore notes) land in
-    // the report's warning list, not a per-algorithm RunDiagnostics.
-    RunDiagnostics restore_diag;
-    if (auto restored = ck->TryRestore("pipeline", fp, &restore_diag)) {
-      PipelineCkptState loaded;
-      Status parsed = ReadPipelinePayload(restored->payload, &loaded);
-      if (parsed.ok() && loaded.solved) {
-        for (size_t i = 0; i < loaded.solutions.size(); ++i) {
-          if (loaded.solutions.at(i).labels.size() != data.rows()) {
-            parsed = Status::ComputationError(
-                "checkpoint: solution size mismatch");
-            break;
-          }
-        }
-      }
-      if (parsed.ok() && loaded.chosen_k == 0) {
-        parsed = Status::ComputationError("checkpoint: chosen_k is zero");
-      }
-      if (parsed.ok()) {
-        state = std::move(loaded);
-        resumed = true;
-      } else {
-        AddWarning(&restore_diag, "pipeline",
-                   "checkpoint payload rejected (" + parsed.ToString() +
-                       "); cold start");
+  // Post-restore checks: a solution set labels all n objects, and model
+  // selection already ran.
+  const auto check = [&](const PipelineCkptState& s) -> Status {
+    for (const Clustering& c : s.solutions) {
+      if (c.labels.size() != data.rows()) {
+        return Status::ComputationError("checkpoint: solution size mismatch");
       }
     }
-    for (std::string& w : restore_diag.warnings) {
-      report.warnings.push_back(std::move(w));
-    }
+    return s.chosen_k == 0
+               ? Status::ComputationError("checkpoint: chosen_k is zero")
+               : Status::OK();
+  };
+  const bool resumed = slot.Restore(&state, check);
+  for (std::string& w : restore_diag.warnings) {
+    report.warnings.push_back(std::move(w));
   }
 
   // Re-reads the shared stage ledger at call time; `flush` swallows write
   // errors (best-effort final snapshot on the way out of a cancellation).
   const auto snapshot = [&](bool flush) -> Status {
-    if (ck == nullptr) return Status::OK();
-    const auto payload = [&](json::Writer* w) {
-      WritePipelinePayload(w, state);
-    };
-    const Status st = flush ? ck->Flush("pipeline", fp, payload)
-                            : ck->AtPersistencePoint("pipeline", fp,
-                                                     state.step, payload);
-    ++state.step;
-    return flush ? Status::OK() : st;
+    return slot.Snapshot(&state.step, flush,
+                         [&]() -> PipelineCkptState& { return state; });
   };
 
   size_t k = options.k;
@@ -475,7 +302,10 @@ Result<DiscoveryReport> DiscoverMultipleClusterings(
     last_error = state.last_error;
     if (state.solved) {
       report.strategy_name = state.strategy_name;
-      report.solutions = std::move(state.solutions);
+      // Cannot fail: the restore check pinned every solution to n labels.
+      for (Clustering& c : state.solutions) {
+        MC_RETURN_IF_ERROR(report.solutions.Add(std::move(c)));
+      }
       report.degraded = state.degraded;
       solved = true;
     }
@@ -539,7 +369,7 @@ Result<DiscoveryReport> DiscoverMultipleClusterings(
         state.last_error = last_error;
         state.solved = true;
         state.strategy_name = report.strategy_name;
-        state.solutions = report.solutions;
+        state.solutions = report.solutions.solutions();
         state.degraded = report.degraded;
         MC_RETURN_IF_ERROR(snapshot(/*flush=*/false));
       }

@@ -41,52 +41,24 @@ struct CoEmCkptState {
   GmmModel m1;
   GmmModel m2;
   bool has_best = false;  // best_ll starts at -inf, unrepresentable in JSON
-  double best_ll = 0.0;
+  double best_ll = 0.0;   // 0 while !has_best
   size_t stale = 0;
   size_t iterations_done = 0;
   ConvergenceTrace trace;
+
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar("step", step);
+    ar("next_iter", next_iter);
+    ar("m1", m1);
+    ar("m2", m2);
+    ar("has_best", has_best);
+    ar("best_ll", best_ll);
+    ar("stale", stale);
+    ar("iterations_done", iterations_done);
+    ar("trace", trace);
+  }
 };
-
-void WriteCoEmPayload(json::Writer* w, const CoEmCkptState& s) {
-  w->BeginObject();
-  w->Key("step");
-  w->Uint(s.step);
-  w->Key("next_iter");
-  w->Uint(s.next_iter);
-  w->Key("m1");
-  WriteGmmModelCkpt(w, s.m1);
-  w->Key("m2");
-  WriteGmmModelCkpt(w, s.m2);
-  w->Key("has_best");
-  w->Bool(s.has_best);
-  w->Key("best_ll");
-  w->Double(s.has_best ? s.best_ll : 0.0);
-  w->Key("stale");
-  w->Uint(s.stale);
-  w->Key("iterations_done");
-  w->Uint(s.iterations_done);
-  w->Key("trace");
-  ckpt::WriteTrace(w, s.trace);
-  w->EndObject();
-}
-
-Status ReadCoEmPayload(const json::Value& v, CoEmCkptState* s) {
-  MC_ASSIGN_OR_RETURN(s->step, ckpt::SizeField(v, "step"));
-  MC_ASSIGN_OR_RETURN(s->next_iter, ckpt::SizeField(v, "next_iter"));
-  MC_ASSIGN_OR_RETURN(const json::Value* m1, ckpt::Field(v, "m1"));
-  MC_ASSIGN_OR_RETURN(s->m1, ReadGmmModelCkpt(*m1));
-  MC_ASSIGN_OR_RETURN(const json::Value* m2, ckpt::Field(v, "m2"));
-  MC_ASSIGN_OR_RETURN(s->m2, ReadGmmModelCkpt(*m2));
-  MC_ASSIGN_OR_RETURN(s->has_best, ckpt::BoolField(v, "has_best"));
-  MC_ASSIGN_OR_RETURN(s->best_ll, ckpt::NumberField(v, "best_ll"));
-  if (!s->has_best) s->best_ll = -std::numeric_limits<double>::infinity();
-  MC_ASSIGN_OR_RETURN(s->stale, ckpt::SizeField(v, "stale"));
-  MC_ASSIGN_OR_RETURN(s->iterations_done,
-                      ckpt::SizeField(v, "iterations_done"));
-  MC_ASSIGN_OR_RETURN(const json::Value* tr, ckpt::Field(v, "trace"));
-  MC_ASSIGN_OR_RETURN(s->trace, ckpt::ReadTrace(*tr));
-  return Status::OK();
-}
 
 uint64_t CoEmFingerprint(const Matrix& view1, const Matrix& view2,
                          const CoEmOptions& options) {
@@ -139,59 +111,44 @@ Result<CoEmResult> RunCoEm(const Matrix& view1, const Matrix& view2,
   size_t stale = 0;
   size_t start_iter = 0;
 
-  // --- Checkpoint/resume ----------------------------------------------
   Checkpointer* ckp = options.budget.checkpoint;
-  const uint64_t fp =
-      ckp != nullptr ? CoEmFingerprint(view1, view2, options) : 0;
+  const ckpt::Slot slot{
+      ckp, "co-em", ckp != nullptr ? CoEmFingerprint(view1, view2, options) : 0,
+      options.diagnostics};
   size_t ckpt_step = 0;
-  if (ckp != nullptr) {
-    if (auto restored = ckp->TryRestore("co-em", fp, options.diagnostics)) {
-      CoEmCkptState state;
-      Status parsed = ReadCoEmPayload(restored->payload, &state);
-      if (parsed.ok() && state.m1.k() == options.k &&
-          state.m2.k() == options.k) {
-        m1 = std::move(state.m1);
-        m2 = std::move(state.m2);
-        best_ll = state.best_ll;
-        stale = state.stale;
-        start_iter = state.next_iter;
-        result.iterations = state.iterations_done;
-        ckpt_step = state.step;
-        if (options.diagnostics != nullptr) {
-          options.diagnostics->trace = state.trace;
-        }
-      } else {
-        AddWarning(options.diagnostics, "co-em",
-                   "checkpoint payload rejected (" +
-                       (parsed.ok() ? std::string("component count mismatch")
-                                    : parsed.message()) +
-                       "); cold start");
-      }
-    }
+  CoEmCkptState state;
+  const auto check_k = [&](const CoEmCkptState& s) -> Status {
+    return s.m1.k() == options.k && s.m2.k() == options.k
+               ? Status::OK()
+               : Status::ComputationError(
+                     "checkpoint: component count mismatch");
+  };
+  if (slot.Restore(&state, check_k)) {
+    m1 = std::move(state.m1);
+    m2 = std::move(state.m2);
+    best_ll = state.has_best ? state.best_ll
+                             : -std::numeric_limits<double>::infinity();
+    stale = state.stale;
+    start_iter = state.next_iter;
+    result.iterations = state.iterations_done;
+    ckpt_step = state.step;
   }
-  // The model/trace copies live inside the payload writer, so an
-  // armed-but-not-due persistence point pays only the policy check.
+  // The model/trace copies run only for snapshots that are actually
+  // serialized, so an armed-but-not-due point pays only the policy check.
   auto snapshot = [&](size_t next_iter, bool flush) -> Status {
-    auto payload = [&](json::Writer* w) {
+    return slot.Snapshot(&ckpt_step, flush, [&] {
       CoEmCkptState s;
       s.step = ckpt_step;
       s.next_iter = next_iter;
       s.m1 = m1;
       s.m2 = m2;
       s.has_best = std::isfinite(best_ll);
-      s.best_ll = best_ll;
+      s.best_ll = s.has_best ? best_ll : 0.0;
       s.stale = stale;
       s.iterations_done = result.iterations;
-      if (options.diagnostics != nullptr) s.trace = options.diagnostics->trace;
-      WriteCoEmPayload(w, s);
-    };
-    Status st = flush ? ckp->Flush("co-em", fp, payload)
-                      : ckp->AtPersistencePoint("co-em", fp, ckpt_step,
-                                                payload);
-    ++ckpt_step;
-    return flush ? Status::OK() : st;
+      return s;
+    });
   };
-  // ---------------------------------------------------------------------
 
   // Prime: one E-step in view 1 to produce the first responsibilities.
   // On resume this replays the E-step the interrupted run took at the end
@@ -201,7 +158,7 @@ Result<CoEmResult> RunCoEm(const Matrix& view1, const Matrix& view2,
 
   for (size_t iter = start_iter; iter < options.max_iters; ++iter) {
     if (guard.Cancelled()) {
-      if (ckp != nullptr) (void)snapshot(iter, /*flush=*/true);
+      (void)snapshot(iter, /*flush=*/true);
       return guard.CancelledStatus();
     }
     if (guard.ShouldStop(iter)) break;
@@ -253,9 +210,7 @@ Result<CoEmResult> RunCoEm(const Matrix& view1, const Matrix& view2,
     // Persistence point: round complete, models and staleness counters
     // consistent. Skipped on the convergence break above — there is
     // nothing left to resume into.
-    if (ckp != nullptr) {
-      MC_RETURN_IF_ERROR(snapshot(iter + 1, /*flush=*/false));
-    }
+    MC_RETURN_IF_ERROR(snapshot(iter + 1, /*flush=*/false));
   }
 
   recorder.Finish("co-em", result.iterations, result.converged);

@@ -44,6 +44,13 @@ struct Group {
   std::vector<double> centroid;
   Matrix basis;  // d x q least-spread eigenvectors
   std::vector<int> members;
+
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar("c", centroid);
+    ar("b", basis);
+    ar("m", members);
+  }
 };
 
 // Last q identity axes: the degenerate-group / failed-eigensolve fallback.
@@ -398,65 +405,20 @@ Result<OrclusResult> RunOrclusOnce(const Matrix& data,
   return result;
 }
 
-void WriteGroup(json::Writer* w, const Group& g) {
-  w->BeginObject();
-  w->Key("c");
-  ckpt::WriteDoubleVector(w, g.centroid);
-  w->Key("b");
-  ckpt::WriteMatrix(w, g.basis);
-  w->Key("m");
-  ckpt::WriteIntVector(w, g.members);
-  w->EndObject();
-}
+// Checkpoint schema of a finished restart's OrclusResult (the subspaces
+// are stored as their bare basis matrices).
+struct OrclusResultFields {
+  OrclusResult& r;
 
-Result<Group> ReadGroup(const json::Value& v) {
-  Group g;
-  MC_ASSIGN_OR_RETURN(const json::Value* c, ckpt::Field(v, "c"));
-  MC_ASSIGN_OR_RETURN(g.centroid, ckpt::ReadDoubleVector(*c));
-  MC_ASSIGN_OR_RETURN(const json::Value* b, ckpt::Field(v, "b"));
-  MC_ASSIGN_OR_RETURN(g.basis, ckpt::ReadMatrix(*b));
-  MC_ASSIGN_OR_RETURN(const json::Value* m, ckpt::Field(v, "m"));
-  MC_ASSIGN_OR_RETURN(g.members, ckpt::ReadIntVector(*m));
-  return g;
-}
-
-void WriteOrclusResultCkpt(json::Writer* w, const OrclusResult& r) {
-  w->BeginObject();
-  w->Key("energy");
-  w->Double(r.projected_energy);
-  w->Key("labels");
-  ckpt::WriteIntVector(w, r.clustering.labels);
-  w->Key("iterations");
-  w->Uint(r.clustering.iterations);
-  w->Key("converged");
-  w->Bool(r.clustering.converged);
-  w->Key("subspaces");
-  w->BeginArray();
-  for (const OrientedSubspace& s : r.subspaces) ckpt::WriteMatrix(w, s.basis);
-  w->EndArray();
-  w->EndObject();
-}
-
-Result<OrclusResult> ReadOrclusResultCkpt(const json::Value& v) {
-  OrclusResult r;
-  MC_ASSIGN_OR_RETURN(r.projected_energy, ckpt::NumberField(v, "energy"));
-  MC_ASSIGN_OR_RETURN(const json::Value* l, ckpt::Field(v, "labels"));
-  MC_ASSIGN_OR_RETURN(r.clustering.labels, ckpt::ReadIntVector(*l));
-  MC_ASSIGN_OR_RETURN(r.clustering.iterations,
-                      ckpt::SizeField(v, "iterations"));
-  MC_ASSIGN_OR_RETURN(r.clustering.converged,
-                      ckpt::BoolField(v, "converged"));
-  r.clustering.algorithm = "orclus";
-  MC_ASSIGN_OR_RETURN(const json::Value* subs, ckpt::Field(v, "subspaces"));
-  if (!subs->is_array()) {
-    return Status::ComputationError("checkpoint: ORCLUS subspaces malformed");
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar("energy", r.projected_energy);
+    ar("labels", r.clustering.labels);
+    ar("iterations", r.clustering.iterations);
+    ar("converged", r.clustering.converged);
+    ar("subspaces", ckpt::Each{r.subspaces, &OrientedSubspace::basis});
   }
-  for (const json::Value& s : subs->array_items()) {
-    MC_ASSIGN_OR_RETURN(Matrix basis, ckpt::ReadMatrix(s));
-    r.subspaces.push_back({std::move(basis)});
-  }
-  return r;
-}
+};
 
 // Shared checkpoint state of one RunOrclus invocation (mirrors the
 // k-means layout: outer restart bookkeeping + optional mid-restart seed).
@@ -471,87 +433,27 @@ struct OrclusCkptState {
   bool mid_restart = false;
   uint64_t restart_seed = 0;  ///< seed the interrupted restart was launched with
   OrclusSeed seed;
+
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar("step", step);
+    ar("restart", restart);
+    ar("outer_rng", outer_rng);
+    if (ar.Guard("have_best", have_best)) ar("best", OrclusResultFields{best});
+    ar("last_error", last_error);
+    ar("trace", trace);
+    if (ar.Guard("mid_restart", mid_restart)) {
+      ar("restart_seed", ckpt::Hex{restart_seed});
+      ar("next_iter", seed.start_iter);
+      ar("groups", seed.groups);
+      ar("qc", seed.qc);
+      ar("has_prev", seed.has_prev);
+      ar("prev_energy", seed.prev_energy);
+      ar("iterations", seed.iterations);
+      ar("rng", seed.rng);
+    }
+  }
 };
-
-void WriteOrclusPayload(json::Writer* w, const OrclusCkptState& s) {
-  w->BeginObject();
-  w->Key("step");
-  w->Uint(s.step);
-  w->Key("restart");
-  w->Uint(s.restart);
-  w->Key("outer_rng");
-  ckpt::WriteRng(w, s.outer_rng);
-  w->Key("have_best");
-  w->Bool(s.have_best);
-  if (s.have_best) {
-    w->Key("best");
-    WriteOrclusResultCkpt(w, s.best);
-  }
-  w->Key("last_error");
-  ckpt::WriteStatus(w, s.last_error);
-  w->Key("trace");
-  ckpt::WriteTrace(w, s.trace);
-  w->Key("mid_restart");
-  w->Bool(s.mid_restart);
-  if (s.mid_restart) {
-    w->Key("restart_seed");
-    ckpt::WriteU64(w, s.restart_seed);
-    w->Key("next_iter");
-    w->Uint(s.seed.start_iter);
-    w->Key("groups");
-    w->BeginArray();
-    for (const Group& g : s.seed.groups) WriteGroup(w, g);
-    w->EndArray();
-    w->Key("qc");
-    w->Double(s.seed.qc);
-    w->Key("has_prev");
-    w->Bool(s.seed.has_prev);
-    w->Key("prev_energy");
-    w->Double(s.seed.has_prev ? s.seed.prev_energy : 0.0);
-    w->Key("iterations");
-    w->Uint(s.seed.iterations);
-    w->Key("rng");
-    ckpt::WriteRng(w, s.seed.rng);
-  }
-  w->EndObject();
-}
-
-Status ReadOrclusPayload(const json::Value& v, OrclusCkptState* s) {
-  MC_ASSIGN_OR_RETURN(s->step, ckpt::SizeField(v, "step"));
-  MC_ASSIGN_OR_RETURN(s->restart, ckpt::SizeField(v, "restart"));
-  MC_ASSIGN_OR_RETURN(const json::Value* outer, ckpt::Field(v, "outer_rng"));
-  MC_ASSIGN_OR_RETURN(s->outer_rng, ckpt::ReadRng(*outer));
-  MC_ASSIGN_OR_RETURN(s->have_best, ckpt::BoolField(v, "have_best"));
-  if (s->have_best) {
-    MC_ASSIGN_OR_RETURN(const json::Value* b, ckpt::Field(v, "best"));
-    MC_ASSIGN_OR_RETURN(s->best, ReadOrclusResultCkpt(*b));
-  }
-  MC_ASSIGN_OR_RETURN(const json::Value* err, ckpt::Field(v, "last_error"));
-  MC_RETURN_IF_ERROR(ckpt::ReadStatus(*err, &s->last_error));
-  MC_ASSIGN_OR_RETURN(const json::Value* tr, ckpt::Field(v, "trace"));
-  MC_ASSIGN_OR_RETURN(s->trace, ckpt::ReadTrace(*tr));
-  MC_ASSIGN_OR_RETURN(s->mid_restart, ckpt::BoolField(v, "mid_restart"));
-  if (s->mid_restart) {
-    MC_ASSIGN_OR_RETURN(s->restart_seed, ckpt::U64Field(v, "restart_seed"));
-    MC_ASSIGN_OR_RETURN(s->seed.start_iter, ckpt::SizeField(v, "next_iter"));
-    MC_ASSIGN_OR_RETURN(const json::Value* gs, ckpt::Field(v, "groups"));
-    if (!gs->is_array()) {
-      return Status::ComputationError("checkpoint: ORCLUS groups malformed");
-    }
-    for (const json::Value& g : gs->array_items()) {
-      MC_ASSIGN_OR_RETURN(Group grp, ReadGroup(g));
-      s->seed.groups.push_back(std::move(grp));
-    }
-    MC_ASSIGN_OR_RETURN(s->seed.qc, ckpt::NumberField(v, "qc"));
-    MC_ASSIGN_OR_RETURN(s->seed.has_prev, ckpt::BoolField(v, "has_prev"));
-    MC_ASSIGN_OR_RETURN(s->seed.prev_energy,
-                        ckpt::NumberField(v, "prev_energy"));
-    MC_ASSIGN_OR_RETURN(s->seed.iterations, ckpt::SizeField(v, "iterations"));
-    MC_ASSIGN_OR_RETURN(const json::Value* rs, ckpt::Field(v, "rng"));
-    MC_ASSIGN_OR_RETURN(s->seed.rng, ckpt::ReadRng(*rs));
-  }
-  return Status::OK();
-}
 
 uint64_t OrclusFingerprint(const Matrix& data, const OrclusOptions& options) {
   Fingerprint fp;
@@ -588,46 +490,26 @@ Result<OrclusResult> RunOrclus(const Matrix& data,
           ? std::min(options.max_iters, options.budget.max_iterations)
           : options.max_iters);
   Checkpointer* ck = options.budget.checkpoint;
-  const uint64_t fp = ck != nullptr ? OrclusFingerprint(data, options) : 0;
+  const ckpt::Slot slot{
+      ck, "orclus", ck != nullptr ? OrclusFingerprint(data, options) : 0,
+      options.diagnostics};
 
   OrclusCkptState state;
   state.outer_rng = Rng(options.seed);
   bool resume_mid = false;
-  if (ck != nullptr) {
-    if (auto restored = ck->TryRestore("orclus", fp, options.diagnostics)) {
-      OrclusCkptState loaded;
-      const Status parsed = ReadOrclusPayload(restored->payload, &loaded);
-      if (parsed.ok()) {
-        state = std::move(loaded);
-        resume_mid = state.mid_restart;
-        if (options.diagnostics != nullptr) {
-          options.diagnostics->trace = state.trace;
-        }
-      } else {
-        AddWarning(options.diagnostics, "orclus",
-                   "checkpoint payload rejected (" + parsed.ToString() +
-                       "); cold start");
-      }
-    }
+  if (slot.Restore(&state)) {
+    resume_mid = state.mid_restart;
+    state.best.clustering.algorithm = "orclus";
   }
 
   // `prepare` defers the seed/trace capture until a snapshot is actually
   // serialized, keeping armed-but-not-due persistence points cheap.
   const auto snapshot =
       [&](bool flush, FunctionRef<void()> prepare = {}) -> Status {
-    if (ck == nullptr) return Status::OK();
-    const auto payload = [&](json::Writer* w) {
+    return slot.Snapshot(&state.step, flush, [&]() -> OrclusCkptState& {
       if (prepare) prepare();
-      if (options.diagnostics != nullptr) {
-        state.trace = options.diagnostics->trace;
-      }
-      WriteOrclusPayload(w, state);
-    };
-    const Status st = flush ? ck->Flush("orclus", fp, payload)
-                            : ck->AtPersistencePoint("orclus", fp,
-                                                     state.step, payload);
-    ++state.step;
-    return flush ? Status::OK() : st;
+      return state;
+    });
   };
 
   const size_t restarts = options.restarts == 0 ? 1 : options.restarts;

@@ -52,70 +52,23 @@ struct ProclusCkptState {
   double best_cost = 0.0;
   size_t iterations = 0;
   ConvergenceTrace trace;
+
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar("step", step);
+    ar("next_iter", next_iter);
+    ar("rng", rng);
+    ar("pool", pool);
+    ar("medoids", medoids);
+    if (ar.Guard("has_best", has_best)) {
+      ar("best_labels", best_labels);
+      ar("best_dims", best_dims);
+      ar("best_cost", best_cost);
+    }
+    ar("iterations", iterations);
+    ar("trace", trace);
+  }
 };
-
-void WriteProclusPayload(json::Writer* w, const ProclusCkptState& s) {
-  w->BeginObject();
-  w->Key("step");
-  w->Uint(s.step);
-  w->Key("next_iter");
-  w->Uint(s.next_iter);
-  w->Key("rng");
-  ckpt::WriteRng(w, s.rng);
-  w->Key("pool");
-  ckpt::WriteSizeVector(w, s.pool);
-  w->Key("medoids");
-  ckpt::WriteSizeVector(w, s.medoids);
-  w->Key("has_best");
-  w->Bool(s.has_best);
-  if (s.has_best) {
-    w->Key("best_labels");
-    ckpt::WriteIntVector(w, s.best_labels);
-    w->Key("best_dims");
-    w->BeginArray();
-    for (const std::vector<size_t>& dims : s.best_dims) {
-      ckpt::WriteSizeVector(w, dims);
-    }
-    w->EndArray();
-    w->Key("best_cost");
-    w->Double(s.best_cost);
-  }
-  w->Key("iterations");
-  w->Uint(s.iterations);
-  w->Key("trace");
-  ckpt::WriteTrace(w, s.trace);
-  w->EndObject();
-}
-
-Status ReadProclusPayload(const json::Value& v, ProclusCkptState* s) {
-  MC_ASSIGN_OR_RETURN(s->step, ckpt::SizeField(v, "step"));
-  MC_ASSIGN_OR_RETURN(s->next_iter, ckpt::SizeField(v, "next_iter"));
-  MC_ASSIGN_OR_RETURN(const json::Value* rng, ckpt::Field(v, "rng"));
-  MC_ASSIGN_OR_RETURN(s->rng, ckpt::ReadRng(*rng));
-  MC_ASSIGN_OR_RETURN(const json::Value* pool, ckpt::Field(v, "pool"));
-  MC_ASSIGN_OR_RETURN(s->pool, ckpt::ReadSizeVector(*pool));
-  MC_ASSIGN_OR_RETURN(const json::Value* med, ckpt::Field(v, "medoids"));
-  MC_ASSIGN_OR_RETURN(s->medoids, ckpt::ReadSizeVector(*med));
-  MC_ASSIGN_OR_RETURN(s->has_best, ckpt::BoolField(v, "has_best"));
-  if (s->has_best) {
-    MC_ASSIGN_OR_RETURN(const json::Value* bl, ckpt::Field(v, "best_labels"));
-    MC_ASSIGN_OR_RETURN(s->best_labels, ckpt::ReadIntVector(*bl));
-    MC_ASSIGN_OR_RETURN(const json::Value* bd, ckpt::Field(v, "best_dims"));
-    if (!bd->is_array()) {
-      return Status::ComputationError(
-          "checkpoint: PROCLUS best_dims malformed");
-    }
-    for (const json::Value& dims : bd->array_items()) {
-      MC_ASSIGN_OR_RETURN(std::vector<size_t> ds, ckpt::ReadSizeVector(dims));
-      s->best_dims.push_back(std::move(ds));
-    }
-    MC_ASSIGN_OR_RETURN(s->best_cost, ckpt::NumberField(v, "best_cost"));
-  }
-  MC_ASSIGN_OR_RETURN(s->iterations, ckpt::SizeField(v, "iterations"));
-  MC_ASSIGN_OR_RETURN(const json::Value* tr, ckpt::Field(v, "trace"));
-  MC_ASSIGN_OR_RETURN(s->trace, ckpt::ReadTrace(*tr));
-  return Status::OK();
-}
 
 uint64_t ProclusFingerprint(const Matrix& data,
                             const ProclusOptions& options) {
@@ -183,43 +136,31 @@ Result<ProclusResult> RunProclus(const Matrix& data,
   bool stopped_early = false;
   size_t start_iter = 0;
 
-  // --- Checkpoint/resume ----------------------------------------------
   Checkpointer* ckp = options.budget.checkpoint;
-  const uint64_t fp = ckp != nullptr ? ProclusFingerprint(data, options) : 0;
+  const ckpt::Slot slot{
+      ckp, "proclus", ckp != nullptr ? ProclusFingerprint(data, options) : 0,
+      options.diagnostics};
   size_t ckpt_step = 0;
-  bool resumed = false;
-  if (ckp != nullptr) {
-    if (auto restored = ckp->TryRestore("proclus", fp, options.diagnostics)) {
-      ProclusCkptState state;
-      const Status parsed = ReadProclusPayload(restored->payload, &state);
-      if (parsed.ok() && state.medoids.size() == k &&
-          state.best_labels.size() == (state.has_best ? n : 0)) {
-        rng = state.rng;
-        pool = std::move(state.pool);
-        medoids = std::move(state.medoids);
-        if (state.has_best) {
-          best_labels = std::move(state.best_labels);
-          best_dims = std::move(state.best_dims);
-          best_cost = state.best_cost;
-        }
-        iterations = state.iterations;
-        start_iter = state.next_iter;
-        ckpt_step = state.step;
-        resumed = true;
-        if (options.diagnostics != nullptr) {
-          options.diagnostics->trace = state.trace;
-        }
-      } else {
-        AddWarning(options.diagnostics, "proclus",
-                   "checkpoint payload rejected (" +
-                       (parsed.ok() ? std::string("state shape mismatch")
-                                    : parsed.message()) +
-                       "); cold start");
-      }
+  ProclusCkptState state;
+  const auto check_shape = [&](const ProclusCkptState& s) -> Status {
+    return s.medoids.size() == k &&
+                   s.best_labels.size() == (s.has_best ? n : 0)
+               ? Status::OK()
+               : Status::ComputationError("checkpoint: state shape mismatch");
+  };
+  if (slot.Restore(&state, check_shape)) {
+    rng = state.rng;
+    pool = std::move(state.pool);
+    medoids = std::move(state.medoids);
+    if (state.has_best) {
+      best_labels = std::move(state.best_labels);
+      best_dims = std::move(state.best_dims);
+      best_cost = state.best_cost;
     }
-  }
-
-  if (!resumed) {
+    iterations = state.iterations;
+    start_iter = state.next_iter;
+    ckpt_step = state.step;
+  } else {
     // --- Initialisation: greedy farthest-point candidate pool. ---
     const size_t pool_size = std::min(n, options.a_factor * k);
     pool.push_back(rng.NextIndex(n));
@@ -239,10 +180,11 @@ Result<ProclusResult> RunProclus(const Matrix& data,
     medoids.assign(pool.begin(), pool.begin() + k);
   }
 
-  // The pool/labels/trace capture lives inside the payload writer, so an
-  // armed-but-not-due persistence point pays only the policy check.
+  // The pool/labels/trace capture runs only for snapshots that are
+  // actually serialized, so an armed-but-not-due point pays only the
+  // policy check.
   auto snapshot = [&](size_t next_iter, bool flush) -> Status {
-    auto payload = [&](json::Writer* w) {
+    return slot.Snapshot(&ckpt_step, flush, [&] {
       ProclusCkptState s;
       s.step = ckpt_step;
       s.next_iter = next_iter;
@@ -256,20 +198,13 @@ Result<ProclusResult> RunProclus(const Matrix& data,
         s.best_cost = best_cost;
       }
       s.iterations = iterations;
-      if (options.diagnostics != nullptr) s.trace = options.diagnostics->trace;
-      WriteProclusPayload(w, s);
-    };
-    Status st = flush ? ckp->Flush("proclus", fp, payload)
-                      : ckp->AtPersistencePoint("proclus", fp, ckpt_step,
-                                                payload);
-    ++ckpt_step;
-    return flush ? Status::OK() : st;
+      return s;
+    });
   };
-  // ---------------------------------------------------------------------
 
   for (size_t iter = start_iter; iter < options.max_iters; ++iter) {
     if (guard.Cancelled()) {
-      if (ckp != nullptr) (void)snapshot(iter, /*flush=*/true);
+      (void)snapshot(iter, /*flush=*/true);
       return guard.CancelledStatus();
     }
     if (guard.ShouldStop(iter)) {
@@ -408,9 +343,7 @@ Result<ProclusResult> RunProclus(const Matrix& data,
     // Persistence point: the round is complete (best-so-far updated, bad
     // medoid replaced). Persisting after the final round is harmless — a
     // resume falls straight through to result construction.
-    if (ckp != nullptr) {
-      MC_RETURN_IF_ERROR(snapshot(iter + 1, /*flush=*/false));
-    }
+    MC_RETURN_IF_ERROR(snapshot(iter + 1, /*flush=*/false));
   }
 
   recorder.Finish("proclus", iterations, !stopped_early);

@@ -6,6 +6,7 @@
 
 #include <ftw.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -841,6 +842,59 @@ TEST(DaemonTest, SubmitWhileDrainingIsRejectedWithStableKey) {
   serve::Client late(fixture.options.socket_path);
   EXPECT_FALSE(late.Connect().ok());
 }
+
+TEST(DaemonTest, DrainRequestedBeforeStartStopsAcceptLoopAtOnce) {
+  // A SIGTERM can land while Start() is still recovering jobs: the latched
+  // drain must stop the accept loop as soon as it runs.
+  DaemonFixture fixture(/*workers=*/1);
+  serve::Daemon daemon(fixture.options);
+  daemon.RequestDrain();
+  ASSERT_TRUE(daemon.Start().ok());
+  daemon.Wait();
+  serve::Client late(fixture.options.socket_path);
+  EXPECT_FALSE(late.Connect().ok());
+}
+
+#if defined(MULTICLUST_DISCOVERD_PATH)
+TEST(DaemonSignalTest, SigtermDuringStartupDrainsCleanly) {
+  // The real binary, signalled the moment its socket file appears — i.e.
+  // while Start() may still be running. It must drain and exit 0.
+  TempDir dir;
+  const std::string socket_path = dir.path() + "/d.sock";
+  const std::string socket_flag = "--socket=" + socket_path;
+  const std::string root_flag = "--root=" + dir.path() + "/root";
+  int err_pipe[2];
+  ASSERT_EQ(pipe(err_pipe), 0);
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    dup2(err_pipe[1], STDERR_FILENO);
+    close(err_pipe[0]);
+    close(err_pipe[1]);
+    execl(MULTICLUST_DISCOVERD_PATH, "discoverd", socket_flag.c_str(),
+          root_flag.c_str(), "--workers=1", static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  close(err_pipe[1]);
+  struct stat st;
+  for (int waited_us = 0;
+       stat(socket_path.c_str(), &st) != 0 && waited_us < 10000000;
+       waited_us += 100) {
+    usleep(100);
+  }
+  ASSERT_EQ(kill(child, SIGTERM), 0);
+  int wstatus = 0;
+  ASSERT_EQ(waitpid(child, &wstatus, 0), child);
+  std::string err;
+  char buf[512];
+  ssize_t got;
+  while ((got = read(err_pipe[0], buf, sizeof(buf))) > 0) err.append(buf, got);
+  close(err_pipe[0]);
+  ASSERT_TRUE(WIFEXITED(wstatus)) << "killed by signal " << WTERMSIG(wstatus);
+  EXPECT_EQ(WEXITSTATUS(wstatus), 0) << err;
+  EXPECT_NE(err.find("discoverd: drained"), std::string::npos) << err;
+}
+#endif  // MULTICLUST_DISCOVERD_PATH
 
 // ---- the headline invariant: SIGKILL loses nothing -----------------------
 

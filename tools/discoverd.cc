@@ -193,13 +193,10 @@ int main(int argc, char** argv) {
     if (!ArmFault(flag)) return 2;
   }
 
+  // The drain handlers go in before Start(): Start() recovers spooled jobs
+  // and begins listening, and a SIGTERM in that window must drain, not
+  // kill. A drain latched before the accept loop runs stops it at once.
   serve::Daemon daemon(options);
-  Status started = daemon.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "discoverd: %s\n", started.ToString().c_str());
-    return 1;
-  }
-
   g_daemon = &daemon;
   struct sigaction sa = {};
   sa.sa_handler = HandleDrainSignal;
@@ -207,6 +204,12 @@ int main(int argc, char** argv) {
   sa.sa_flags = SA_RESTART;
   sigaction(SIGTERM, &sa, nullptr);
   sigaction(SIGINT, &sa, nullptr);
+  Status started = daemon.Start();
+  if (!started.ok()) {
+    g_daemon = nullptr;
+    std::fprintf(stderr, "discoverd: %s\n", started.ToString().c_str());
+    return 1;
+  }
 
   std::fprintf(stderr,
                "discoverd: serving on %s (root %s, %zu workers, "
