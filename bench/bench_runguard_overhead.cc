@@ -23,10 +23,8 @@
 // snapshot.
 //
 // The TelemetryArmed/Disarmed pairs measure the live progress stream: an
-// NdjsonProgressSink swallowing events into /dev/null versus no sink. The
-// SamplerArmed/Disarmed pair measures the span sampler's tick thread
-// against an identical tracer-armed run. Same < 2% bar (see
-// EXPERIMENTS.md §T3).
+// NdjsonProgressSink swallowing events into /dev/null versus no sink.
+// Same < 2% bar (see EXPERIMENTS.md §T3).
 //
 // The BlackboxArmed/Disarmed pair measures the always-on flight recorder
 // (common/blackbox.h): a full-budget k-means run with ring recording on
@@ -50,7 +48,6 @@
 #include "common/checkpoint.h"
 #include "common/fault.h"
 #include "common/metrics.h"
-#include "common/profile.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
 #include "data/generators.h"
@@ -280,39 +277,6 @@ void BM_GmmTelemetryArmed(benchmark::State& state) {
   trace::Reset();
 }
 BENCHMARK(BM_GmmTelemetryArmed);
-
-// Sampler pair: tracer armed either way; the armed side additionally runs
-// the span sampler at its default 2 ms tick, so the workload pays the
-// span-stack bookkeeping contention plus the background thread's CPU share
-// (significant on a single-core host — the bar stays warn-severity).
-void BM_KMeansSamplerDisarmed(benchmark::State& state) {
-  const Matrix data = BenchData();
-  const KMeansOptions opts = KmOptions();
-  trace::Enable();
-  for (auto _ : state) {
-    trace::Reset();
-    benchmark::DoNotOptimize(RunKMeans(data, opts));
-  }
-  trace::Disable();
-  trace::Reset();
-}
-BENCHMARK(BM_KMeansSamplerDisarmed);
-
-void BM_KMeansSamplerArmed(benchmark::State& state) {
-  const Matrix data = BenchData();
-  const KMeansOptions opts = KmOptions();
-  trace::Enable();
-  const bool sampling = telemetry::StartSampler().ok();
-  for (auto _ : state) {
-    trace::Reset();
-    benchmark::DoNotOptimize(RunKMeans(data, opts));
-  }
-  if (sampling) telemetry::StopSampler();
-  telemetry::ResetSamples();
-  trace::Disable();
-  trace::Reset();
-}
-BENCHMARK(BM_KMeansSamplerArmed);
 
 // Armed-but-silent snapshot channel: both cadence triggers disabled, so
 // AtPersistencePoint evaluates the policy and returns without touching the
@@ -556,8 +520,6 @@ int main(int argc, char** argv) {
        "BM_KMeansTelemetryArmed_ms"},
       {"gmm_telemetry_overhead_pct", "BM_GmmTelemetryDisarmed_ms",
        "BM_GmmTelemetryArmed_ms"},
-      {"kmeans_sampler_overhead_pct", "BM_KMeansSamplerDisarmed_ms",
-       "BM_KMeansSamplerArmed_ms"},
       {"kmeans_checkpoint_overhead_pct", "BM_KMeansCheckpointDisarmed_ms",
        "BM_KMeansCheckpointArmed_ms"},
       {"gmm_checkpoint_overhead_pct", "BM_GmmCheckpointDisarmed_ms",

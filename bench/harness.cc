@@ -141,16 +141,10 @@ std::string Harness::DocumentJson() const {
     w.EndObject();
   }
 
-  // What this bench process cost, harness construction to here. Absent
-  // when telemetry compiles out; wall-clock-dependent, so bench_diff never
-  // compares it.
-  {
-    const telemetry::ResourceProfile resource = resource_scope_.Snapshot();
-    if (resource.captured) {
-      w.Key("resource");
-      AppendResourceProfile(resource, &w);
-    }
-  }
+  // What this bench process cost, harness construction to here.
+  // Wall-clock-dependent, so bench_diff never compares it.
+  w.Key("resource");
+  AppendResourceProfile(resource_scope_.Snapshot(), &w);
 
   w.Key("scalars");
   w.BeginArray();
@@ -336,8 +330,8 @@ Status ValidateBenchDocument(const json::Value& doc) {
   if (const json::Value* host = doc.Find("host")) {
     MC_RETURN_IF_ERROR(Expect(host->is_object(), "'host' must be an object"));
   }
-  // 'resource' is optional (absent when telemetry compiles out) but must
-  // be an object of numbers when present.
+  // 'resource' is optional (documents from older builds may lack it) but
+  // must be an object of numbers when present.
   if (const json::Value* resource = doc.Find("resource")) {
     MC_RETURN_IF_ERROR(
         Expect(resource->is_object(), "'resource' must be an object"));

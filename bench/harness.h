@@ -38,8 +38,7 @@ namespace bench {
 ///                "peak_rss_kb":..,"minor_faults":..,"major_faults":..,
 ///                "alloc_count":..,"alloc_bytes":..,"flops":..,
 ///                "kernel_bytes":..},   // optional: ResourceProfile of the
-///                                      // bench process, harness lifetime;
-///                                      // absent when telemetry compiles out
+///                                      // bench process, harness lifetime
 ///                                      // (wall-clock — bench_diff ignores)
 ///    "scalars":[{"name":..,"value":..,"unit":..,"timing":..,
 ///                "tol_rel":..,"tol_abs":..}],

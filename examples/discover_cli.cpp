@@ -36,11 +36,12 @@
 //     --metrics-out=PATH                     (rewrite PATH with an
 //                                             OpenMetrics snapshot every
 //                                             500 ms and once at exit)
-//     --flamegraph=PATH                      (run the span sampler during
-//                                             the discovery call and write
-//                                             collapsed stacks to PATH for
+//     --flamegraph=PATH                      (trace the discovery call and
+//                                             write its spans to PATH as
+//                                             collapsed stacks weighted by
+//                                             self time in µs, for
 //                                             flamegraph.pl / speedscope;
-//                                             prints a self/total table)
+//                                             prints the span table)
 //     --run-ledger=PATH                      (append one multiclust.run_record
 //                                             JSONL line to PATH describing
 //                                             this run: fingerprint, seed,
@@ -85,6 +86,7 @@
 #include <memory>
 #include <string>
 
+#include "common/atomicio.h"
 #include "common/blackbox.h"
 #include "common/metrics.h"
 #include "common/profile.h"
@@ -122,7 +124,6 @@ std::FILE* g_human = nullptr;
 struct TelemetryTeardown {
   ~TelemetryTeardown() {
     telemetry::SetProgressSink(nullptr);
-    if (telemetry::SamplerRunning()) telemetry::StopSampler();
     if (telemetry::MetricsExportRunning()) telemetry::StopMetricsExport();
   }
 };
@@ -317,27 +318,23 @@ int main(int argc, char** argv) {
 
   // Arm the observability layer for the run when any artifact that feeds
   // off it was requested: the report carries the span summary and metrics
-  // snapshot, the sampler attributes ticks to open spans, and the metrics
-  // exporter scrapes the registry (no-ops when compiled out).
+  // snapshot, the flame graph is derived from the buffered spans, and the
+  // metrics exporter scrapes the registry.
   const bool wants_telemetry = !report_json.empty() || !progress.empty() ||
                                !metrics_out.empty() || !flamegraph.empty();
-  if (wants_telemetry && trace::kCompiledIn) {
+  if (wants_telemetry) {
     trace::Reset();
     metrics::Reset();
     trace::Enable();
   }
 
-  // Live telemetry plane: progress stream, OpenMetrics export, sampler.
+  // Live telemetry plane: progress stream, OpenMetrics export.
   // The sink must outlive the teardown guard (declared after it, destroyed
   // before it), which uninstalls the process-wide pointer first.
   std::unique_ptr<telemetry::NdjsonProgressSink> progress_sink;
   TelemetryTeardown teardown;
   if (!progress.empty()) {
-    if (!telemetry::kTelemetryCompiledIn) {
-      std::fprintf(stderr,
-                   "warning: --progress ignored (telemetry compiled out: "
-                   "-DMULTICLUST_TRACING=OFF)\n");
-    } else if (progress == "-") {
+    if (progress == "-") {
       progress_sink = std::make_unique<telemetry::NdjsonProgressSink>(stdout);
     } else {
       std::FILE* f = std::fopen(progress.c_str(), "w");
@@ -348,9 +345,7 @@ int main(int argc, char** argv) {
       progress_sink = std::make_unique<telemetry::NdjsonProgressSink>(
           f, /*take_ownership=*/true);
     }
-    if (progress_sink != nullptr) {
-      telemetry::SetProgressSink(progress_sink.get());
-    }
+    telemetry::SetProgressSink(progress_sink.get());
   }
   if (!metrics_out.empty()) {
     telemetry::MetricsExportOptions mopts;
@@ -361,14 +356,6 @@ int main(int argc, char** argv) {
                    st.ToString().c_str());
     }
   }
-  if (!flamegraph.empty()) {
-    Status st = telemetry::StartSampler();
-    if (!st.ok()) {
-      std::fprintf(stderr, "warning: --flamegraph: %s\n",
-                   st.ToString().c_str());
-    }
-  }
-
   // Cooperative shutdown: SIGINT/SIGTERM trip the cancel token; the run
   // winds down at its next guard check and flushes a final checkpoint.
   InstallCooperativeSignals();
@@ -427,20 +414,18 @@ int main(int argc, char** argv) {
   telemetry::EmitStage("run", outcome.status.ok() ? "complete" : "error",
                        /*terminal=*/true);
 
-  if (telemetry::SamplerRunning()) {
-    telemetry::StopSampler();
-    std::FILE* f = std::fopen(flamegraph.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "warning: cannot open --flamegraph file '%s'\n",
-                   flamegraph.c_str());
+  if (!flamegraph.empty()) {
+    atomicio::AtomicWriteOptions fopts;
+    fopts.what = "--flamegraph";
+    Status st = atomicio::AtomicWritePath(flamegraph, trace::CollapsedStacks(),
+                                          fopts);
+    if (!st.ok()) {
+      std::fprintf(stderr, "warning: %s\n", st.ToString().c_str());
     } else {
-      const std::string collapsed = telemetry::CollapsedStacks();
-      std::fwrite(collapsed.data(), 1, collapsed.size(), f);
-      std::fclose(f);
       std::fprintf(g_human,
-                   "wrote %zu samples of collapsed span stacks to %s\n",
-                   telemetry::SampleCount(), flamegraph.c_str());
-      std::fprintf(g_human, "%s", telemetry::SamplerTableString().c_str());
+                   "wrote collapsed span stacks of %zu spans to %s\n",
+                   trace::EventCount(), flamegraph.c_str());
+      std::fprintf(g_human, "%s", trace::SummaryString().c_str());
     }
   }
 
@@ -493,7 +478,7 @@ int main(int argc, char** argv) {
 
   if (!report_json.empty()) {
     Status st = WriteDiscoveryReport(report_json, report);
-    if (trace::kCompiledIn) trace::Disable();
+    trace::Disable();
     if (!st.ok()) return LedgerFail(st);
     std::fprintf(g_human, "wrote run report to %s\n", report_json.c_str());
   }

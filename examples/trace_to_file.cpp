@@ -6,9 +6,9 @@
 //   3. print the metrics registry (iteration/reseed/restart counters),
 //   4. print the per-attempt ConvergenceTrace that the pipeline collected.
 //
-// When the library is built with -DMULTICLUST_TRACING=OFF, steps 1-3
-// degrade to empty output at zero cost; step 4 (convergence telemetry) is
-// always available.
+// The span table's "self ms" column and `discover_cli --flamegraph` are
+// derived from the same buffered events as the trace file, so the three
+// views always agree.
 //
 // Build & run:  ./build/examples/trace_to_file [trace.json]
 #include <cstdio>
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   // 3. Metrics registry: how much work each algorithm did.
   std::printf("%s\n", metrics::SummaryString().c_str());
 
-  // 4. Convergence telemetry (always compiled, even with tracing off).
+  // 4. Convergence telemetry (recorded whether or not the tracer is on).
   for (const RunDiagnostics& diag : report->attempts) {
     std::printf("attempt [%s]: %s\n", diag.algorithm.c_str(),
                 diag.ToString().c_str());

@@ -128,5 +128,15 @@ Status AtomicWriteFile(const std::string& dir, const std::string& name,
   return Status::OK();
 }
 
+Status AtomicWritePath(const std::string& path, const std::string& content,
+                       const AtomicWriteOptions& options) {
+  const size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) {
+    return AtomicWriteFile(".", path, content, options);
+  }
+  return AtomicWriteFile(path.substr(0, slash), path.substr(slash + 1),
+                         content, options);
+}
+
 }  // namespace atomicio
 }  // namespace multiclust

@@ -9,9 +9,10 @@
 namespace multiclust {
 
 /// Crash-safe file publication shared by every artifact writer
-/// (checkpoints, metrics snapshots, flight records): write `<final>.tmp`,
-/// fsync, rename over the final name — a crash at any point leaves either
-/// the previous file or the new complete file, never a torn one.
+/// (checkpoints, metrics snapshots, flight records, Chrome traces, flame
+/// graphs): write `<final>.tmp`, fsync, rename over the final name — a
+/// crash at any point leaves either the previous file or the new complete
+/// file, never a torn one.
 ///
 /// The writer carries the library's I/O fault-injection hooks (fault.h,
 /// the kIo* kinds) so every consumer inherits the same failure model the
@@ -44,6 +45,11 @@ struct AtomicWriteOptions {
 /// and the temp file is removed (except the documented short-write case).
 Status AtomicWriteFile(const std::string& dir, const std::string& name,
                        const std::string& content,
+                       const AtomicWriteOptions& options = {});
+
+/// AtomicWriteFile addressed by one path, split at its last '/' (a bare
+/// file name publishes into the current directory).
+Status AtomicWritePath(const std::string& path, const std::string& content,
                        const AtomicWriteOptions& options = {});
 
 /// fsyncs `path` (a file, or a directory when `directory` is true).

@@ -1,7 +1,5 @@
 #include "common/blackbox.h"
 
-#if defined(MULTICLUST_TRACING)
-
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/resource.h>
@@ -12,8 +10,8 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 
+#include "common/atomicio.h"
 #include "common/fault.h"
 #include "common/profile.h"
 
@@ -628,20 +626,10 @@ std::string FlightRecordJson(int signal) {
 }
 
 Status WriteFlightRecord(const std::string& path) {
-  std::ofstream file(path, std::ios::out | std::ios::trunc);
-  if (!file.is_open()) {
-    return Status::IoError("blackbox: cannot open '" + path +
-                           "' for writing");
-  }
-  file << FlightRecordJson();
-  file.flush();
-  if (!file.good()) {
-    return Status::IoError("blackbox: failed writing '" + path + "'");
-  }
-  return Status::OK();
+  atomicio::AtomicWriteOptions options;
+  options.what = "blackbox";
+  return atomicio::AtomicWritePath(path, FlightRecordJson(), options);
 }
 
 }  // namespace blackbox
 }  // namespace multiclust
-
-#endif  // MULTICLUST_TRACING

@@ -32,10 +32,9 @@ namespace multiclust {
 /// library). The one non-literal producer — the Checkpointer's algorithm
 /// slot name — is copied into a fixed global buffer instead.
 ///
-/// The whole subsystem compiles out under -DMULTICLUST_TRACING=OFF like
-/// the rest of the telemetry plane: every function below becomes an
-/// empty inline stub and libmulticlust contains no multiclust::blackbox
-/// symbols (CI checks this with nm).
+/// The recorder's per-thread open-span stack is the only one in the
+/// process: the tracer keeps none, and a crash report or flight record
+/// reads its span stacks from here.
 namespace blackbox {
 
 /// Schema version of the `multiclust.crash_report` JSON artifact.
@@ -67,8 +66,6 @@ enum class EventType : uint32_t {
 };
 
 /// Short stable identifier for `type` ("span_enter", "fault", ...).
-/// Header-inline so OFF builds that print record types keep working
-/// without pulling any blackbox symbol into the library.
 constexpr const char* EventTypeName(EventType type) {
   switch (type) {
     case EventType::kSpanEnter:
@@ -92,10 +89,6 @@ constexpr const char* EventTypeName(EventType type) {
   }
   return "unknown";
 }
-
-#if defined(MULTICLUST_TRACING)
-
-inline constexpr bool kCompiledIn = true;
 
 /// Toggles recording (default ON — the recorder is meant to be always
 /// armed; benches toggle it to measure the delta). Disabling does not
@@ -166,38 +159,9 @@ void SetCrashLedger(const std::string& ledger_path,
 /// alive, not a crash".
 std::string FlightRecordJson(int signal = 0);
 
-/// Writes FlightRecordJson() to `path` (plain buffered I/O; for the
-/// signal path use InstallCrashHandler).
+/// Publishes FlightRecordJson() at `path` through the shared atomic
+/// writer (atomicio.h); for the signal path use InstallCrashHandler.
 Status WriteFlightRecord(const std::string& path);
-
-#else  // !MULTICLUST_TRACING — zero-cost stubs, no symbols in the library.
-
-inline constexpr bool kCompiledIn = false;
-
-inline void SetEnabled(bool) {}
-inline constexpr bool Enabled() { return false; }
-inline void Record(EventType, const char*, uint64_t = 0, uint64_t = 0) {}
-inline void OnSpanEnter(const char*) {}
-inline void OnSpanExit(const char*) {}
-inline void Mark(const char*, uint64_t = 0) {}
-inline void RecordFault(const char*, int, uint64_t) {}
-inline void RecordCheckpoint(EventType, const char*, uint64_t) {}
-inline void Reset() {}
-inline constexpr uint64_t TotalRecords() { return 0; }
-inline Status InstallCrashHandler(const std::string&) {
-  return Status::FailedPrecondition(
-      "blackbox: compiled out (-DMULTICLUST_TRACING=OFF)");
-}
-inline void UninstallCrashHandler() {}
-inline constexpr bool CrashHandlerInstalled() { return false; }
-inline void SetCrashLedger(const std::string&, const std::string&) {}
-inline std::string FlightRecordJson(int = 0) { return std::string(); }
-inline Status WriteFlightRecord(const std::string&) {
-  return Status::FailedPrecondition(
-      "blackbox: compiled out (-DMULTICLUST_TRACING=OFF)");
-}
-
-#endif  // MULTICLUST_TRACING
 
 }  // namespace blackbox
 }  // namespace multiclust

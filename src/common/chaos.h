@@ -81,7 +81,7 @@ struct RunOutcome {
   /// Flight-record dump (blackbox::FlightRecordJson) captured when the
   /// run violated an invariant: what every thread was doing, the
   /// checkpoint/fault state and the last events of the failing run.
-  /// Empty on clean runs and in -DMULTICLUST_TRACING=OFF builds.
+  /// Empty on clean runs.
   std::string flight_record;
 };
 

@@ -1,7 +1,5 @@
 #include "common/metrics.h"
 
-#if defined(MULTICLUST_TRACING)
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -412,5 +410,3 @@ std::string SummaryString() {
 
 }  // namespace metrics
 }  // namespace multiclust
-
-#endif  // MULTICLUST_TRACING

@@ -25,8 +25,7 @@ namespace multiclust {
 /// integer bucket counts (no floating-point sum) to keep that guarantee.
 ///
 /// Hot paths use the MC_METRIC_* macros, which cache the registry lookup
-/// in a function-local static and compile out entirely (no lookup, no
-/// atomic, no symbols) under -DMULTICLUST_TRACING=OFF.
+/// in a function-local static.
 namespace metrics {
 
 /// One row of a registry snapshot (SummaryString/Snapshot).
@@ -35,10 +34,6 @@ struct MetricRow {
   std::string kind;   ///< "counter", "gauge" or "histogram"
   std::string value;  ///< rendered value (bucket list for histograms)
 };
-
-#if defined(MULTICLUST_TRACING)
-
-inline constexpr bool kCompiledIn = true;
 
 /// Monotonic integer counter.
 class Counter {
@@ -133,69 +128,11 @@ double HistogramQuantile(const std::vector<double>& bounds,
 /// scraper consumes (`discover_cli --metrics-out=PATH`).
 std::string OpenMetricsText();
 
-#else  // !MULTICLUST_TRACING — zero-cost stubs, no symbols in the library.
-
-inline constexpr bool kCompiledIn = false;
-
-class Counter {
- public:
-  void Add(uint64_t = 1) {}
-  uint64_t value() const { return 0; }
-  void Reset() {}
-};
-
-class Gauge {
- public:
-  void Set(double) {}
-  double value() const { return 0.0; }
-  void Reset() {}
-};
-
-class Histogram {
- public:
-  explicit Histogram(std::vector<double>) {}
-  void Observe(double) {}
-  std::vector<double> bounds() const { return {}; }
-  std::vector<uint64_t> bucket_counts() const { return {}; }
-  uint64_t total_count() const { return 0; }
-  double Quantile(double) const { return 0.0; }
-  void Reset() {}
-};
-
-inline Counter& GetCounter(const std::string&) {
-  static Counter dummy;
-  return dummy;
-}
-inline Gauge& GetGauge(const std::string&) {
-  static Gauge dummy;
-  return dummy;
-}
-inline Histogram& GetHistogram(const std::string&,
-                               const std::vector<double>&) {
-  static Histogram dummy{{}};
-  return dummy;
-}
-inline void Reset() {}
-inline std::vector<MetricRow> Snapshot() { return {}; }
-inline std::string SummaryString() {
-  return "metrics: compiled out (-DMULTICLUST_TRACING=OFF)\n";
-}
-inline std::string MetricsJson() { return "[]"; }
-inline double HistogramQuantile(const std::vector<double>&,
-                                const std::vector<uint64_t>&, double) {
-  return 0.0;
-}
-inline std::string OpenMetricsText() { return "# EOF\n"; }
-
-#endif  // MULTICLUST_TRACING
-
 }  // namespace metrics
 }  // namespace multiclust
 
 /// Hot-path instrumentation macros. `name` must be a string literal; the
 /// registry lookup happens once per call site (function-local static).
-/// All of them expand to nothing under -DMULTICLUST_TRACING=OFF.
-#if defined(MULTICLUST_TRACING)
 #define MC_METRIC_COUNT(name, n)                           \
   do {                                                     \
     static ::multiclust::metrics::Counter& mc_counter_ =   \
@@ -214,16 +151,5 @@ inline std::string OpenMetricsText() { return "# EOF\n"; }
         ::multiclust::metrics::GetHistogram(name, bounds); \
     mc_histo_.Observe(v);                                  \
   } while (false)
-#else
-#define MC_METRIC_COUNT(name, n) \
-  do {                           \
-  } while (false)
-#define MC_METRIC_GAUGE_SET(name, v) \
-  do {                               \
-  } while (false)
-#define MC_METRIC_OBSERVE(name, bounds, v) \
-  do {                                     \
-  } while (false)
-#endif
 
 #endif  // MULTICLUST_COMMON_METRICS_H_

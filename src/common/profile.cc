@@ -1,18 +1,11 @@
 #include "common/profile.h"
 
-#if defined(MULTICLUST_TRACING)
-
 #include <sys/resource.h>
 #include <sys/time.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <map>
-#include <mutex>
-#include <thread>
-
-#include "common/trace.h"
 
 namespace multiclust {
 namespace telemetry {
@@ -115,177 +108,5 @@ ResourceProfile ResourceScope::Snapshot() const {
   return profile;
 }
 
-// --- Sampling profiler -------------------------------------------------------
-
-namespace {
-
-struct SamplerState {
-  std::mutex mu;  // guards thread start/stop transitions
-  std::thread thread;
-  std::atomic<bool> running{false};
-  std::atomic<bool> stop{false};
-
-  std::mutex data_mu;  // guards the accumulated samples
-  std::map<std::string, size_t> stacks;  // "outer;inner" -> sample count
-  size_t total_samples = 0;
-};
-
-SamplerState& GetSampler() {
-  static SamplerState* state = new SamplerState();
-  return *state;
-}
-
-constexpr const char kNoSpan[] = "(no span)";
-
-void SamplerLoop(double interval_ms) {
-  SamplerState& state = GetSampler();
-  const auto period = std::chrono::duration<double, std::milli>(interval_ms);
-  while (!state.stop.load(std::memory_order_acquire)) {
-    const std::vector<std::vector<const char*>> stacks =
-        trace::SnapshotOpenSpans();
-    {
-      std::lock_guard<std::mutex> lock(state.data_mu);
-      for (const std::vector<const char*>& stack : stacks) {
-        std::string key;
-        if (stack.empty()) {
-          key = kNoSpan;
-        } else {
-          for (const char* name : stack) {
-            if (!key.empty()) key.push_back(';');
-            key += name;
-          }
-        }
-        ++state.stacks[key];
-        ++state.total_samples;
-      }
-    }
-    std::this_thread::sleep_for(period);
-  }
-}
-
-// Splits a collapsed-stack key back into frame names.
-std::vector<std::string> SplitFrames(const std::string& key) {
-  std::vector<std::string> frames;
-  size_t start = 0;
-  while (start <= key.size()) {
-    const size_t semi = key.find(';', start);
-    if (semi == std::string::npos) {
-      frames.push_back(key.substr(start));
-      break;
-    }
-    frames.push_back(key.substr(start, semi - start));
-    start = semi + 1;
-  }
-  return frames;
-}
-
-}  // namespace
-
-Status StartSampler(const SamplerOptions& options) {
-  if (!(options.interval_ms > 0.0)) {
-    return Status::InvalidArgument("sampler: interval_ms must be positive");
-  }
-  SamplerState& state = GetSampler();
-  std::lock_guard<std::mutex> lock(state.mu);
-  if (state.running.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("sampler: already running");
-  }
-  state.stop.store(false, std::memory_order_release);
-  state.thread = std::thread(SamplerLoop, options.interval_ms);
-  state.running.store(true, std::memory_order_release);
-  return Status::OK();
-}
-
-void StopSampler() {
-  SamplerState& state = GetSampler();
-  std::lock_guard<std::mutex> lock(state.mu);
-  if (!state.running.load(std::memory_order_acquire)) return;
-  state.stop.store(true, std::memory_order_release);
-  state.thread.join();
-  state.running.store(false, std::memory_order_release);
-}
-
-bool SamplerRunning() {
-  return GetSampler().running.load(std::memory_order_acquire);
-}
-
-void ResetSamples() {
-  SamplerState& state = GetSampler();
-  std::lock_guard<std::mutex> lock(state.data_mu);
-  state.stacks.clear();
-  state.total_samples = 0;
-}
-
-size_t SampleCount() {
-  SamplerState& state = GetSampler();
-  std::lock_guard<std::mutex> lock(state.data_mu);
-  return state.total_samples;
-}
-
-std::string CollapsedStacks() {
-  SamplerState& state = GetSampler();
-  std::lock_guard<std::mutex> lock(state.data_mu);
-  std::string out;
-  for (const auto& [key, count] : state.stacks) {  // map: sorted by stack
-    out += key;
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), " %zu\n", count);
-    out += buf;
-  }
-  return out;
-}
-
-std::vector<SampleStats> SamplerTable() {
-  std::map<std::string, SampleStats> by_name;
-  {
-    SamplerState& state = GetSampler();
-    std::lock_guard<std::mutex> lock(state.data_mu);
-    for (const auto& [key, count] : state.stacks) {
-      const std::vector<std::string> frames = SplitFrames(key);
-      by_name[frames.back()].self += count;
-      // `total` counts each sample once per span present, even if the span
-      // recurses within the stack.
-      std::vector<std::string> seen;
-      for (const std::string& frame : frames) {
-        if (std::find(seen.begin(), seen.end(), frame) != seen.end()) {
-          continue;
-        }
-        seen.push_back(frame);
-        by_name[frame].total += count;
-      }
-    }
-  }
-  std::vector<SampleStats> out;
-  out.reserve(by_name.size());
-  for (auto& [name, stats] : by_name) {
-    stats.name = name;
-    out.push_back(std::move(stats));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const SampleStats& a, const SampleStats& b) {
-              if (a.self != b.self) return a.self > b.self;
-              return a.name < b.name;
-            });
-  return out;
-}
-
-std::string SamplerTableString() {
-  const std::vector<SampleStats> table = SamplerTable();
-  std::string out;
-  char line[256];
-  std::snprintf(line, sizeof(line), "%-36s %10s %10s\n", "span", "self",
-                "total");
-  out += line;
-  for (const SampleStats& s : table) {
-    std::snprintf(line, sizeof(line), "%-36s %10zu %10zu\n", s.name.c_str(),
-                  s.self, s.total);
-    out += line;
-  }
-  if (table.empty()) out += "(no samples recorded)\n";
-  return out;
-}
-
 }  // namespace telemetry
 }  // namespace multiclust
-
-#endif  // MULTICLUST_TRACING

@@ -2,12 +2,8 @@
 #define MULTICLUST_COMMON_PROFILE_H_
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "common/status.h"
 
 namespace multiclust {
 namespace telemetry {
@@ -18,11 +14,9 @@ namespace telemetry {
 /// which is the process high-water mark at scope end (rusage cannot give a
 /// windowed peak).
 ///
-/// The struct itself is always defined (it rides on RunDiagnostics and the
-/// DiscoveryReport, which exist in every build); the *capture* machinery
-/// below compiles out under -DMULTICLUST_TRACING=OFF, leaving every field
-/// zero. A profile with `captured == false` serializes as an absent
-/// "resource" member in report JSON.
+/// The struct rides on RunDiagnostics and the DiscoveryReport. A profile
+/// with `captured == false` (no ResourceScope measured it) serializes as an
+/// absent "resource" member in report JSON.
 struct ResourceProfile {
   bool captured = false;
   double wall_ms = 0.0;        ///< wall-clock time of the scope
@@ -39,10 +33,6 @@ struct ResourceProfile {
   std::string ToString() const;
 };
 
-#if defined(MULTICLUST_TRACING)
-
-inline constexpr bool kProfileCompiledIn = true;
-
 namespace internal {
 /// Process-wide allocation / kernel-work tallies. Relaxed atomics: totals
 /// are exact, ordering is irrelevant. Exposed so the hot-path hooks below
@@ -54,8 +44,7 @@ extern std::atomic<uint64_t> g_kernel_bytes;
 }  // namespace internal
 
 /// Allocation hook, called from the Matrix/Dataset storage growth sites.
-/// One relaxed add per allocation; compiles out to nothing under
-/// -DMULTICLUST_TRACING=OFF.
+/// One relaxed add per allocation.
 inline void CountAlloc(uint64_t bytes) {
   internal::g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   internal::g_alloc_bytes.fetch_add(bytes, std::memory_order_relaxed);
@@ -90,102 +79,6 @@ class ResourceScope {
   uint64_t start_flops_ = 0;
   uint64_t start_kernel_bytes_ = 0;
 };
-
-// --- Timer-based sampling profiler -----------------------------------------
-//
-// A background thread wakes every `interval_ms` and records, for every
-// thread that has ever opened a trace span, the stack of spans currently
-// open on it (trace::SnapshotOpenSpans). No libunwind, no signals: the
-// "stack" is the tracer's own span nesting, so samples attribute to the
-// innermost open span and aggregate into collapsed-stack lines that
-// flamegraph.pl / speedscope consume directly.
-//
-// The tracer must be enabled (trace::Enable) while sampling — span stacks
-// are only maintained on the enabled path.
-
-struct SamplerOptions {
-  double interval_ms = 2.0;  ///< sampling period of the background thread
-};
-
-/// Starts the sampler thread. Error when already running or the interval
-/// is not positive. Samples accumulate until ResetSamples().
-Status StartSampler(const SamplerOptions& options = {});
-
-/// Stops the sampler thread (joins it). Sample data is kept for export.
-void StopSampler();
-
-bool SamplerRunning();
-
-/// Drops all accumulated samples.
-void ResetSamples();
-
-/// Total samples taken (one per registered thread per tick).
-size_t SampleCount();
-
-/// Collapsed-stack export: one line per distinct span stack,
-/// "outer;inner <count>", sorted by stack name. Threads with no open span
-/// at sample time appear as "(no span)". Feed to flamegraph.pl:
-///   flamegraph.pl collapsed.txt > flame.svg
-std::string CollapsedStacks();
-
-/// Per-span sample aggregates. `self` counts samples where the span was
-/// innermost; `total` counts samples where it was anywhere on the stack
-/// (once per sample, even for recursive nests).
-struct SampleStats {
-  std::string name;
-  size_t self = 0;
-  size_t total = 0;
-};
-
-/// Sorted by descending self count, then name; includes "(no span)".
-std::vector<SampleStats> SamplerTable();
-
-/// Human-readable self/total table of SamplerTable().
-std::string SamplerTableString();
-
-#else  // !MULTICLUST_TRACING — zero-cost stubs, no symbols in the library.
-
-inline constexpr bool kProfileCompiledIn = false;
-
-inline void CountAlloc(uint64_t) {}
-inline void CountFlops(uint64_t, uint64_t) {}
-
-class ResourceScope {
- public:
-  ResourceScope() {}
-  ResourceProfile Snapshot() const { return {}; }
-};
-
-struct SamplerOptions {
-  double interval_ms = 2.0;
-};
-
-inline Status StartSampler(const SamplerOptions& = {}) {
-  return Status::FailedPrecondition(
-      "sampler: compiled out (-DMULTICLUST_TRACING=OFF)");
-}
-inline void StopSampler() {}
-inline constexpr bool SamplerRunning() { return false; }
-inline void ResetSamples() {}
-inline constexpr size_t SampleCount() { return 0; }
-inline std::string CollapsedStacks() { return std::string(); }
-
-struct SampleStats {
-  std::string name;
-  size_t self = 0;
-  size_t total = 0;
-};
-
-inline std::vector<SampleStats> SamplerTable() { return {}; }
-inline std::string SamplerTableString() {
-  return "sampler: compiled out (-DMULTICLUST_TRACING=OFF)\n";
-}
-
-inline std::string ResourceProfile::ToString() const {
-  return "(resource profiling compiled out: -DMULTICLUST_TRACING=OFF)\n";
-}
-
-#endif  // MULTICLUST_TRACING
 
 }  // namespace telemetry
 }  // namespace multiclust

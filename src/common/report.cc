@@ -186,25 +186,15 @@ std::string DiscoveryReportJson(const DiscoveryReport& report,
   w.String("multiclust.discovery_report");
   w.Key("report");
   AppendDiscoveryReport(report, options, &w);
-  // Observability snapshots. Preprocessor-guarded (not a runtime check) so
-  // a -DMULTICLUST_TRACING=OFF library contains no trace/metrics symbols
-  // (the CI nm check) — the stub calls would otherwise leave weak inline
-  // definitions in libmulticlust.
   w.Key("metrics");
-#if defined(MULTICLUST_TRACING)
   if (options.include_metrics) {
     w.Raw(metrics::MetricsJson());
   } else {
     w.BeginArray();
     w.EndArray();
   }
-#else
-  w.BeginArray();
-  w.EndArray();
-#endif
   w.Key("spans");
   w.BeginArray();
-#if defined(MULTICLUST_TRACING)
   if (options.include_spans) {
     for (const trace::SpanStats& span : trace::Summary()) {
       w.BeginObject();
@@ -221,7 +211,6 @@ std::string DiscoveryReportJson(const DiscoveryReport& report,
       w.EndObject();
     }
   }
-#endif
   w.EndArray();
   w.EndObject();
   std::string out = std::move(w).str();

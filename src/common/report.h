@@ -44,11 +44,10 @@ struct ReportJsonOptions {
   /// Per-iteration convergence points (`attempts[i].trace.points`);
   /// the winning restart and scalar diagnostics are always kept.
   bool include_trace_points = true;
-  /// Metrics-registry snapshot (metrics::MetricsJson()); empty array when
-  /// the registry is compiled out.
+  /// Metrics-registry snapshot (metrics::MetricsJson()).
   bool include_metrics = true;
-  /// Span-summary table (trace::Summary()); empty array when the tracer is
-  /// compiled out or was never enabled.
+  /// Span-summary table (trace::Summary()); empty array when the tracer
+  /// was never enabled.
   bool include_spans = true;
 };
 

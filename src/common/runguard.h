@@ -139,8 +139,7 @@ struct RunDiagnostics {
   /// ("kmeans: ...") so composite runs (spectral→kmeans, mSC→views,
   /// meta→bases) stay attributable. Append via AddWarning.
   std::vector<std::string> warnings;
-  /// What the run cost (filled by ConvergenceRecorder::Finish; all-zero
-  /// with `captured == false` when profiling is compiled out). Wall-clock
+  /// What the run cost (filled by ConvergenceRecorder::Finish). Wall-clock
   /// dependent, so excluded from determinism comparisons like
   /// `budget_remaining_ms`.
   telemetry::ResourceProfile resource;
@@ -260,8 +259,7 @@ class ConvergenceRecorder {
   RunDiagnostics* diag_;
   const BudgetTracker* guard_;
   size_t expected_iterations_ = 0;
-  /// Resource window of the whole invocation (a no-op object when
-  /// profiling is compiled out).
+  /// Resource window of the whole invocation.
   telemetry::ResourceScope resource_scope_;
 };
 

@@ -91,12 +91,8 @@ std::string RunRecordJson(const RunRecord& record) {
   w.BeginObject();
   w.Key("git_rev");
   w.String(MULTICLUST_GIT_REV);
-  w.Key("tracing");
-#if defined(MULTICLUST_TRACING)
+  w.Key("tracing");  // every build carries the tracer; kept for readers
   w.Bool(true);
-#else
-  w.Bool(false);
-#endif
   w.Key("fault_injection");
 #if defined(MULTICLUST_FAULT_INJECTION)
   w.Bool(true);

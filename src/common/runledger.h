@@ -32,8 +32,6 @@ namespace multiclust {
 /// Schema stability policy: `schema_version` bumps only on breaking
 /// changes (field removal or meaning change); adding optional fields is
 /// allowed within a version. Consumers must ignore unknown fields.
-/// Always compiled — provenance must survive -DMULTICLUST_TRACING=OFF
-/// builds.
 namespace ledger {
 
 inline constexpr int kRunRecordSchemaVersion = 1;

@@ -1,12 +1,9 @@
 #include "common/telemetry.h"
 
-#if defined(MULTICLUST_TRACING)
-
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <mutex>
 #include <thread>
 
@@ -75,13 +72,17 @@ void EmitStage(const std::string& stage, const std::string& phase,
 }
 
 std::string ProgressEventJson(const ProgressEvent& event, uint64_t seq,
-                              double elapsed_ms) {
+                              double elapsed_ms, std::string_view job_id) {
   json::Writer w;
   w.BeginObject();
   w.Key("kind");
   w.String("multiclust.progress");
   w.Key("schema_version");
   w.Int(kProgressSchemaVersion);
+  if (!job_id.empty()) {
+    w.Key("job");
+    w.String(job_id);
+  }
   w.Key("seq");
   w.Uint(seq);
   w.Key("elapsed_ms");
@@ -198,18 +199,12 @@ Status WriteMetricsSnapshotNow(const std::string& path) {
   // writer: every injected failure cleans up its temp file (no
   // keep_temp_on_short_write — a metrics dir must never accumulate
   // stray *.tmp) and leaves the previous snapshot intact.
-  const size_t slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? "." : path.substr(0, slash);
-  const std::string name =
-      slash == std::string::npos ? path : path.substr(slash + 1);
   atomicio::AtomicWriteOptions options;
   options.what = "metrics export";
   options.fault_site = "telemetry";
   options.io_step =
       g_snapshot_attempts.fetch_add(1, std::memory_order_relaxed);
-  return atomicio::AtomicWriteFile(dir, name, metrics::OpenMetricsText(),
-                                   options);
+  return atomicio::AtomicWritePath(path, metrics::OpenMetricsText(), options);
 }
 
 Status StartMetricsExport(const MetricsExportOptions& options) {
@@ -249,5 +244,3 @@ bool MetricsExportRunning() {
 
 }  // namespace telemetry
 }  // namespace multiclust
-
-#endif  // MULTICLUST_TRACING

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
@@ -51,8 +52,8 @@ class ProgressSink {
   virtual void OnEvent(const ProgressEvent& event) = 0;
 };
 
-#if defined(MULTICLUST_TRACING)
-
+/// Always true: the telemetry plane is part of every build. Kept for
+/// consumers that stamp the build configuration into their output.
 inline constexpr bool kTelemetryCompiledIn = true;
 
 /// Installs `sink` (borrowed, not owned) as the process-wide progress
@@ -102,10 +103,13 @@ class NdjsonProgressSink : public ProgressSink {
 };
 
 /// Serializes one event to its NDJSON object form (no trailing newline).
-/// `seq` and `elapsed_ms` are the stream position stamps; exposed for
-/// tests and custom sinks.
+/// `seq` and `elapsed_ms` are the stream position stamps. A non-empty
+/// `job_id` adds a `"job"` member right after `schema_version`: the tag of
+/// the daemon's per-job streams (serve/progress.h). The member is additive
+/// (no schema_version bump; untagged readers ignore it).
 std::string ProgressEventJson(const ProgressEvent& event, uint64_t seq,
-                              double elapsed_ms);
+                              double elapsed_ms,
+                              std::string_view job_id = {});
 
 // --- Periodic OpenMetrics export --------------------------------------------
 
@@ -132,50 +136,6 @@ bool MetricsExportRunning();
 /// artifact. The export thread and StopMetricsExport use this same
 /// writer.
 Status WriteMetricsSnapshotNow(const std::string& path);
-
-#else  // !MULTICLUST_TRACING — zero-cost stubs, no symbols in the library.
-
-inline constexpr bool kTelemetryCompiledIn = false;
-
-inline void SetProgressSink(ProgressSink*) {}
-inline constexpr bool ProgressEnabled() { return false; }
-inline void EmitProgress(const ProgressEvent&) {}
-inline void EmitStage(const std::string&, const std::string&,
-                      bool terminal = false) {
-  (void)terminal;
-}
-
-class NdjsonProgressSink : public ProgressSink {
- public:
-  explicit NdjsonProgressSink(std::FILE*, bool take_ownership = false) {
-    (void)take_ownership;
-  }
-  void OnEvent(const ProgressEvent&) override {}
-  uint64_t events_written() const { return 0; }
-};
-
-inline std::string ProgressEventJson(const ProgressEvent&, uint64_t,
-                                     double) {
-  return std::string();
-}
-
-struct MetricsExportOptions {
-  std::string path;
-  double period_ms = 500.0;
-};
-
-inline Status StartMetricsExport(const MetricsExportOptions&) {
-  return Status::FailedPrecondition(
-      "telemetry: compiled out (-DMULTICLUST_TRACING=OFF)");
-}
-inline void StopMetricsExport() {}
-inline constexpr bool MetricsExportRunning() { return false; }
-inline Status WriteMetricsSnapshotNow(const std::string&) {
-  return Status::FailedPrecondition(
-      "telemetry: compiled out (-DMULTICLUST_TRACING=OFF)");
-}
-
-#endif  // MULTICLUST_TRACING
 
 }  // namespace telemetry
 }  // namespace multiclust

@@ -1,17 +1,16 @@
 #include "common/trace.h"
 
-#if defined(MULTICLUST_TRACING)
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
 
+#include "common/atomicio.h"
 #include "common/blackbox.h"
 
 namespace multiclust {
@@ -29,28 +28,13 @@ struct Event {
   uint32_t tid;   // small stable per-thread id (1-based, creation order)
 };
 
-// Maximum tracked span nesting per thread. Deeper nests still record
-// events and keep a correct depth count; only the sampler-visible stack
-// is truncated to the outermost kMaxSpanDepth frames.
-constexpr uint32_t kMaxSpanDepth = 64;
-
 // Per-thread event buffer. The owning thread appends; the exporter reads.
 // Both take `mu`, but the owner's lock is uncontended except during an
 // export, so the append fast path stays a futex-free lock/unlock pair.
-//
-// `stack`/`depth` are the thread's currently-open span names, maintained
-// lock-free by the owner (push in Span ctor, pop in dtor) and read by the
-// sampling profiler thread: the owner stores the name slot first, then
-// release-stores the new depth, so a reader that acquire-loads `depth`
-// sees every slot below it. A sample racing a pop may attribute to the
-// just-closed span — acceptable for a statistical profiler, and free of
-// data races because the slots are atomics.
 struct ThreadBuffer {
   std::mutex mu;
   uint32_t tid = 0;
   std::vector<Event> events;
-  std::atomic<const char*> stack[kMaxSpanDepth] = {};
-  std::atomic<uint32_t> depth{0};
 };
 
 struct Registry {
@@ -116,6 +100,38 @@ std::vector<Event> SnapshotEvents() {
   return events;
 }
 
+constexpr size_t kNoParent = static_cast<size_t>(-1);
+
+// One event placed in its thread's span tree: the innermost event that
+// encloses it on the same thread (kNoParent for a root) and its self
+// time, its duration minus its direct children's.
+struct Placed {
+  size_t parent;
+  double self_us;
+};
+
+// Places SnapshotEvents() output, whose (tid, start, longest-first) order
+// visits every parent before its children. Spans on one thread nest
+// strictly (RAII scopes), so an event that starts before the innermost
+// open span ends lies inside it.
+std::vector<Placed> PlaceEvents(const std::vector<Event>& events) {
+  std::vector<Placed> placed(events.size());
+  std::vector<size_t> open;  // enclosing chain of the current event
+  for (size_t i = 0; i < events.size(); ++i) {
+    const Event& e = events[i];
+    while (!open.empty()) {
+      const Event& top = events[open.back()];
+      if (top.tid == e.tid && e.ts_us < top.ts_us + top.dur_us) break;
+      open.pop_back();
+    }
+    const size_t parent = open.empty() ? kNoParent : open.back();
+    placed[i] = {parent, e.dur_us};
+    if (parent != kNoParent) placed[parent].self_us -= e.dur_us;
+    open.push_back(i);
+  }
+  return placed;
+}
+
 void AppendJsonEscaped(const char* s, std::string* out) {
   for (; *s != '\0'; ++s) {
     const char c = *s;
@@ -165,30 +181,6 @@ void SetMaxEventsPerThread(size_t max_events) {
   g_max_events_per_thread.store(max_events, std::memory_order_relaxed);
 }
 
-std::vector<std::vector<const char*>> SnapshotOpenSpans() {
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    buffers = registry.buffers;
-  }
-  std::vector<std::vector<const char*>> stacks;
-  stacks.reserve(buffers.size());
-  for (const auto& buffer : buffers) {
-    const uint32_t depth =
-        std::min(buffer->depth.load(std::memory_order_acquire), kMaxSpanDepth);
-    std::vector<const char*> stack;
-    stack.reserve(depth);
-    for (uint32_t i = 0; i < depth; ++i) {
-      const char* name = buffer->stack[i].load(std::memory_order_relaxed);
-      if (name == nullptr) break;  // racing a pop: keep the settled prefix
-      stack.push_back(name);
-    }
-    stacks.push_back(std::move(stack));
-  }
-  return stacks;
-}
-
 size_t EventCount() {
   std::vector<std::shared_ptr<ThreadBuffer>> buffers;
   {
@@ -206,12 +198,14 @@ size_t EventCount() {
 
 std::vector<SpanStats> Summary() {
   const std::vector<Event> events = SnapshotEvents();
+  const std::vector<Placed> placed = PlaceEvents(events);
   std::map<std::string, SpanStats> by_name;  // map: sorted, deterministic
-  for (const Event& e : events) {
-    SpanStats& s = by_name[e.name];
-    const double ms = e.dur_us / 1000.0;
+  for (size_t i = 0; i < events.size(); ++i) {
+    SpanStats& s = by_name[events[i].name];
+    const double ms = events[i].dur_us / 1000.0;
     ++s.count;
     s.total_ms += ms;
+    s.self_ms += placed[i].self_us / 1000.0;
     s.max_ms = std::max(s.max_ms, ms);
   }
   std::vector<SpanStats> out;
@@ -228,12 +222,13 @@ std::string SummaryString() {
   const std::vector<SpanStats> stats = Summary();
   std::string out;
   char line[256];
-  std::snprintf(line, sizeof(line), "%-36s %8s %12s %10s %10s\n", "span",
-                "count", "total ms", "mean ms", "max ms");
+  std::snprintf(line, sizeof(line), "%-36s %8s %12s %12s %10s %10s\n",
+                "span", "count", "total ms", "self ms", "mean ms", "max ms");
   out += line;
   for (const SpanStats& s : stats) {
-    std::snprintf(line, sizeof(line), "%-36s %8zu %12.3f %10.4f %10.4f\n",
-                  s.name.c_str(), s.count, s.total_ms, s.mean_ms, s.max_ms);
+    std::snprintf(line, sizeof(line),
+                  "%-36s %8zu %12.3f %12.3f %10.4f %10.4f\n", s.name.c_str(),
+                  s.count, s.total_ms, s.self_ms, s.mean_ms, s.max_ms);
     out += line;
   }
   if (stats.empty()) out += "(no spans recorded)\n";
@@ -243,6 +238,32 @@ std::string SummaryString() {
                   "trace.dropped_events: %zu (per-thread buffer full)\n",
                   dropped);
     out += line;
+  }
+  return out;
+}
+
+std::string CollapsedStacks() {
+  const std::vector<Event> events = SnapshotEvents();
+  const std::vector<Placed> placed = PlaceEvents(events);
+  // Self time per span path; each event keeps an iterator to its path's
+  // node (map nodes are stable) so a child extends its parent's path.
+  std::map<std::string, double> self_by_path;  // sorted by path
+  std::vector<std::map<std::string, double>::iterator> path_of(events.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    std::string path;
+    if (placed[i].parent != kNoParent) {
+      path = path_of[placed[i].parent]->first + ';';
+    }
+    path += events[i].name;
+    path_of[i] = self_by_path.try_emplace(std::move(path), 0.0).first;
+    path_of[i]->second += placed[i].self_us;
+  }
+  std::string out;
+  for (const auto& [path, self_us] : self_by_path) {
+    char weight[32];
+    std::snprintf(weight, sizeof(weight), " %lld\n", std::llround(self_us));
+    out += path;
+    out += weight;
   }
   return out;
 }
@@ -274,16 +295,9 @@ std::string ChromeTraceJson() {
 }
 
 Status WriteChromeTrace(const std::string& path) {
-  std::ofstream file(path, std::ios::out | std::ios::trunc);
-  if (!file.is_open()) {
-    return Status::IoError("trace: cannot open '" + path + "' for writing");
-  }
-  file << ChromeTraceJson();
-  file.flush();
-  if (!file.good()) {
-    return Status::IoError("trace: failed writing '" + path + "'");
-  }
-  return Status::OK();
+  atomicio::AtomicWriteOptions options;
+  options.what = "trace";
+  return atomicio::AtomicWritePath(path, ChromeTraceJson(), options);
 }
 
 Span::Span(const char* name) : name_(name) {
@@ -292,13 +306,8 @@ Span::Span(const char* name) : name_(name) {
   blackbox::OnSpanEnter(name);
   if (!g_enabled.load(std::memory_order_relaxed)) return;
   active_ = true;
+  LocalBuffer();  // a thread's tid follows the order of its first open span
   start_us_ = NowUs();
-  ThreadBuffer& buffer = LocalBuffer();
-  const uint32_t depth = buffer.depth.load(std::memory_order_relaxed);
-  if (depth < kMaxSpanDepth) {
-    buffer.stack[depth].store(name_, std::memory_order_relaxed);
-  }
-  buffer.depth.store(depth + 1, std::memory_order_release);
 }
 
 Span::~Span() {
@@ -306,13 +315,6 @@ Span::~Span() {
   if (!active_) return;
   const double end_us = NowUs();
   ThreadBuffer& buffer = LocalBuffer();
-  const uint32_t depth = buffer.depth.load(std::memory_order_relaxed);
-  if (depth > 0) {
-    if (depth <= kMaxSpanDepth) {
-      buffer.stack[depth - 1].store(nullptr, std::memory_order_relaxed);
-    }
-    buffer.depth.store(depth - 1, std::memory_order_release);
-  }
   const size_t cap = g_max_events_per_thread.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(buffer.mu);
   if (cap != 0 && buffer.events.size() >= cap) {
@@ -325,5 +327,3 @@ Span::~Span() {
 
 }  // namespace trace
 }  // namespace multiclust
-
-#endif  // MULTICLUST_TRACING

@@ -23,16 +23,13 @@ namespace multiclust {
 /// have static storage duration): the tracer stores the pointer, not a
 /// copy, so span construction never allocates.
 ///
-/// Collection is off until `trace::Enable()`; a compiled-in but disabled
-/// span costs one relaxed atomic load. Completed spans are appended to
-/// per-thread buffers (safe under the `ParallelFor` pool), exported either
-/// as a `chrome://tracing` / Perfetto-loadable JSON document or as a
-/// per-span count/total/mean/max summary table.
-///
-/// The whole subsystem is compiled out under `-DMULTICLUST_TRACING=OFF`:
-/// every function below becomes an empty inline stub, `Span` becomes an
-/// empty object, and libmulticlust contains no `multiclust::trace`
-/// symbols (CI checks this with `nm`).
+/// Collection is off until `trace::Enable()`; a disabled span costs one
+/// flight-recorder record (blackbox.h) plus one relaxed atomic load.
+/// Completed spans are appended to per-thread buffers (safe under the
+/// `ParallelFor` pool) and exported three ways, all derived from the same
+/// buffered events: a `chrome://tracing` / Perfetto-loadable JSON
+/// document, a per-span count/total/self/mean/max summary table, and
+/// collapsed stacks for flame graphs.
 namespace trace {
 
 /// Aggregate statistics of one span name across all threads.
@@ -40,13 +37,13 @@ struct SpanStats {
   std::string name;
   size_t count = 0;
   double total_ms = 0.0;
+  /// total_ms minus the time covered by the spans nested directly inside
+  /// these ones on the same thread: self_ms + the direct children's
+  /// durations == total_ms, up to floating-point rounding.
+  double self_ms = 0.0;
   double mean_ms = 0.0;
   double max_ms = 0.0;
 };
-
-#if defined(MULTICLUST_TRACING)
-
-inline constexpr bool kCompiledIn = true;
 
 /// Starts collecting span events. Events recorded before Enable() (or
 /// after Disable()) are dropped at the span, not buffered.
@@ -77,30 +74,32 @@ size_t DroppedEvents();
 /// past the cap are dropped and counted in DroppedEvents().
 void SetMaxEventsPerThread(size_t max_events);
 
-/// The stack of currently-open span names of every registered thread
-/// (threads appear once they have opened a span; order is thread
-/// registration order). Entry i is innermost-last. Used by the sampling
-/// profiler (common/profile.h) to attribute timer samples; nesting deeper
-/// than an internal fixed depth is truncated to the outermost frames.
-std::vector<std::vector<const char*>> SnapshotOpenSpans();
-
 /// Per-span aggregates, sorted by span name (deterministic order).
 std::vector<SpanStats> Summary();
 
 /// Human-readable summary table of Summary().
 std::string SummaryString();
 
+/// The buffered events as collapsed stacks, the input format of
+/// flamegraph.pl and speedscope: one line per distinct span path,
+/// "outer;inner <self µs>", sorted by path. A path is the chain of spans
+/// enclosing an event on its own thread (nesting by containment), so the
+/// weights of all lines sum to the total duration of the root spans.
+std::string CollapsedStacks();
+
 /// The buffered events as a Chrome trace-event JSON document
 /// (`{"traceEvents": [...]}`, "X" complete events, microsecond
 /// timestamps). Loadable in chrome://tracing or https://ui.perfetto.dev.
 std::string ChromeTraceJson();
 
-/// Writes ChromeTraceJson() to `path`.
+/// Publishes ChromeTraceJson() at `path` through the shared atomic
+/// writer (atomicio.h): a failure is kIoError and leaves no file behind.
 Status WriteChromeTrace(const std::string& path);
 
-/// RAII scope timer. Use MULTICLUST_TRACE_SPAN instead of naming this
-/// directly so the span compiles out under -DMULTICLUST_TRACING=OFF.
-/// `name` must have static storage duration (string literal).
+/// RAII scope timer behind MULTICLUST_TRACE_SPAN. Feeds exactly two
+/// sinks: the flight recorder ring, always, and the tracer buffer while
+/// collection is on. `name` must have static storage duration (string
+/// literal).
 class Span {
  public:
   explicit Span(const char* name);
@@ -114,36 +113,6 @@ class Span {
   bool active_ = false;
 };
 
-#else  // !MULTICLUST_TRACING — zero-cost stubs, no symbols in the library.
-
-inline constexpr bool kCompiledIn = false;
-
-inline void Enable() {}
-inline void Disable() {}
-inline constexpr bool Enabled() { return false; }
-inline void Reset() {}
-inline constexpr size_t EventCount() { return 0; }
-inline constexpr size_t DroppedEvents() { return 0; }
-inline void SetMaxEventsPerThread(size_t) {}
-inline std::vector<std::vector<const char*>> SnapshotOpenSpans() {
-  return {};
-}
-inline std::vector<SpanStats> Summary() { return {}; }
-inline std::string SummaryString() {
-  return "trace: compiled out (-DMULTICLUST_TRACING=OFF)\n";
-}
-inline std::string ChromeTraceJson() { return "{\"traceEvents\":[]}\n"; }
-inline Status WriteChromeTrace(const std::string&) { return Status::OK(); }
-
-class Span {
- public:
-  explicit Span(const char*) {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-};
-
-#endif  // MULTICLUST_TRACING
-
 }  // namespace trace
 }  // namespace multiclust
 
@@ -151,16 +120,9 @@ class Span {
 #define MC_TRACE_CONCAT_(a, b) MC_TRACE_CONCAT_INNER_(a, b)
 
 /// Times the enclosing scope under `name` (a string literal,
-/// `<module>.<algo>.<event>`). Expands to nothing when tracing is
-/// compiled out.
-#if defined(MULTICLUST_TRACING)
+/// `<module>.<algo>.<event>`).
 #define MULTICLUST_TRACE_SPAN(name)          \
   ::multiclust::trace::Span MC_TRACE_CONCAT_( \
       mc_trace_span_, __LINE__) { (name) }
-#else
-#define MULTICLUST_TRACE_SPAN(name) \
-  do {                              \
-  } while (false)
-#endif
 
 #endif  // MULTICLUST_COMMON_TRACE_H_

@@ -58,9 +58,8 @@ const char* StrategyName(DiscoveryStrategy s) {
   return "unknown";
 }
 
-// Span name per strategy (span names must be string literals). Unused when
-// tracing is compiled out.
-[[maybe_unused]] const char* StrategySpanName(DiscoveryStrategy s) {
+// Span name per strategy (span names must be string literals).
+const char* StrategySpanName(DiscoveryStrategy s) {
   switch (s) {
     case DiscoveryStrategy::kDecorrelatedKMeans:
       return "pipeline.strategy.dec-kmeans";

@@ -70,8 +70,7 @@ struct DiscoveryReport {
   bool degraded = false;
   /// What the whole discovery call cost (all stages and attempts
   /// together; per-attempt profiles live on `attempts[i].resource`).
-  /// `captured == false` when profiling is compiled out. Wall-clock
-  /// dependent — excluded from determinism comparisons and from the
+  /// Wall-clock dependent — excluded from determinism comparisons and from the
   /// pipeline checkpoint payload.
   telemetry::ResourceProfile resource;
 };

@@ -23,8 +23,7 @@ class Matrix {
 
   /// Constructs a rows x cols matrix filled with `fill`. This is the one
   /// place matrix storage is allocated, so it feeds the telemetry
-  /// allocation tally (ResourceProfile::alloc_count/alloc_bytes); the hook
-  /// compiles out with the rest of the telemetry plane.
+  /// allocation tally (ResourceProfile::alloc_count/alloc_bytes).
   Matrix(size_t rows, size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {
     if (rows_ != 0 && cols_ != 0) {

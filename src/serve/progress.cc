@@ -1,9 +1,5 @@
 #include "serve/progress.h"
 
-#include <cmath>
-
-#include "common/json.h"
-
 namespace multiclust {
 namespace serve {
 
@@ -15,60 +11,6 @@ namespace {
 thread_local std::shared_ptr<void> t_channel;
 
 }  // namespace
-
-std::string TaggedProgressJson(const std::string& job_id,
-                               const telemetry::ProgressEvent& event,
-                               uint64_t seq, double elapsed_ms) {
-  // Field-for-field the telemetry.cc serialization of the
-  // `multiclust.progress` schema, plus the "job" tag (an additive member:
-  // no schema_version bump, untagged readers ignore it).
-  json::Writer w;
-  w.BeginObject();
-  w.Key("kind");
-  w.String("multiclust.progress");
-  w.Key("schema_version");
-  w.Int(telemetry::kProgressSchemaVersion);
-  w.Key("job");
-  w.String(job_id);
-  w.Key("seq");
-  w.Uint(seq);
-  w.Key("elapsed_ms");
-  w.Double(elapsed_ms);
-  w.Key("stage");
-  w.String(event.stage);
-  w.Key("phase");
-  w.String(event.phase);
-  if (event.restart >= 0) {
-    w.Key("restart");
-    w.Int(event.restart);
-  }
-  if (event.iteration >= 0) {
-    w.Key("iteration");
-    w.Int(event.iteration);
-  }
-  if (!std::isnan(event.objective)) {
-    w.Key("objective");
-    w.Double(event.objective);
-  }
-  if (!std::isnan(event.delta)) {
-    w.Key("delta");
-    w.Double(event.delta);
-  }
-  if (!std::isnan(event.budget_remaining_ms)) {
-    w.Key("budget_remaining_ms");
-    w.Double(event.budget_remaining_ms);
-  }
-  if (!std::isnan(event.eta_ms)) {
-    w.Key("eta_ms");
-    w.Double(event.eta_ms);
-  }
-  if (event.terminal) {
-    w.Key("terminal");
-    w.Bool(true);
-  }
-  w.EndObject();
-  return std::move(w).str();
-}
 
 JobProgressMux::~JobProgressMux() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -110,8 +52,8 @@ void JobProgressMux::FinishJob(const std::string& phase) {
   event.stage = "run";
   event.phase = phase;
   event.terminal = true;
-  const std::string line = TaggedProgressJson(
-      channel->job_id, event, ++channel->seq, ElapsedMs(*channel));
+  const std::string line = telemetry::ProgressEventJson(
+      event, ++channel->seq, ElapsedMs(*channel), channel->job_id);
   std::fwrite(line.data(), 1, line.size(), channel->out);
   std::fputc('\n', channel->out);
   std::fclose(channel->out);
@@ -140,8 +82,8 @@ void JobProgressMux::OnEvent(const telemetry::ProgressEvent& event) {
   // so the per-job stream keeps its exactly-one-terminal contract.
   telemetry::ProgressEvent tagged = event;
   tagged.terminal = false;
-  const std::string line = TaggedProgressJson(
-      channel->job_id, tagged, ++channel->seq, ElapsedMs(*channel));
+  const std::string line = telemetry::ProgressEventJson(
+      tagged, ++channel->seq, ElapsedMs(*channel), channel->job_id);
   std::fwrite(line.data(), 1, line.size(), channel->out);
   std::fputc('\n', channel->out);
   if (event.phase != "iteration") std::fflush(channel->out);

@@ -15,28 +15,20 @@
 namespace multiclust {
 namespace serve {
 
-/// Serializes one progress event in the `multiclust.progress` NDJSON form
-/// (telemetry.h schema v1) plus a `job` member tagging which daemon job
-/// produced it. Unlike telemetry::ProgressEventJson this is NOT compiled
-/// out under -DMULTICLUST_TRACING=OFF — the daemon always writes at least
-/// the terminal event of every job, whatever the build flags.
-std::string TaggedProgressJson(const std::string& job_id,
-                               const telemetry::ProgressEvent& event,
-                               uint64_t seq, double elapsed_ms);
-
 /// Demultiplexes the process-wide progress stream onto per-job NDJSON
 /// files. The pipeline emits events through one global sink with no job
 /// identity; in a daemon several jobs run concurrently, so the mux keys
 /// attribution off the emitting thread: a worker calls BeginJob before
 /// running a job and FinishJob after, and every event the pipeline emits
-/// on that thread in between is tagged with the job id and appended to
-/// the job's stream with per-job seq / elapsed_ms stamps (each job's
-/// stream independently satisfies the schema's monotonicity contract).
+/// on that thread in between is tagged with the job id (the `"job"`
+/// member of telemetry::ProgressEventJson) and appended to the job's
+/// stream with per-job seq / elapsed_ms stamps (each job's stream
+/// independently satisfies the schema's monotonicity contract).
 ///
 /// FinishJob always writes the stream's single terminal event itself —
-/// the one line a tailing consumer needs — so the file is well-formed
-/// even under -DMULTICLUST_TRACING=OFF, where the pipeline emits nothing
-/// and the stream is exactly that one terminal line.
+/// the one line a tailing consumer needs — so every stream ends
+/// well-formed, including a job that failed before the pipeline emitted
+/// anything.
 class JobProgressMux : public telemetry::ProgressSink {
  public:
   JobProgressMux() = default;

@@ -73,7 +73,6 @@ Matrix SmallData() {
 // --- Ring recording --------------------------------------------------------
 
 TEST(BlackboxTest, RecordsAndCountsEvents) {
-  if (!blackbox::kCompiledIn) GTEST_SKIP() << "blackbox compiled out";
   blackbox::Reset();
   EXPECT_TRUE(blackbox::Enabled());
   const uint64_t before = blackbox::TotalRecords();
@@ -85,7 +84,6 @@ TEST(BlackboxTest, RecordsAndCountsEvents) {
 }
 
 TEST(BlackboxTest, DisabledRecordingIsANoOp) {
-  if (!blackbox::kCompiledIn) GTEST_SKIP() << "blackbox compiled out";
   blackbox::Reset();
   blackbox::SetEnabled(false);
   const uint64_t before = blackbox::TotalRecords();
@@ -95,7 +93,6 @@ TEST(BlackboxTest, DisabledRecordingIsANoOp) {
 }
 
 TEST(BlackboxTest, RingOverwritesOldestBeyondCapacity) {
-  if (!blackbox::kCompiledIn) GTEST_SKIP() << "blackbox compiled out";
   blackbox::Reset();
   const uint64_t before = blackbox::TotalRecords();
   for (size_t i = 0; i < 3 * blackbox::kRingCapacity; ++i) {
@@ -116,7 +113,6 @@ TEST(BlackboxTest, RingOverwritesOldestBeyondCapacity) {
 }
 
 TEST(BlackboxTest, SpanHooksFireEvenWithTracerDisabled) {
-  if (!blackbox::kCompiledIn) GTEST_SKIP() << "blackbox compiled out";
   trace::Disable();
   blackbox::Reset();
   const uint64_t before = blackbox::TotalRecords();
@@ -131,7 +127,6 @@ TEST(BlackboxTest, SpanHooksFireEvenWithTracerDisabled) {
 // --- Live flight-record snapshots ------------------------------------------
 
 TEST(BlackboxTest, FlightRecordJsonIsAValidSnapshotReport) {
-  if (!blackbox::kCompiledIn) GTEST_SKIP() << "blackbox compiled out";
   blackbox::Reset();
   blackbox::Record(blackbox::EventType::kIteration, "blackbox_test.site", 7);
   blackbox::RecordCheckpoint(blackbox::EventType::kCheckpointWrite,
@@ -165,7 +160,6 @@ TEST(BlackboxTest, FlightRecordJsonIsAValidSnapshotReport) {
 }
 
 TEST(BlackboxTest, FlightRecordCapturesOpenSpans) {
-  if (!blackbox::kCompiledIn) GTEST_SKIP() << "blackbox compiled out";
   blackbox::Reset();
   MULTICLUST_TRACE_SPAN("blackbox_test.outer");
   MULTICLUST_TRACE_SPAN("blackbox_test.inner");
@@ -188,7 +182,6 @@ TEST(BlackboxTest, FlightRecordCapturesOpenSpans) {
 }
 
 TEST(BlackboxTest, WriteFlightRecordValidatesAgainstSchema) {
-  if (!blackbox::kCompiledIn) GTEST_SKIP() << "blackbox compiled out";
   const std::string dir = TempDir();
   const std::string path = dir + "/flight.json";
   blackbox::Reset();
@@ -199,7 +192,6 @@ TEST(BlackboxTest, WriteFlightRecordValidatesAgainstSchema) {
 }
 
 TEST(BlackboxTest, ResetClearsRingsAndCheckpointState) {
-  if (!blackbox::kCompiledIn) GTEST_SKIP() << "blackbox compiled out";
   blackbox::RecordCheckpoint(blackbox::EventType::kCheckpointWrite, "algo",
                              9);
   blackbox::Reset();
@@ -216,7 +208,6 @@ TEST(BlackboxTest, ResetClearsRingsAndCheckpointState) {
 // --- Crash handler install/uninstall ---------------------------------------
 
 TEST(CrashHandlerTest, RejectsEmptyPathAndDoubleInstall) {
-  if (!blackbox::kCompiledIn) GTEST_SKIP() << "blackbox compiled out";
   EXPECT_FALSE(blackbox::InstallCrashHandler("").ok());
   const std::string dir = TempDir();
   ASSERT_TRUE(blackbox::InstallCrashHandler(dir + "/crash.json").ok());
@@ -279,7 +270,6 @@ void ExpectValidCrashReport(const std::string& text, int signal,
 // the active site and iteration, the open-span stack the workload span,
 // and the pre-registered ledger line must land in the ledger.
 TEST(CrashHandlerKillMatrix, SigsegvAtArmedIterationPoint) {
-  if (!blackbox::kCompiledIn) GTEST_SKIP() << "blackbox compiled out";
 #if !defined(MULTICLUST_FAULT_INJECTION)
   GTEST_SKIP() << "fault injection compiled out";
 #else
@@ -357,7 +347,6 @@ TEST(CrashHandlerKillMatrix, SigsegvAtArmedIterationPoint) {
 }
 
 TEST(CrashHandlerKillMatrix, SigbusSigabrtSigfpe) {
-  if (!blackbox::kCompiledIn) GTEST_SKIP() << "blackbox compiled out";
   const struct {
     int signal;
     const char* name;
@@ -570,9 +559,6 @@ TEST(AtomicIoTest, RenameFailLeaksNothing) {
 // The metrics exporter must never leak a temp file or leave a truncated
 // exposition behind, whatever I/O fault fires at site "telemetry".
 TEST(TelemetryExportFaultTest, FaultedSnapshotLeavesNoPartialArtifacts) {
-  if (!telemetry::kTelemetryCompiledIn) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   const std::string dir = TempDir();
   const std::string path = dir + "/metrics.prom";
   metrics::Reset();
@@ -603,9 +589,6 @@ TEST(TelemetryExportFaultTest, FaultedSnapshotLeavesNoPartialArtifacts) {
 // A faulted rewrite of an EXISTING exposition keeps the previous complete
 // file in place (rename is the commit point; the temp never replaces it).
 TEST(TelemetryExportFaultTest, FaultedRewriteKeepsPreviousSnapshot) {
-  if (!telemetry::kTelemetryCompiledIn) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   const std::string dir = TempDir();
   const std::string path = dir + "/metrics.prom";
   metrics::Reset();

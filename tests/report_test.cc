@@ -204,13 +204,11 @@ TEST(ReportTest, MetricsJsonIsValid) {
   const std::string doc = metrics::MetricsJson();
   json::Value v = test::ParseJsonOrFail(doc);
   ASSERT_TRUE(v.is_array());
-  if (metrics::kCompiledIn) {
-    bool found = false;
-    for (const json::Value& m : v.array_items()) {
-      if (m.GetString("name", "") == "report_test.count") found = true;
-    }
-    EXPECT_TRUE(found) << doc;
+  bool found = false;
+  for (const json::Value& m : v.array_items()) {
+    if (m.GetString("name", "") == "report_test.count") found = true;
   }
+  EXPECT_TRUE(found) << doc;
   metrics::Reset();
 }
 

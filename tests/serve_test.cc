@@ -22,6 +22,7 @@
 #include "common/report.h"
 #include "common/runguard.h"
 #include "common/runledger.h"
+#include "common/telemetry.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "serve/jobrunner.h"
@@ -284,13 +285,23 @@ TEST(ProtocolTest, TaggedProgressCarriesJobMember) {
   event.stage = "dec-kmeans";
   event.phase = "iteration";
   event.iteration = 4;
-  const json::Value doc = ParseJsonOrFail(
-      serve::TaggedProgressJson("job-abc", event, 17, 3.5));
+  const std::string tagged =
+      telemetry::ProgressEventJson(event, 17, 3.5, "job-abc");
+  const json::Value doc = ParseJsonOrFail(tagged);
   EXPECT_EQ(doc.GetString("kind", ""), "multiclust.progress");
   EXPECT_EQ(doc.GetString("job", ""), "job-abc");
   EXPECT_DOUBLE_EQ(doc.GetNumber("seq", -1.0), 17.0);
   EXPECT_DOUBLE_EQ(doc.GetNumber("elapsed_ms", -1.0), 3.5);
   EXPECT_EQ(doc.GetString("phase", ""), "iteration");
+
+  // Byte form: the tagged line is the untagged line with the job member
+  // inserted right after schema_version, nothing else moved or changed.
+  std::string expected = telemetry::ProgressEventJson(event, 17, 3.5);
+  const std::string anchor = "\"schema_version\":1,";
+  const size_t at = expected.find(anchor);
+  ASSERT_NE(at, std::string::npos) << expected;
+  expected.insert(at + anchor.size(), "\"job\":\"job-abc\",");
+  EXPECT_EQ(tagged, expected);
 }
 
 // ---- bounded multi-tenant queue ------------------------------------------

@@ -1,14 +1,13 @@
 // Telemetry-plane suite: live progress events (schema + streaming),
-// per-run resource accounting, the span sampler, and the v2 report schema
-// carrying ResourceProfile sections. Tests that need the capture machinery
-// skip themselves when it is compiled out (-DMULTICLUST_TRACING=OFF); the
-// report round-trip tests always run — the serialized schema is
-// build-independent.
+// per-run resource accounting, the span profile derived from trace events
+// (self times and collapsed stacks), and the v2 report schema carrying
+// ResourceProfile sections.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -50,9 +49,6 @@ struct SinkSession {
 };
 
 TEST(ProgressEventTest, JsonOmitsInapplicableFields) {
-  if (!telemetry::kTelemetryCompiledIn) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   telemetry::ProgressEvent event;
   event.stage = "kmeans";
   event.phase = "start";
@@ -78,9 +74,6 @@ TEST(ProgressEventTest, JsonOmitsInapplicableFields) {
 }
 
 TEST(ProgressEventTest, JsonCarriesAllFields) {
-  if (!telemetry::kTelemetryCompiledIn) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   telemetry::ProgressEvent event;
   event.stage = "gmm";
   event.phase = "iteration";
@@ -104,9 +97,6 @@ TEST(ProgressEventTest, JsonCarriesAllFields) {
 }
 
 TEST(ProgressStreamTest, RecorderStreamsIterationEvents) {
-  if (!telemetry::kTelemetryCompiledIn) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   CollectingSink sink;
   SinkSession session(&sink);
   ASSERT_TRUE(telemetry::ProgressEnabled());
@@ -148,9 +138,6 @@ TEST(ProgressStreamTest, RecorderStreamsIterationEvents) {
 }
 
 TEST(ProgressStreamTest, NdjsonSinkWritesValidStream) {
-  if (!telemetry::kTelemetryCompiledIn) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   const std::string path = ::testing::TempDir() + "telemetry_progress.ndjson";
   {
     telemetry::NdjsonProgressSink sink(std::fopen(path.c_str(), "w"),
@@ -203,9 +190,6 @@ TEST(ProgressStreamTest, NdjsonSinkWritesValidStream) {
 }
 
 TEST(ResourceProfileTest, ScopeCapturesMonotonicCounters) {
-  if (!telemetry::kProfileCompiledIn) {
-    GTEST_SKIP() << "profiling compiled out";
-  }
   telemetry::ResourceScope scope;
   Matrix a(64, 64);
   const telemetry::ResourceProfile first = scope.Snapshot();
@@ -244,9 +228,6 @@ TEST(ResourceProfileTest, ScopeCapturesMonotonicCounters) {
 }
 
 TEST(ResourceProfileTest, RunDiagnosticsCarryResource) {
-  if (!telemetry::kProfileCompiledIn) {
-    GTEST_SKIP() << "profiling compiled out";
-  }
   const Matrix data = TestData(13);
   KMeansOptions opts;
   opts.k = 3;
@@ -261,85 +242,63 @@ TEST(ResourceProfileTest, RunDiagnosticsCarryResource) {
   EXPECT_GT(diag.resource.flops, 0u) << "kernel hooks should have fired";
 }
 
-TEST(SamplerTest, AttributesSamplesToOpenSpans) {
-  if (!telemetry::kProfileCompiledIn || !trace::kCompiledIn) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
+// The span profile is derived from the buffered trace events: self times
+// and collapsed-stack weights partition the root spans' durations, so
+// every check below is an identity up to floating-point (or, for the
+// integer µs weights, per-line) rounding — no timing threshold.
+TEST(SpanProfileTest, SelfTimesAndCollapsedStacksPartitionRootSpans) {
   trace::Reset();
   trace::Enable();
-
-  struct SampleRun {
-    size_t total = 0;
-    size_t named_self = 0;
-    size_t hot_inner_self = 0;
-    size_t hot_outer_total = 0;
-    std::string table;
-    std::string collapsed;
-  };
-  auto SampleOnce = [](bool check_double_start) {
-    SampleRun run;
-    telemetry::ResetSamples();
-    telemetry::SamplerOptions sopts;
-    sopts.interval_ms = 1.0;
-    EXPECT_TRUE(telemetry::StartSampler(sopts).ok());
-    EXPECT_TRUE(telemetry::SamplerRunning());
-    if (check_double_start) {
-      // Starting twice is an error, not a second thread.
-      EXPECT_FALSE(telemetry::StartSampler(sopts).ok());
+  {
+    MULTICLUST_TRACE_SPAN("telemetry.outer");
+    for (int i = 0; i < 2; ++i) {
+      MULTICLUST_TRACE_SPAN("telemetry.inner");
     }
-    {
-      MULTICLUST_TRACE_SPAN("telemetry.hot_outer");
-      MULTICLUST_TRACE_SPAN("telemetry.hot_inner");
-      // Synthetic hot loop: long enough for dozens of 1 ms ticks even on a
-      // loaded single-core host.
-      volatile double sink = 0.0;
-      const auto until = std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(150);
-      while (std::chrono::steady_clock::now() < until) {
-        for (int i = 0; i < 1000; ++i) sink = sink + 1.0;
-      }
-    }
-    telemetry::StopSampler();
-    EXPECT_FALSE(telemetry::SamplerRunning());
-    run.total = telemetry::SampleCount();
-    for (const telemetry::SampleStats& s : telemetry::SamplerTable()) {
-      if (s.name != "(no span)") run.named_self += s.self;
-      if (s.name == "telemetry.hot_inner") run.hot_inner_self = s.self;
-      if (s.name == "telemetry.hot_outer") run.hot_outer_total = s.total;
-    }
-    run.table = telemetry::SamplerTableString();
-    run.collapsed = telemetry::CollapsedStacks();
-    return run;
-  };
-  auto AttributionHolds = [](const SampleRun& run) {
-    return run.total > 10u && run.named_self * 5 >= run.total * 4 &&
-           run.hot_inner_self > 0u;
-  };
-
-  // The whole sampled window ran inside the synthetic spans, so >= 80% of
-  // all samples should attribute to a named span. The bound is
-  // statistical: a loaded CI host can preempt the workload long enough
-  // for a batch of ticks to land outside the spans, so a run that misses
-  // the threshold gets ONE retry before the assertion below decides.
-  SampleRun run = SampleOnce(/*check_double_start=*/true);
-  if (!AttributionHolds(run)) {
-    run = SampleOnce(/*check_double_start=*/false);
   }
-  ASSERT_GT(run.total, 10u);
-  EXPECT_GE(run.named_self * 5, run.total * 4) << run.table;
-  EXPECT_GT(run.hot_inner_self, 0u);
-  // The outer span encloses the inner, so its total covers at least as
-  // many samples.
-  EXPECT_GE(run.hot_outer_total, run.hot_inner_self);
-
-  // Collapsed stacks preserve nesting order for flamegraph.pl.
-  EXPECT_NE(run.collapsed.find("telemetry.hot_outer;telemetry.hot_inner "),
-            std::string::npos)
-      << run.collapsed;
-
-  telemetry::ResetSamples();
-  EXPECT_EQ(telemetry::SampleCount(), 0u);
+  {
+    MULTICLUST_TRACE_SPAN("telemetry.sibling");
+  }
   trace::Disable();
+
+  std::map<std::string, trace::SpanStats> by_name;
+  for (const trace::SpanStats& s : trace::Summary()) by_name[s.name] = s;
+  ASSERT_EQ(by_name.size(), 3u);
+  const trace::SpanStats& outer = by_name["telemetry.outer"];
+  const trace::SpanStats& inner = by_name["telemetry.inner"];
+  const trace::SpanStats& sibling = by_name["telemetry.sibling"];
+  EXPECT_EQ(outer.count, 1u);
+  EXPECT_EQ(inner.count, 2u);
+  EXPECT_EQ(sibling.count, 1u);
+  constexpr double kRoundingMs = 1e-9;
+  EXPECT_NEAR(outer.self_ms + inner.total_ms, outer.total_ms, kRoundingMs);
+  EXPECT_NEAR(inner.self_ms, inner.total_ms, kRoundingMs);
+  EXPECT_NEAR(sibling.self_ms, sibling.total_ms, kRoundingMs);
+
+  const std::string collapsed = trace::CollapsedStacks();
+  EXPECT_NE(collapsed.find("telemetry.outer;telemetry.inner "),
+            std::string::npos)
+      << collapsed;
+  std::vector<std::string> paths;
+  double weight_sum_us = 0.0;
+  size_t start = 0;
+  while (start < collapsed.size()) {
+    const size_t end = collapsed.find('\n', start);
+    ASSERT_NE(end, std::string::npos) << "unterminated line: " << collapsed;
+    const std::string line = collapsed.substr(start, end - start);
+    const size_t space = line.rfind(' ');
+    ASSERT_NE(space, std::string::npos) << line;
+    paths.push_back(line.substr(0, space));
+    weight_sum_us += std::stod(line.substr(space + 1));
+    start = end + 1;
+  }
+  const std::vector<std::string> expected_paths = {
+      "telemetry.outer", "telemetry.outer;telemetry.inner",
+      "telemetry.sibling"};
+  EXPECT_EQ(paths, expected_paths) << collapsed;
+  // Each line's weight is rounded to whole µs: at most 0.5 µs off.
+  const double roots_us = (outer.total_ms + sibling.total_ms) * 1000.0;
+  EXPECT_NEAR(weight_sum_us, roots_us, 0.5 * static_cast<double>(paths.size()))
+      << collapsed;
   trace::Reset();
 }
 
@@ -477,7 +436,7 @@ TEST(ReportV2Test, RejectsUnknownSchemaAndKind) {
           .ok());
 }
 
-TEST(ReportV2Test, PipelineReportCarriesResourceWhenCompiledIn) {
+TEST(ReportV2Test, PipelineReportCarriesResource) {
   const Matrix data = TestData(17);
   DiscoveryOptions options;
   options.k = 2;
@@ -485,13 +444,11 @@ TEST(ReportV2Test, PipelineReportCarriesResourceWhenCompiledIn) {
   options.seed = 3;
   auto report = DiscoverMultipleClusterings(data, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->resource.captured, telemetry::kProfileCompiledIn);
-  if (telemetry::kProfileCompiledIn) {
-    EXPECT_GT(report->resource.wall_ms, 0.0);
-    EXPECT_GT(report->resource.alloc_count, 0u);
-    for (const RunDiagnostics& attempt : report->attempts) {
-      EXPECT_TRUE(attempt.resource.captured);
-    }
+  EXPECT_TRUE(report->resource.captured);
+  EXPECT_GT(report->resource.wall_ms, 0.0);
+  EXPECT_GT(report->resource.alloc_count, 0u);
+  for (const RunDiagnostics& attempt : report->attempts) {
+    EXPECT_TRUE(attempt.resource.captured);
   }
 }
 

@@ -1,8 +1,7 @@
 // Observability suite: span tracer, metrics registry, and the per-run
-// ConvergenceTrace. The tracer/metrics tests skip themselves when the
-// subsystem is compiled out (-DMULTICLUST_TRACING=OFF); the
-// ConvergenceTrace tests always run — convergence telemetry is plain
-// diagnostics data, independent of the tracing switch.
+// ConvergenceTrace.
+#include <sys/stat.h>
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -50,7 +49,6 @@ struct TraceSession {
 };
 
 TEST(TraceTest, SpanNestingAndSummary) {
-  if (!trace::kCompiledIn) GTEST_SKIP() << "tracing compiled out";
   TraceSession session;
   {
     MULTICLUST_TRACE_SPAN("test.outer");
@@ -75,7 +73,6 @@ TEST(TraceTest, SpanNestingAndSummary) {
 }
 
 TEST(TraceTest, DisabledSpansRecordNothing) {
-  if (!trace::kCompiledIn) GTEST_SKIP() << "tracing compiled out";
   trace::Reset();
   trace::Disable();
   {
@@ -85,7 +82,6 @@ TEST(TraceTest, DisabledSpansRecordNothing) {
 }
 
 TEST(TraceTest, ThreadSafetyUnderParallelFor) {
-  if (!trace::kCompiledIn) GTEST_SKIP() << "tracing compiled out";
   TraceSession session;
   SetThreadCount(4);
   std::vector<double> out(4096);
@@ -102,7 +98,6 @@ TEST(TraceTest, ThreadSafetyUnderParallelFor) {
 }
 
 TEST(TraceTest, ChromeTraceJsonIsValid) {
-  if (!trace::kCompiledIn) GTEST_SKIP() << "tracing compiled out";
   TraceSession session;
   {
     MULTICLUST_TRACE_SPAN("test.json \"quoted\"\\slash");
@@ -118,7 +113,6 @@ TEST(TraceTest, ChromeTraceJsonIsValid) {
 }
 
 TEST(TraceTest, WriteChromeTraceRoundTrip) {
-  if (!trace::kCompiledIn) GTEST_SKIP() << "tracing compiled out";
   TraceSession session;
   {
     MULTICLUST_TRACE_SPAN("test.file_export");
@@ -139,8 +133,22 @@ TEST(TraceTest, WriteChromeTraceRoundTrip) {
   EXPECT_TRUE(test::IsValidJson(content));
 }
 
+TEST(TraceTest, WriteChromeTraceIntoMissingDirectoryFailsCleanly) {
+  TraceSession session;
+  {
+    MULTICLUST_TRACE_SPAN("test.file_export");
+  }
+  const std::string dir = ::testing::TempDir() + "trace_test_missing_dir";
+  const std::string path = dir + "/trace.json";
+  const Status status = trace::WriteChromeTrace(path);
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+  struct stat st;
+  EXPECT_NE(stat(path.c_str(), &st), 0) << "no file published";
+  EXPECT_NE(stat((path + ".tmp").c_str(), &st), 0) << "no temp file leaked";
+  EXPECT_NE(stat(dir.c_str(), &st), 0) << "no directory created";
+}
+
 TEST(MetricsTest2, CounterGaugeHistogramBasics) {
-  if (!metrics::kCompiledIn) GTEST_SKIP() << "metrics compiled out";
   metrics::Reset();
   MC_METRIC_COUNT("test.trace.counter", 2);
   MC_METRIC_COUNT("test.trace.counter", 3);
@@ -174,7 +182,6 @@ TEST(MetricsTest2, CounterGaugeHistogramBasics) {
 }
 
 TEST(TraceTest, DroppedEventsAreCountedAndSurfaced) {
-  if (!trace::kCompiledIn) GTEST_SKIP() << "tracing compiled out";
   TraceSession session;
   trace::SetMaxEventsPerThread(4);
   for (int i = 0; i < 10; ++i) {
@@ -203,7 +210,6 @@ TEST(TraceTest, DroppedEventsAreCountedAndSurfaced) {
 }
 
 TEST(MetricsTest2, HistogramQuantilePinsInterpolation) {
-  if (!metrics::kCompiledIn) GTEST_SKIP() << "metrics compiled out";
   // Hand-checkable fixture: bounds [1, 10], counts [2 in (0,1], 6 in
   // (1,10], 2 overflow], total 10.
   const std::vector<double> bounds = {1.0, 10.0};
@@ -235,7 +241,6 @@ TEST(MetricsTest2, HistogramQuantilePinsInterpolation) {
 }
 
 TEST(MetricsTest2, MetricsJsonCarriesQuantiles) {
-  if (!metrics::kCompiledIn) GTEST_SKIP() << "metrics compiled out";
   metrics::Reset();
   const std::vector<double> bounds = {1.0, 10.0};
   metrics::Histogram& h = metrics::GetHistogram("test.trace.jsonq", bounds);
@@ -249,7 +254,6 @@ TEST(MetricsTest2, MetricsJsonCarriesQuantiles) {
 }
 
 TEST(MetricsTest2, OpenMetricsTextWellFormed) {
-  if (!metrics::kCompiledIn) GTEST_SKIP() << "metrics compiled out";
   metrics::Reset();
   metrics::GetCounter("test.trace.om_counter").Add(7);
   metrics::GetGauge("test.trace.om_gauge").Set(1.25);
@@ -284,7 +288,6 @@ TEST(MetricsTest2, OpenMetricsTextWellFormed) {
 }
 
 TEST(MetricsTest2, CounterTotalsThreadInvariant) {
-  if (!metrics::kCompiledIn) GTEST_SKIP() << "metrics compiled out";
   const Matrix data = TestData(41);
   KMeansOptions opts;
   opts.k = 3;
@@ -304,7 +307,6 @@ TEST(MetricsTest2, CounterTotalsThreadInvariant) {
 }
 
 TEST(TraceTest, AlgorithmSpansAppearInTrace) {
-  if (!trace::kCompiledIn) GTEST_SKIP() << "tracing compiled out";
   TraceSession session;
   const Matrix data = TestData(42);
   KMeansOptions opts;
@@ -319,7 +321,6 @@ TEST(TraceTest, AlgorithmSpansAppearInTrace) {
 }
 
 TEST(TraceTest, PipelineStagesAppearInTrace) {
-  if (!trace::kCompiledIn) GTEST_SKIP() << "tracing compiled out";
   TraceSession session;
   const Matrix data = TestData(43);
   DiscoveryOptions opts;
@@ -335,8 +336,8 @@ TEST(TraceTest, PipelineStagesAppearInTrace) {
   EXPECT_TRUE(test::IsValidJson(json));
 }
 
-// --- ConvergenceTrace: always compiled, independent of the tracing
-//     switch. Every iterative algorithm must fill a non-empty trace when a
+// --- ConvergenceTrace: plain diagnostics data, independent of the
+//     tracer. Every iterative algorithm must fill a non-empty trace when a
 //     diagnostics sink is attached. ---
 
 TEST(ConvergenceTraceTest, KMeans) {

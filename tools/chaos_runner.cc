@@ -9,8 +9,7 @@
 //   chaos_runner --out=DIR                   write violation repros to DIR
 //                                            (each repro_<N>.json gets a
 //                                            repro_<N>.flight.json flight-
-//                                            record dump alongside when the
-//                                            recorder is compiled in)
+//                                            record dump alongside)
 //   chaos_runner --run-ledger=PATH           append a multiclust.run_record
 //                                            line per campaign/replay to the
 //                                            durable run ledger
@@ -269,7 +268,7 @@ int main(int argc, char** argv) {
       }
       // The flight-record dump captured at the violation: the last-N
       // events per thread of the failing (shrunk) run, same format as a
-      // crash report. Empty when the recorder is compiled out.
+      // crash report.
       if (!failure.flight_record.empty()) {
         const std::string flight_path =
             out_dir + "/repro_" + std::to_string(repro_index) +
