@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels underneath the
 // algorithms: pairwise distances, Jacobi eigendecomposition, one-sided
-// Jacobi SVD, a Lloyd iteration, dense-unit mining and kernel matrices.
+// Jacobi SVD, a Lloyd iteration, dense-unit mining, kernel matrices and
+// the exact silhouette.
 //
 // The harness flags (--json=PATH, --quick) are consumed before
 // benchmark::Initialize, so the usual --benchmark_* flags still work.
@@ -10,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -20,8 +22,10 @@
 #include "harness.h"
 #include "linalg/decomposition.h"
 #include "linalg/kernels.h"
+#include "metrics/clustering_quality.h"
 #include "stats/grid.h"
 #include "stats/hsic.h"
+#include "support/silhouette_oracle.h"
 
 using namespace multiclust;
 
@@ -99,6 +103,30 @@ void BM_GaussianKernelMatrix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GaussianKernelMatrix)->Range(64, 512);
+
+// n rows in 6 dimensions under a fixed 3-cluster labelling: the shape of
+// every Silhouette call of an auto-k dec-kmeans job.
+struct SilhouetteInput {
+  Matrix data;
+  std::vector<int> labels;
+};
+
+SilhouetteInput MakeSilhouetteInput(size_t n) {
+  SilhouetteInput in{RandomMatrix(n, 6, 5), std::vector<int>(n)};
+  for (size_t i = 0; i < n; ++i) {
+    in.labels[i] = static_cast<int>(i % 3);
+    in.data.at(i, 0) += 3.0 * static_cast<double>(in.labels[i]);
+  }
+  return in;
+}
+
+void BM_Silhouette(benchmark::State& state) {
+  const SilhouetteInput in = MakeSilhouetteInput(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Silhouette(in.data, in.labels));
+  }
+}
+BENCHMARK(BM_Silhouette)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond);
 
 double TimeUnitToMs(benchmark::TimeUnit unit) {
   switch (unit) {
@@ -285,6 +313,37 @@ void RecordKernelGflops(bench::Harness* h, bool quick) {
                "(got " + std::to_string(gemm_speedup) + "x)");
 }
 
+// Wall time of one call of `fn`, in ms.
+template <typename Fn>
+double OnceMs(Fn fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::milli>(t1 - t0).count();
+}
+
+// Silhouette (vectorised kernel, parallel over row blocks) against the
+// serial scalar loop it replaced, one call each. The speedup is
+// host-dependent; bitwise equality is not.
+void RecordSilhouette(bench::Harness* h) {
+  bool identical = true;
+  for (const size_t n : {2000, 8000}) {
+    const SilhouetteInput in = MakeSilhouetteInput(n);
+    double fast = 0.0, serial = 0.0;
+    const double fast_ms =
+        OnceMs([&] { fast = Silhouette(in.data, in.labels).value(); });
+    const double serial_ms = OnceMs(
+        [&] { serial = test::SerialSilhouette(in.data, in.labels).value(); });
+    const std::string base = "silhouette_" + std::to_string(n);
+    h->Scalar(base + "_serial_ms", serial_ms, HostDependent("ms"));
+    h->Scalar(base + "_speedup", serial_ms / fast_ms, HostDependent("x"));
+    identical = identical && std::memcmp(&fast, &serial, sizeof(double)) == 0;
+  }
+  h->Check("silhouette_bitwise_equal_serial", identical,
+           "Silhouette must return the serial loop's bits at n=2000 and "
+           "n=8000");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -307,12 +366,13 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   RecordKernelGflops(&h, h.quick());
+  RecordSilhouette(&h);
 
-  // 2+3+3+1+3+2 registered (name, size) combinations — a registration
+  // 2+3+3+1+3+2+2 registered (name, size) combinations — a registration
   // that silently disappears should fail the diff, not just shrink it.
   h.Scalar("benchmarks_recorded", static_cast<double>(reporter.recorded()));
   h.Check("all_microbenchmarks_ran",
-          reporter.recorded() == 14 && reporter.errors() == 0,
-          "all 14 registered micro-benchmark cases must run without error");
+          reporter.recorded() == 16 && reporter.errors() == 0,
+          "all 16 registered micro-benchmark cases must run without error");
   return h.Finish();
 }

@@ -19,7 +19,7 @@
 namespace multiclust {
 
 Result<size_t> SelectKBySilhouette(const Matrix& data, size_t max_k,
-                                   uint64_t seed) {
+                                   uint64_t seed, const CancelToken* cancel) {
   if (max_k < 2) {
     return Status::InvalidArgument("SelectKBySilhouette: max_k must be >= 2");
   }
@@ -27,10 +27,14 @@ Result<size_t> SelectKBySilhouette(const Matrix& data, size_t max_k,
   size_t best_k = 2;
   double best_score = -2.0;
   for (size_t k = 2; k <= max_k && k < data.rows(); ++k) {
+    if (cancel != nullptr && cancel->cancelled()) {
+      return Status::Cancelled("select_k: cancelled by caller");
+    }
     KMeansOptions opts;
     opts.k = k;
     opts.restarts = 5;
     opts.seed = seed + k;
+    opts.budget.cancel = cancel;
     MC_ASSIGN_OR_RETURN(Clustering c, RunKMeans(data, opts));
     auto sil = Silhouette(data, c.labels);
     if (!sil.ok()) continue;
@@ -268,7 +272,8 @@ Result<DiscoveryReport> DiscoverMultipleClusterings(
       telemetry::EmitStage("pipeline.select_k", "start");
       MC_ASSIGN_OR_RETURN(k,
                           SelectKBySilhouette(data, options.max_k,
-                                              options.seed));
+                                              options.seed,
+                                              options.budget.cancel));
       telemetry::EmitStage("pipeline.select_k", "end");
     }
     // Stage boundary: model selection done, no attempts yet.

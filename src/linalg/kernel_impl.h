@@ -21,9 +21,12 @@
 ///    construction.
 ///  - transcendentals (exp, log) always go through libm, one element at a
 ///    time — no vendor vector-math libraries, whose polynomials differ.
+///    Square roots are the exception: `Double4::Sqrt` is the IEEE
+///    correctly rounded root on every backend, so it vectorizes freely.
 
 #include <cmath>
 #include <cstddef>
+#include <vector>
 
 #include "linalg/simd.h"
 
@@ -303,6 +306,74 @@ void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
           crow[j] = acc;
         }
       }
+    }
+  }
+}
+
+// out[r*k + c] = sum over m in [offsets[c], offsets[c+1]) of
+// ||x_r - data_{members[m]}|| for the `count` rows x_r = x + r*d.
+//
+// Lanes run across four rows x_r, never across members: each member row
+// is broadcast, so every lane runs exactly the scalar recurrence
+//   s = 0; for t ascending: s += (x_rt - y_t)^2;  sum += sqrt(s)
+// with separately rounded mul + add, over the members in list order. The
+// sums are therefore bit-identical to that plain double loop, for any
+// row count and any d. Four member rows are in flight at once (four
+// independent distance chains); their roots still enter the sum one at a
+// time, in member order. Missing rows of a last partial group are
+// zero-padded lanes whose results are dropped.
+template <typename V>
+void ClusterDistanceSums(const double* x, size_t count, const double* data,
+                         size_t d, const size_t* members,
+                         const size_t* offsets, size_t k, double* out) {
+  // Four rows transposed to lane-major: lanes[4*t + l] = x_{r0+l, t}.
+  std::vector<double> lanes(4 * d);
+  for (size_t r0 = 0; r0 < count; r0 += 4) {
+    const size_t width = count - r0 < 4 ? count - r0 : 4;
+    for (size_t t = 0; t < d; ++t) {
+      for (size_t l = 0; l < 4; ++l) {
+        lanes[4 * t + l] = l < width ? x[(r0 + l) * d + t] : 0.0;
+      }
+    }
+    const double* xl = lanes.data();
+    for (size_t c = 0; c < k; ++c) {
+      V acc = V::Zero();
+      size_t m = offsets[c];
+      const size_t end = offsets[c + 1];
+      for (; m + 4 <= end; m += 4) {
+        const double* y0 = data + members[m] * d;
+        const double* y1 = data + members[m + 1] * d;
+        const double* y2 = data + members[m + 2] * d;
+        const double* y3 = data + members[m + 3] * d;
+        V s0 = V::Zero(), s1 = V::Zero(), s2 = V::Zero(), s3 = V::Zero();
+        for (size_t t = 0; t < d; ++t) {
+          const V xi = V::Load(xl + 4 * t);
+          const V d0 = xi - V::Broadcast(y0[t]);
+          const V d1 = xi - V::Broadcast(y1[t]);
+          const V d2 = xi - V::Broadcast(y2[t]);
+          const V d3 = xi - V::Broadcast(y3[t]);
+          s0 = V::MulAdd(d0, d0, s0);
+          s1 = V::MulAdd(d1, d1, s1);
+          s2 = V::MulAdd(d2, d2, s2);
+          s3 = V::MulAdd(d3, d3, s3);
+        }
+        acc = acc + s0.Sqrt();
+        acc = acc + s1.Sqrt();
+        acc = acc + s2.Sqrt();
+        acc = acc + s3.Sqrt();
+      }
+      for (; m < end; ++m) {
+        const double* y = data + members[m] * d;
+        V s = V::Zero();
+        for (size_t t = 0; t < d; ++t) {
+          const V diff = V::Load(xl + 4 * t) - V::Broadcast(y[t]);
+          s = V::MulAdd(diff, diff, s);
+        }
+        acc = acc + s.Sqrt();
+      }
+      double sums[4];
+      acc.Store(sums);
+      for (size_t l = 0; l < width; ++l) out[(r0 + l) * k + c] = sums[l];
     }
   }
 }

@@ -103,6 +103,19 @@ void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
                             sizeof(double));
   impl::GemmRows<Double4>(a, acols, b, bcols, c, row_begin, row_end);
 }
+void ClusterDistanceSums(const double* x, size_t count, const double* data,
+                         size_t d, const size_t* members,
+                         const size_t* offsets, size_t k, double* out) {
+  // Telemetry tally at call granularity (one row block per call): per
+  // (row, member) pair d subs, d muls, d adds, the root and its add.
+  // Bytes: the block's rows, the member rows and indices, the sums.
+  const size_t m = offsets[k] - offsets[0];
+  telemetry::CountFlops(count * m * (3 * d + 2),
+                        (count * d + m * d + count * k) * sizeof(double) +
+                            m * sizeof(size_t));
+  impl::ClusterDistanceSums<Double4>(x, count, data, d, members, offsets, k,
+                                     out);
+}
 
 float DotF(const float* a, const float* b, size_t n) {
   return impl::DotF<Float8>(a, b, n);

@@ -75,6 +75,16 @@ int NearestNormForm(const double* x, const double* centers, size_t k, size_t d,
 /// (acols,bcols). Result is independent of the internal block sizes.
 void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
               double* c, size_t row_begin, size_t row_end);
+/// Per-cluster Euclidean distance sums for `count` rows x_r = x + r*d:
+/// out[r*k + c] = sum over m in [offsets[c], offsets[c+1]) of
+/// ||x_r - data_{members[m]}||, each distance the sqrt of the
+/// ascending-coordinate sum of squared differences, summed in member
+/// order. Bit-identical to that plain scalar double loop (lanes run
+/// across rows, never across members). out is (count x k); an empty
+/// member range gives +0.
+void ClusterDistanceSums(const double* x, size_t count, const double* data,
+                         size_t d, const size_t* members,
+                         const size_t* offsets, size_t k, double* out);
 
 // --- f32 kernels (fixed 8-lane model; opt-in distance path). ---
 float DotF(const float* a, const float* b, size_t n);
@@ -106,6 +116,9 @@ int NearestNormForm(const double* x, const double* centers, size_t k, size_t d,
                     double x_norm, const double* center_norms);
 void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
               double* c, size_t row_begin, size_t row_end);
+void ClusterDistanceSums(const double* x, size_t count, const double* data,
+                         size_t d, const size_t* members,
+                         const size_t* offsets, size_t k, double* out);
 float DotF(const float* a, const float* b, size_t n);
 float SquaredNormF(const float* x, size_t n);
 float SquaredDistanceF(const float* x, const float* b, size_t n);

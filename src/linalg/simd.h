@@ -19,7 +19,9 @@
 /// are identical across backends — and because `MulAdd` is always a
 /// separately-rounded multiply + add (never a fused FMA; the kernel TUs
 /// are compiled with -ffp-contract=off so the scalar backend cannot be
-/// contracted either) — a kernel produces bit-identical results whether
+/// contracted either) — and because `Sqrt` is the IEEE correctly rounded
+/// square root on every backend (`_mm256_sqrt_pd`, `vsqrtq_f64`,
+/// `std::sqrt`) — a kernel produces bit-identical results whether
 /// the build is SIMD-on or SIMD-off. tests/simd_kernel_test.cc and
 /// determinism_test enforce this against the always-scalar `kernels::ref`
 /// instantiation.
@@ -28,6 +30,7 @@
 /// including this header to get the scalar backend regardless of the
 /// build configuration (kernels_ref.cc does exactly that).
 
+#include <cmath>
 #include <cstddef>
 
 #if !defined(MULTICLUST_SIMD_FORCE_SCALAR) && defined(MULTICLUST_SIMD) && \
@@ -73,6 +76,9 @@ struct Double4 {
   Double4 operator-(Double4 o) const { return {_mm256_sub_pd(v, o.v)}; }
   Double4 operator*(Double4 o) const { return {_mm256_mul_pd(v, o.v)}; }
   Double4 operator/(Double4 o) const { return {_mm256_div_pd(v, o.v)}; }
+
+  /// Lane-wise square root (IEEE correctly rounded, like std::sqrt).
+  Double4 Sqrt() const { return {_mm256_sqrt_pd(v)}; }
 
   /// acc + a * b with two roundings (mul then add; deliberately not FMA).
   static Double4 MulAdd(Double4 a, Double4 b, Double4 acc) {
@@ -145,6 +151,8 @@ struct Double4 {
   Double4 operator/(Double4 o) const {
     return {vdivq_f64(lo, o.lo), vdivq_f64(hi, o.hi)};
   }
+
+  Double4 Sqrt() const { return {vsqrtq_f64(lo), vsqrtq_f64(hi)}; }
 
   static Double4 MulAdd(Double4 a, Double4 b, Double4 acc) {
     // vaddq(vmulq) keeps two roundings; vfmaq would fuse and break the
@@ -231,6 +239,12 @@ struct Double4 {
   Double4 operator/(Double4 o) const {
     Double4 r;
     for (int i = 0; i < 4; ++i) r.v[i] = v[i] / o.v[i];
+    return r;
+  }
+
+  Double4 Sqrt() const {
+    Double4 r;
+    for (int i = 0; i < 4; ++i) r.v[i] = std::sqrt(v[i]);
     return r;
   }
 

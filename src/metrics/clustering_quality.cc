@@ -4,6 +4,9 @@
 #include <cmath>
 #include <limits>
 
+#include "common/parallel.h"
+#include "common/trace.h"
+#include "linalg/kernels.h"
 #include "stats/contingency.h"
 
 namespace multiclust {
@@ -34,46 +37,71 @@ Result<double> Silhouette(const Matrix& data,
   if (data.rows() != labels.size()) {
     return Status::InvalidArgument("Silhouette: size mismatch");
   }
+  MULTICLUST_TRACE_SPAN("metrics.silhouette");
   std::vector<int> dense;
   const size_t k = DenseRelabel(labels, &dense);
   if (k < 2) {
     return Status::FailedPrecondition("Silhouette: needs >= 2 clusters");
   }
   const size_t n = data.rows();
-  std::vector<size_t> sizes(k, 0);
+  // Counting sort of the non-noise rows by cluster: cluster c's members
+  // are members[offsets[c] .. offsets[c+1]), in ascending row order, so
+  // every per-cluster distance sum adds its terms in ascending j.
+  std::vector<size_t> offsets(k + 1, 0);
   for (int l : dense) {
-    if (l >= 0) ++sizes[l];
+    if (l >= 0) ++offsets[l + 1];
   }
+  for (size_t c = 0; c < k; ++c) offsets[c + 1] += offsets[c];
+  std::vector<size_t> members(offsets[k]);
+  {
+    std::vector<size_t> next(offsets.begin(), offsets.end() - 1);
+    for (size_t i = 0; i < n; ++i) {
+      if (dense[i] >= 0) members[next[dense[i]]++] = i;
+    }
+  }
+  const auto size_of = [&](size_t c) { return offsets[c + 1] - offsets[c]; };
 
+  // s(i) per row, over fixed row blocks. The sum for row i includes the
+  // j == i term sqrt(0) = +0, an exact identity on a non-negative sum.
+  constexpr size_t kRowBlock = 64;
+  std::vector<double> score(n, 0.0);
+  std::vector<unsigned char> scored(n, 0);
+  ParallelFor(0, n, kRowBlock, [&](size_t lo, size_t hi) {
+    std::vector<double> dist_sum(kRowBlock * k);
+    for (size_t block = lo; block < hi; block += kRowBlock) {
+      const size_t block_end = std::min(block + kRowBlock, hi);
+      kernels::ClusterDistanceSums(data.row_data(block), block_end - block,
+                                   data.row_data(0), data.cols(),
+                                   members.data(), offsets.data(), k,
+                                   dist_sum.data());
+      for (size_t i = block; i < block_end; ++i) {
+        if (dense[i] < 0) continue;
+        const double* sums = dist_sum.data() + (i - block) * k;
+        const size_t own = dense[i];
+        if (size_of(own) <= 1) continue;  // silhouette undefined; skip
+        const double a = sums[own] / static_cast<double>(size_of(own) - 1);
+        double b = std::numeric_limits<double>::infinity();
+        for (size_t c = 0; c < k; ++c) {
+          if (c == own) continue;
+          b = std::min(b, sums[c] / static_cast<double>(size_of(c)));
+        }
+        if (!std::isfinite(b)) continue;
+        const double denom = std::max(a, b);
+        if (denom > 0) {
+          score[i] = (b - a) / denom;
+          scored[i] = 1;
+        }
+      }
+    }
+  });
+
+  // Ascending serial reduction: the same bits for any thread count.
   double total = 0.0;
   size_t counted = 0;
-  std::vector<double> dist_sum(k);
   for (size_t i = 0; i < n; ++i) {
-    if (dense[i] < 0) continue;
-    std::fill(dist_sum.begin(), dist_sum.end(), 0.0);
-    for (size_t j = 0; j < n; ++j) {
-      if (j == i || dense[j] < 0) continue;
-      double s = 0.0;
-      for (size_t c = 0; c < data.cols(); ++c) {
-        const double d = data.at(i, c) - data.at(j, c);
-        s += d * d;
-      }
-      dist_sum[dense[j]] += std::sqrt(s);
-    }
-    const size_t own = dense[i];
-    if (sizes[own] <= 1) continue;  // silhouette undefined; skip
-    const double a = dist_sum[own] / static_cast<double>(sizes[own] - 1);
-    double b = std::numeric_limits<double>::infinity();
-    for (size_t c = 0; c < k; ++c) {
-      if (c == own || sizes[c] == 0) continue;
-      b = std::min(b, dist_sum[c] / static_cast<double>(sizes[c]));
-    }
-    if (!std::isfinite(b)) continue;
-    const double denom = std::max(a, b);
-    if (denom > 0) {
-      total += (b - a) / denom;
-      ++counted;
-    }
+    if (!scored[i]) continue;
+    total += score[i];
+    ++counted;
   }
   if (counted == 0) {
     return Status::FailedPrecondition("Silhouette: no scorable objects");

@@ -4,6 +4,8 @@
 // regression tests trustworthy.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "altspace/cami.h"
 #include "altspace/cib.h"
 #include "cluster/dbscan.h"
@@ -11,6 +13,7 @@
 #include "common/rng.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
+#include "metrics/clustering_quality.h"
 #include "stats/hsic.h"
 #include "subspace/enclus.h"
 #include "altspace/conditional_ensemble.h"
@@ -342,6 +345,27 @@ TEST(ThreadInvarianceTest, AffinityAndHsic) {
   for (const size_t threads : {2u, 4u}) {
     EXPECT_EQ(k1.MaxAbsDiff(WithThreads(threads, kernel)), 0.0);
     EXPECT_EQ(h1, WithThreads(threads, hsic));
+  }
+}
+
+TEST(ThreadInvarianceTest, Silhouette) {
+  // 1000 rows = 15 full 64-row blocks plus a partial one; noise rows and
+  // a singleton cluster ride along.
+  std::vector<ViewSpec> views(2);
+  views[0] = {3, 4, 6.0, 1.0, ""};
+  views[1] = {3, 3, 6.0, 1.0, ""};
+  const Matrix data = MakeMultiView(1000, views, 0, 23)->data();
+  std::vector<int> labels(data.rows());
+  for (size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = i % 17 == 0 ? -1 : static_cast<int>((i * 7) % 5);
+  }
+  labels[999] = 42;
+  const auto run = [&] { return Silhouette(data, labels).value(); };
+  const double serial = WithThreads(1, run);
+  for (const size_t threads : {2u, 4u}) {
+    const double parallel = WithThreads(threads, run);
+    EXPECT_EQ(std::memcmp(&serial, &parallel, sizeof(double)), 0)
+        << "threads=" << threads;
   }
 }
 

@@ -16,6 +16,7 @@
 #include "cluster/kmeans.h"
 #include "common/fault.h"
 #include "common/runguard.h"
+#include "common/telemetry.h"
 #include "core/pipeline.h"
 #include "data/generators.h"
 
@@ -84,6 +85,47 @@ TEST_F(FaultInjectionTest, CancelIsNeverSwallowedByPipelineFallbacks) {
   auto r = DiscoverMultipleClusterings(BlobData(), opts);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+}
+
+TEST_F(FaultInjectionTest, SelectKHonoursCancelToken) {
+  CancelToken cancel;
+  cancel.Cancel();
+  auto k = SelectKBySilhouette(BlobData(), 5, 3, &cancel);
+  ASSERT_FALSE(k.ok());
+  EXPECT_EQ(k.status().code(), StatusCode::kCancelled);
+  // Without a token the same call selects a k.
+  EXPECT_TRUE(SelectKBySilhouette(BlobData(), 5, 3).ok());
+}
+
+// Trips the token on the start event of one stage and records whether
+// that stage ever ended.
+struct CancelAtStageSink : telemetry::ProgressSink {
+  CancelAtStageSink(CancelToken* t, std::string s)
+      : token(t), stage(std::move(s)) {}
+  void OnEvent(const telemetry::ProgressEvent& event) override {
+    if (event.stage != stage) return;
+    if (event.phase == "start") token->Cancel();
+    if (event.phase == "end") stage_ended = true;
+  }
+  CancelToken* token;
+  std::string stage;
+  bool stage_ended = false;
+};
+
+TEST_F(FaultInjectionTest, AutoKPipelineCancelledDuringSelectK) {
+  CancelToken cancel;
+  CancelAtStageSink sink(&cancel, "pipeline.select_k");
+  telemetry::SetProgressSink(&sink);
+  DiscoveryOptions opts;
+  opts.k = 0;  // auto-k: the select_k stage runs
+  opts.max_k = 5;
+  opts.budget.cancel = &cancel;
+  auto r = DiscoverMultipleClusterings(BlobData(), opts);
+  telemetry::SetProgressSink(nullptr);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+  // The cancel stops k-selection itself, not a later stage.
+  EXPECT_FALSE(sink.stage_ended);
 }
 
 TEST_F(FaultInjectionTest, RetrySeedsAreDeterministicAndDistinct) {

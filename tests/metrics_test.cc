@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "common/rng.h"
 #include "linalg/matrix.h"
 #include "metrics/clustering_quality.h"
 #include "metrics/multi_solution.h"
 #include "metrics/partition_similarity.h"
+#include "support/silhouette_oracle.h"
 
 namespace multiclust {
 namespace {
@@ -243,6 +246,87 @@ TEST(SilhouetteTest, BadPartitionLower) {
 TEST(SilhouetteTest, RequiresTwoClusters) {
   const Matrix data = Matrix::FromRows({{0.0}, {1.0}});
   EXPECT_FALSE(Silhouette(data, {0, 0}).ok());
+}
+
+// A seeded random silhouette input: n in [2, 300] (up to five 64-row
+// blocks), d from 1 to 17, 1-6 clusters under sparse, unsorted label ids,
+// offset along the first coordinate. Depending on the seed it also has
+// noise rows, singleton clusters and duplicated rows.
+struct SilhouetteCase {
+  Matrix data;
+  std::vector<int> labels;
+};
+
+SilhouetteCase RandomSilhouetteCase(uint64_t seed) {
+  Rng rng(seed);
+  const size_t dims[] = {1, 2, 3, 6, 9, 17};
+  const size_t n = 2 + rng.NextIndex(299);
+  const size_t d = dims[rng.NextIndex(6)];
+  const size_t k = 1 + rng.NextIndex(6);
+  SilhouetteCase c{Matrix(n, d), std::vector<int>(n)};
+  const double noise = seed % 3 == 0 ? 0.15 : 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t cluster = rng.NextIndex(k);
+    c.labels[i] = rng.Uniform(0.0, 1.0) < noise
+                      ? -1
+                      : 1000 - 37 * static_cast<int>(cluster);
+    for (size_t t = 0; t < d; ++t) c.data.at(i, t) = rng.Gaussian(0.0, 1.0);
+    c.data.at(i, 0) += 1.5 * static_cast<double>(cluster);
+  }
+  if (seed % 4 == 1) {
+    c.labels[n - 1] = 5000;  // singleton clusters
+    c.labels[0] = 7000;
+  }
+  if (seed % 5 == 2) {
+    for (size_t i = 0; i < n; i += 3) {  // duplicated rows
+      const size_t src = rng.NextIndex(n);
+      for (size_t t = 0; t < d; ++t) c.data.at(i, t) = c.data.at(src, t);
+    }
+  }
+  return c;
+}
+
+// The vectorised, parallel Silhouette must reproduce the serial scalar
+// loop it replaced bit for bit, and fail with the same status. Returns
+// whether the serial loop produced a score.
+bool ExpectSameAsSerial(const Matrix& data, const std::vector<int>& labels,
+                        const std::string& what) {
+  const Result<double> want = test::SerialSilhouette(data, labels);
+  const Result<double> got = Silhouette(data, labels);
+  EXPECT_EQ(got.ok(), want.ok()) << what;
+  if (!want.ok() || !got.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << what;
+    EXPECT_EQ(got.status().message(), want.status().message()) << what;
+    return want.ok();
+  }
+  const double g = *got, w = *want;
+  EXPECT_EQ(std::memcmp(&g, &w, sizeof(double)), 0)
+      << what << ": got " << g << " want " << w;
+  return true;
+}
+
+TEST(SilhouetteTest, BitIdenticalToSerialLoopOnRandomInputs) {
+  size_t scored = 0;
+  for (uint64_t seed = 1; seed <= 150; ++seed) {
+    const SilhouetteCase c = RandomSilhouetteCase(seed);
+    if (ExpectSameAsSerial(c.data, c.labels, "seed=" + std::to_string(seed))) {
+      ++scored;
+    }
+  }
+  EXPECT_GE(scored, 100u);
+}
+
+TEST(SilhouetteTest, BitIdenticalToSerialLoopOnEdgeCases) {
+  const Matrix line = Matrix::FromRows({{0.0}, {1.0}, {3.0}, {7.0}, {8.0}});
+  ExpectSameAsSerial(line, {-1, -1, -1, -1, -1}, "all noise");
+  ExpectSameAsSerial(line, {4, 4, -1, 4, 4}, "one cluster");
+  ExpectSameAsSerial(line, {0, 1, 2, 3, 4}, "all singletons");
+  ExpectSameAsSerial(line, {9, 9, 3, -1, 3}, "singleton-free with noise");
+  ExpectSameAsSerial(line, {0, 1}, "size mismatch");
+  const Matrix same = Matrix::FromRows({{2.0, 2.0}, {2.0, 2.0}, {2.0, 2.0}});
+  ExpectSameAsSerial(same, {0, 0, 1}, "duplicate rows, zero spread");
+  const Matrix empty_cols(4, 0);
+  ExpectSameAsSerial(empty_cols, {0, 0, 1, 1}, "zero columns");
 }
 
 TEST(DunnTest, SeparationRaisesDunn) {

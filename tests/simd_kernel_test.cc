@@ -262,6 +262,96 @@ TEST(SimdKernelTest, GemmRowsRowRangeOnlyTouchesRequestedRows) {
   }
 }
 
+// The plain scalar loop ClusterDistanceSums promises to reproduce.
+std::vector<double> NaiveClusterSums(const std::vector<double>& x,
+                                     size_t count, const std::vector<double>& data,
+                                     size_t d, const std::vector<size_t>& members,
+                                     const std::vector<size_t>& offsets) {
+  const size_t kc = offsets.size() - 1;
+  std::vector<double> out(count * kc);
+  for (size_t r = 0; r < count; ++r) {
+    for (size_t c = 0; c < kc; ++c) {
+      double sum = 0.0;
+      for (size_t m = offsets[c]; m < offsets[c + 1]; ++m) {
+        double s = 0.0;
+        for (size_t t = 0; t < d; ++t) {
+          const double diff = x[r * d + t] - data[members[m] * d + t];
+          s += diff * diff;
+        }
+        sum += std::sqrt(s);
+      }
+      out[r * kc + c] = sum;
+    }
+  }
+  return out;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(SimdKernelTest, ClusterDistanceSumsBitIdenticalToRefAndScalarLoop) {
+  // Row counts cover every count % 4 residue; cluster 1 is an empty
+  // member range; member ids are unsorted across clusters, include the
+  // rows themselves (a +0 term) and span clusters of 1-9 members so both
+  // the 4-wide member loop and its tail run.
+  const size_t npool = 40;
+  for (size_t d : {1, 3, 6, 9, 17, 70}) {
+    const auto pool = RandVec(npool * d, 131 + d);
+    const std::vector<size_t> members = {3, 8, 9, 21, 30, 31, 33, 38, 39,
+                                         0,  // own
+                                         5, 6, 7, 17, 25,
+                                         2, 4, 10, 11};
+    const std::vector<size_t> offsets = {0, 9, 9, 10, 15, 19};
+    const size_t kc = offsets.size() - 1;
+    for (size_t count : {0, 1, 2, 3, 4, 5, 6, 7, 8, 13}) {
+      const double* x = pool.data();  // rows 0 .. count-1 of the pool
+      std::vector<double> fast(count * kc, -1.0), ref(count * kc, -2.0);
+      k::ClusterDistanceSums(x, count, pool.data(), d, members.data(),
+                             offsets.data(), kc, fast.data());
+      k::ref::ClusterDistanceSums(x, count, pool.data(), d, members.data(),
+                                  offsets.data(), kc, ref.data());
+      const std::vector<double> rows(pool.begin(), pool.begin() + count * d);
+      const auto naive =
+          NaiveClusterSums(rows, count, pool, d, members, offsets);
+      EXPECT_TRUE(SameBits(fast, ref)) << "d=" << d << " count=" << count;
+      EXPECT_TRUE(SameBits(fast, naive)) << "d=" << d << " count=" << count;
+      for (size_t r = 0; r < count; ++r) {
+        EXPECT_EQ(fast[r * kc + 1], 0.0) << "empty range must sum to +0";
+        EXPECT_FALSE(std::signbit(fast[r * kc + 1]));
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, ClusterDistanceSumsSqrtExactAcrossMagnitudes) {
+  // d = 1 and one member per call: each output is one root, of squared
+  // distances from subnormal to overflow (sqrt(inf) = inf) and exact
+  // zeros. Every lane's Double4::Sqrt must equal std::sqrt.
+  const std::vector<double> pool = {0.0,    1e-160, 3e-155, 1e-3,  0.5,
+                                    1.0,    2.0,    1e10,   1e150, 1e154,
+                                    1e155,  1e160,  -1e160, -2.0,  7.25,
+                                    -0.0};
+  const size_t n = pool.size();
+  const std::vector<size_t> one = {0, 1};
+  for (size_t m = 0; m < n; ++m) {
+    std::vector<double> fast(n), ref(n);
+    k::ClusterDistanceSums(pool.data(), n, pool.data(), 1, &m, one.data(), 1,
+                           fast.data());
+    k::ref::ClusterDistanceSums(pool.data(), n, pool.data(), 1, &m,
+                                one.data(), 1, ref.data());
+    EXPECT_TRUE(SameBits(fast, ref)) << "member " << m;
+    for (size_t i = 0; i < n; ++i) {
+      const double diff = pool[i] - pool[m];
+      const double want = std::sqrt(diff * diff);
+      EXPECT_EQ(std::memcmp(&fast[i], &want, sizeof(double)), 0)
+          << "row " << i << " member " << m;
+    }
+  }
+}
+
 TEST(SimdKernelTest, Float32KernelsBitIdenticalToRef) {
   for (size_t n : kLens) {
     const auto a = RandVecF(n, 103 + n);

@@ -20,6 +20,8 @@
 #include "common/trace.h"
 #include "core/pipeline.h"
 #include "data/generators.h"
+#include "linalg/kernels.h"
+#include "metrics/clustering_quality.h"
 #include "support/json_reader.h"
 
 namespace multiclust {
@@ -240,6 +242,38 @@ TEST(ResourceProfileTest, RunDiagnosticsCarryResource) {
   EXPECT_GT(diag.resource.wall_ms, 0.0);
   EXPECT_GT(diag.resource.alloc_count, 0u);
   EXPECT_GT(diag.resource.flops, 0u) << "kernel hooks should have fired";
+}
+
+// ClusterDistanceSums counts (3d + 2) flops per (row, member) pair, plus
+// the doubles and member indices it touches, once per call.
+TEST(ResourceProfileTest, ClusterDistanceSumsCountsExactFlops) {
+  const size_t count = 5, d = 3, k = 2;
+  const std::vector<double> data(10 * d, 0.5);
+  const std::vector<size_t> members = {1, 4, 6, 2, 3, 8, 9};
+  const std::vector<size_t> offsets = {0, 3, 7};
+  std::vector<double> out(count * k);
+  telemetry::ResourceScope scope;
+  kernels::ClusterDistanceSums(data.data(), count, data.data(), d,
+                               members.data(), offsets.data(), k, out.data());
+  const telemetry::ResourceProfile p = scope.Snapshot();
+  EXPECT_EQ(p.flops, 5u * 7u * (3u * 3u + 2u));  // 385
+  EXPECT_EQ(p.kernel_bytes,
+            (5u * 3u + 7u * 3u + 5u * 2u) * sizeof(double) +
+                7u * sizeof(size_t));
+}
+
+// Silhouette's tally is the kernel's over every row block: each of the n
+// rows (noise included) against every non-noise row.
+TEST(ResourceProfileTest, SilhouetteFlopsCoverEveryPair) {
+  const Matrix data = TestData(14);  // 120 rows: two 64-row blocks
+  ASSERT_EQ(data.rows(), 120u);
+  std::vector<int> labels(data.rows());
+  for (size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = i % 10 == 0 ? -1 : static_cast<int>(i % 3);
+  }
+  telemetry::ResourceScope scope;
+  ASSERT_TRUE(Silhouette(data, labels).ok());
+  EXPECT_EQ(scope.Snapshot().flops, 120u * 108u * (3 * data.cols() + 2));
 }
 
 // The span profile is derived from the buffered trace events: self times

@@ -336,6 +336,39 @@ TEST(TraceTest, PipelineStagesAppearInTrace) {
   EXPECT_TRUE(test::IsValidJson(json));
 }
 
+// Every Silhouette call of an auto-k run is one metrics.silhouette span,
+// nested directly under the stage that scored: one per candidate k in
+// select_k, one per solution in the objective.
+TEST(TraceTest, SilhouetteSpansNestUnderScoringStages) {
+  TraceSession session;
+  const Matrix data = TestData(44);
+  DiscoveryOptions opts;
+  opts.num_solutions = 2;
+  opts.k = 0;
+  opts.max_k = 4;
+  opts.seed = 7;
+  auto report = DiscoverMultipleClusterings(data, opts);
+  ASSERT_TRUE(report.ok());
+  size_t spans = 0;
+  for (const trace::SpanStats& s : trace::Summary()) {
+    if (s.name == "metrics.silhouette") spans = s.count;
+  }
+  EXPECT_EQ(spans, (opts.max_k - 1) + report->solutions.size());
+  const std::string stacks = trace::CollapsedStacks();
+  size_t lines = 0;
+  for (size_t at = 0; (at = stacks.find("metrics.silhouette", at)) !=
+                      std::string::npos;
+       ++at) {
+    const size_t line_start = stacks.rfind('\n', at) + 1;  // npos + 1 == 0
+    const std::string path = stacks.substr(line_start, at - line_start);
+    EXPECT_TRUE(path == "pipeline.run;pipeline.select_k;" ||
+                path == "pipeline.run;pipeline.objective;")
+        << path;
+    ++lines;
+  }
+  EXPECT_EQ(lines, 2u);
+}
+
 // --- ConvergenceTrace: plain diagnostics data, independent of the
 //     tracer. Every iterative algorithm must fill a non-empty trace when a
 //     diagnostics sink is attached. ---
