@@ -1,15 +1,15 @@
-// A2 (ablation): the in-house Jacobi eigensolver behind spectral
-// clustering. Sweeps the convergence tolerance and measures wall time and
-// clustering quality on the two-rings benchmark — documenting that the
-// library default (1e-12) buys accuracy at modest cost.
+// A2 (ablation): the TopKEigen tolerance behind spectral clustering.
+// Sweeps the residual tolerance of the block eigensolver and measures wall
+// time and clustering quality on the two-rings benchmark — documenting
+// where the embedding becomes exact and what each tighter decade costs.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 
 #include "cluster/kmeans.h"
+#include "cluster/spectral.h"
 #include "data/generators.h"
 #include "harness.h"
-#include "linalg/decomposition.h"
 #include "metrics/partition_similarity.h"
 #include "stats/hsic.h"
 
@@ -17,38 +17,13 @@ using namespace multiclust;
 
 namespace {
 
-// Spectral clustering with an explicit eigensolver tolerance (mirrors
-// RunSpectral but exposes the knob under ablation).
+// RunSpectral with the eigensolver tolerance exposed as the knob under
+// ablation.
 Result<Clustering> SpectralWithTol(const Matrix& data, size_t k, double gamma,
                                    double tol, uint64_t seed) {
-  const size_t n = data.rows();
-  Matrix w = GaussianKernelMatrix(data, gamma);
-  for (size_t i = 0; i < n; ++i) w.at(i, i) = 0.0;
-  std::vector<double> inv_sqrt_deg(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    double deg = 0.0;
-    for (size_t j = 0; j < n; ++j) deg += w.at(i, j);
-    inv_sqrt_deg[i] = deg > 1e-12 ? 1.0 / std::sqrt(deg) : 0.0;
-  }
-  Matrix norm(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      norm.at(i, j) = inv_sqrt_deg[i] * w.at(i, j) * inv_sqrt_deg[j];
-    }
-  }
-  MC_ASSIGN_OR_RETURN(SymmetricEigen eig, EigenSymmetric(norm, tol));
-  Matrix embed(n, k);
-  for (size_t i = 0; i < n; ++i) {
-    double norm_sq = 0.0;
-    for (size_t c = 0; c < k; ++c) {
-      embed.at(i, c) = eig.vectors.at(i, c);
-      norm_sq += embed.at(i, c) * embed.at(i, c);
-    }
-    if (norm_sq > 1e-24) {
-      const double inv = 1.0 / std::sqrt(norm_sq);
-      for (size_t c = 0; c < k; ++c) embed.at(i, c) *= inv;
-    }
-  }
+  MC_ASSIGN_OR_RETURN(Matrix embed,
+                      SpectralEmbedding(GaussianKernelMatrix(data, gamma), k,
+                                        RunBudget{}, tol));
   KMeansOptions km;
   km.k = k;
   km.restarts = 5;
@@ -60,13 +35,13 @@ Result<Clustering> SpectralWithTol(const Matrix& data, size_t k, double gamma,
 
 int main(int argc, char** argv) {
   bench::Harness h("bench_spectral_ablation",
-                   "A2: Jacobi eigensolver tolerance vs spectral quality");
+                   "A2: TopKEigen tolerance vs spectral quality");
   if (!h.ParseArgs(&argc, argv)) return h.ExitCode();
 
   auto ds = MakeTwoRings(h.quick() ? 80 : 100, 1.5, 6.0, 0.08, 111);
   const auto truth = ds->GroundTruth("rings").value();
 
-  std::printf("A2: Jacobi eigensolver tolerance vs spectral quality\n\n");
+  std::printf("A2: TopKEigen tolerance vs spectral quality\n\n");
   std::printf("%10s %12s %10s\n", "tol", "time(ms)", "ARI");
   bench::Series* ari_series = h.AddSeries(
       "ari_vs_tol", "-log10(tol)", "ARI",
@@ -76,9 +51,9 @@ int main(int argc, char** argv) {
   bool tight_exact = true;
   double loose_ari = 1.0;
   const std::vector<double> tols =
-      h.quick() ? std::vector<double>{0.5, 1e-2, 1e-12}
-                : std::vector<double>{0.5, 1e-1, 1e-2, 1e-4, 1e-6, 1e-9,
-                                      1e-12};
+      h.quick() ? std::vector<double>{0.5, 1e-4, 1e-10}
+                : std::vector<double>{0.5, 1e-1, 1e-2, 1e-3, 1e-4, 1e-6,
+                                      1e-8, 1e-10, 1e-12};
   for (double tol : tols) {
     const auto t0 = std::chrono::steady_clock::now();
     auto c = SpectralWithTol(ds->data(), 2, 2.0, tol, 111);
@@ -90,17 +65,18 @@ int main(int argc, char** argv) {
     std::printf("%10.0e %12.1f %10.3f\n", tol, ms, ari);
     ari_series->Add(-std::log10(tol), ari);
     time_series->Add(-std::log10(tol), ms);
-    if (tol <= 1e-2 && ari < 0.999) tight_exact = false;
+    if (tol <= 1e-4 && ari < 0.999) tight_exact = false;
     if (tol >= 0.5) loose_ari = ari;
   }
   h.Check("loose_tolerance_breaks_embedding", loose_ari < 0.9,
-          "tol=0.5 should terminate the sweeps before the rings separate");
+          "tol=0.5 should stop the iteration before the rings separate");
   h.Check("tight_tolerance_exact", tight_exact,
-          "every tol <= 1e-2 must separate the rings exactly");
-  std::printf("\nexpected shape: extremely loose tolerances terminate the"
-              " Jacobi sweeps before\nthe embedding separates the rings;"
-              " once the sweeps run (<= ~1e-2 here) the\nresult is exact"
-              " and tightening further only adds modest cost — the 1e-12\n"
-              "library default buys determinism at little expense.\n");
+          "every tol <= 1e-4 must separate the rings exactly");
+  std::printf("\nexpected shape: a loose tolerance stops the iteration"
+              " before the ring\nembedding separates; from ~1e-4 on the"
+              " result is exact and each tighter\ndecade only adds"
+              " iterations (the rings' graph has many eigenvalues near 1,\n"
+              "so convergence here is slow). The library default is"
+              " 1e-10.\n");
   return h.Finish();
 }

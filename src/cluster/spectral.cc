@@ -12,6 +12,52 @@
 
 namespace multiclust {
 
+Matrix NormalizedAffinity(Matrix w) {
+  const size_t n = w.rows();
+  for (size_t i = 0; i < n; ++i) w.at(i, i) = 0.0;
+  std::vector<double> inv_sqrt_deg(n, 0.0);
+  ParallelFor(0, n, 128, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      double deg = 0.0;
+      for (size_t j = 0; j < n; ++j) deg += w.at(i, j);
+      inv_sqrt_deg[i] = deg > 1e-12 ? 1.0 / std::sqrt(deg) : 0.0;
+    }
+  });
+  ParallelFor(0, n, 128, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      for (size_t j = 0; j < n; ++j) {
+        w.at(i, j) = inv_sqrt_deg[i] * w.at(i, j) * inv_sqrt_deg[j];
+      }
+    }
+  });
+  return w;
+}
+
+Result<Matrix> SpectralEmbedding(Matrix affinity, size_t k,
+                                 const RunBudget& budget, double tol) {
+  const size_t n = affinity.rows();
+  if (affinity.cols() != n) {
+    return Status::InvalidArgument("spectral: affinity must be square");
+  }
+  const Matrix normalized = NormalizedAffinity(std::move(affinity));
+  Result<SymmetricEigen> eig_result = [&] {
+    MULTICLUST_TRACE_SPAN("cluster.spectral.eigen");
+    return TopKEigen(normalized, k, tol, budget);
+  }();
+  MC_ASSIGN_OR_RETURN(SymmetricEigen eig, std::move(eig_result));
+  // Embed into the top-k eigenvectors, row-normalised.
+  Matrix embed = std::move(eig.vectors);
+  for (size_t i = 0; i < n; ++i) {
+    double norm_sq = 0.0;
+    for (size_t c = 0; c < k; ++c) norm_sq += embed.at(i, c) * embed.at(i, c);
+    if (norm_sq > 1e-24) {
+      const double inv = 1.0 / std::sqrt(norm_sq);
+      for (size_t c = 0; c < k; ++c) embed.at(i, c) *= inv;
+    }
+  }
+  return embed;
+}
+
 Result<Clustering> RunSpectral(const Matrix& data,
                                const SpectralOptions& options) {
   const size_t n = data.rows();
@@ -22,54 +68,14 @@ Result<Clustering> RunSpectral(const Matrix& data,
   MULTICLUST_TRACE_SPAN("cluster.spectral.run");
   BudgetTracker guard(options.budget, "spectral");
 
-  Matrix norm(n, n);
-  {
+  Matrix w = [&] {
     MULTICLUST_TRACE_SPAN("cluster.spectral.affinity");
-    // Affinity with zero diagonal (standard NJW).
-    Matrix w = GaussianKernelMatrix(data, options.gamma);
-    for (size_t i = 0; i < n; ++i) w.at(i, i) = 0.0;
-
-    // Normalised affinity D^{-1/2} W D^{-1/2}; its top-k eigenvectors equal
-    // the bottom-k of the normalised Laplacian.
-    std::vector<double> inv_sqrt_deg(n, 0.0);
-    ParallelFor(0, n, 128, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        double deg = 0.0;
-        for (size_t j = 0; j < n; ++j) deg += w.at(i, j);
-        inv_sqrt_deg[i] = deg > 1e-12 ? 1.0 / std::sqrt(deg) : 0.0;
-      }
-    });
-    ParallelFor(0, n, 128, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        for (size_t j = 0; j < n; ++j) {
-          norm.at(i, j) = inv_sqrt_deg[i] * w.at(i, j) * inv_sqrt_deg[j];
-        }
-      }
-    });
-  }
-
-  if (guard.Cancelled()) return guard.CancelledStatus();
-  Result<SymmetricEigen> eig_result = [&] {
-    MULTICLUST_TRACE_SPAN("cluster.spectral.eigen");
-    return EigenSymmetric(norm);
+    return GaussianKernelMatrix(data, options.gamma);
   }();
-  MC_ASSIGN_OR_RETURN(SymmetricEigen eig, std::move(eig_result));
   if (guard.Cancelled()) return guard.CancelledStatus();
-
-  // Embed into the top-k eigenvectors, row-normalised.
-  Matrix embed(n, options.k);
-  for (size_t i = 0; i < n; ++i) {
-    double norm_sq = 0.0;
-    for (size_t c = 0; c < options.k; ++c) {
-      const double v = eig.vectors.at(i, c);
-      embed.at(i, c) = v;
-      norm_sq += v * v;
-    }
-    if (norm_sq > 1e-24) {
-      const double inv = 1.0 / std::sqrt(norm_sq);
-      for (size_t c = 0; c < options.k; ++c) embed.at(i, c) *= inv;
-    }
-  }
+  MC_ASSIGN_OR_RETURN(Matrix embed, SpectralEmbedding(std::move(w), options.k,
+                                                      guard.Remaining()));
+  if (guard.Cancelled()) return guard.CancelledStatus();
 
   if (MC_FAULT_FIRES("spectral", FaultKind::kInjectNaN, 0)) {
     embed.at(0, 0) = std::numeric_limits<double>::quiet_NaN();

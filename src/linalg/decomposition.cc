@@ -4,6 +4,10 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/rng.h"
+#include "common/telemetry.h"
+#include "linalg/kernels.h"
+
 namespace multiclust {
 
 Result<SymmetricEigen> EigenSymmetric(const Matrix& a, double tol,
@@ -30,10 +34,12 @@ Result<SymmetricEigen> EigenSymmetric(const Matrix& a, double tol,
       converged = true;
       break;
     }
+    uint64_t rotations = 0;
     for (size_t p = 0; p + 1 < n; ++p) {
       for (size_t q = p + 1; q < n; ++q) {
         const double apq = m.at(p, q);
         if (std::fabs(apq) <= 1e-300) continue;
+        ++rotations;
         const double app = m.at(p, p);
         const double aqq = m.at(q, q);
         const double theta = (aqq - app) / (2.0 * apq);
@@ -62,6 +68,11 @@ Result<SymmetricEigen> EigenSymmetric(const Matrix& a, double tol,
         }
       }
     }
+    // Telemetry tally once per sweep: each rotation updates two columns
+    // and two rows of m and two columns of v (6 flops per element pair),
+    // and the convergence test reads the upper triangle.
+    telemetry::CountFlops(rotations * 18 * n + n * n,
+                          (rotations * 12 * n + n * n) * sizeof(double));
   }
   if (!converged && off_diag_norm() > tol * scale * 100) {
     return Status::ComputationError("EigenSymmetric: Jacobi did not converge");
@@ -87,6 +98,135 @@ Result<SymmetricEigen> EigenSymmetric(const Matrix& a, double tol,
   out.values = std::move(sorted_values);
   out.vectors = std::move(sorted_vectors);
   return out;
+}
+
+namespace {
+
+// Orthonormalizes the rows of `q` in place by classical Gram-Schmidt
+// applied twice per row, which keeps the basis orthonormal to working
+// precision. A row that collapses (the block lost rank) is refilled from
+// `rng` and orthogonalised again. Non-finite input stays non-finite, for
+// the caller's residual check to catch.
+void OrthonormalizeRows(Matrix* q, Rng* rng) {
+  const size_t b = q->rows();
+  const size_t n = q->cols();
+  uint64_t flops = 0;
+  for (size_t j = 0; j < b; ++j) {
+    double* row = q->row_data(j);
+    for (int attempt = 0; attempt < 4; ++attempt) {
+      const double before = std::sqrt(kernels::SquaredNorm(row, n));
+      for (int pass = 0; pass < 2; ++pass) {
+        for (size_t i = 0; i < j; ++i) {
+          const double* prev = q->row_data(i);
+          kernels::Axpy(-kernels::Dot(prev, row, n), prev, row, n);
+        }
+      }
+      const double norm = std::sqrt(kernels::SquaredNorm(row, n));
+      flops += (8 * j + 5) * n;
+      if (norm > 1e-10 * before && norm > 1e-300) {
+        const double inv = 1.0 / norm;
+        for (size_t t = 0; t < n; ++t) row[t] *= inv;
+        break;
+      }
+      for (size_t t = 0; t < n; ++t) row[t] = rng->NextGaussian();
+    }
+  }
+  telemetry::CountFlops(flops, 3 * b * n * sizeof(double));
+}
+
+}  // namespace
+
+Result<SymmetricEigen> TopKEigen(const Matrix& a, size_t k, double tol,
+                                 const RunBudget& budget, size_t max_iters) {
+  if (a.rows() != a.cols()) {
+    return Status::InvalidArgument("TopKEigen: matrix must be square");
+  }
+  const size_t n = a.rows();
+  if (k == 0 || k > n) {
+    return Status::InvalidArgument("TopKEigen: k must be in [1, n]");
+  }
+  const size_t b = k + std::max<size_t>(k, 8);
+  if (2 * b >= n) {
+    // The block would be most of the space: diagonalise directly.
+    MC_ASSIGN_OR_RETURN(SymmetricEigen full, EigenSymmetric(a));
+    full.values.resize(k);
+    std::vector<size_t> first(k);
+    std::iota(first.begin(), first.end(), 0);
+    full.vectors = full.vectors.SelectColumns(first);
+    return full;
+  }
+
+  BudgetTracker guard(budget, "eigen");
+  // Gershgorin: every eigenvalue lies in [-sigma, sigma].
+  double sigma = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    double row_sum = 0.0;
+    for (size_t j = 0; j < n; ++j) row_sum += std::fabs(a.at(i, j));
+    sigma = std::max(sigma, row_sum);
+  }
+
+  // The block lives as b x n rows (one basis vector per contiguous row);
+  // x = q^T is the n x b operand of the product.
+  Rng rng(0x70B4E16E5EEDULL);
+  Matrix q(b, n);
+  for (size_t j = 0; j < b; ++j) {
+    for (size_t t = 0; t < n; ++t) q.at(j, t) = rng.NextGaussian();
+  }
+  OrthonormalizeRows(&q, &rng);
+
+  for (size_t iter = 0; iter < max_iters; ++iter) {
+    if (guard.Cancelled()) return guard.CancelledStatus();
+    // Rayleigh-Ritz on span(q): h = q a q^T (symmetric by construction),
+    // then both q and a q rotate into the eigenbasis of h.
+    const Matrix aq = (a * q.Transpose()).Transpose();  // row j = a q_j
+    Matrix h(b, b);
+    for (size_t i = 0; i < b; ++i) {
+      for (size_t j = i; j < b; ++j) {
+        h.at(i, j) = kernels::Dot(q.row_data(i), aq.row_data(j), n);
+        h.at(j, i) = h.at(i, j);
+      }
+    }
+    telemetry::CountFlops(b * (b + 1) * n, 2 * b * n * sizeof(double));
+    MC_ASSIGN_OR_RETURN(SymmetricEigen ritz, EigenSymmetric(h));
+    const Matrix rot = ritz.vectors.Transpose();
+    q = rot * q;
+    const Matrix ar = rot * aq;
+
+    // Residuals of the wanted Ritz pairs.
+    double worst = 0.0;
+    std::vector<double> r(n);
+    for (size_t j = 0; j < k; ++j) {
+      const double* x = q.row_data(j);
+      const double* ax = ar.row_data(j);
+      for (size_t t = 0; t < n; ++t) r[t] = ax[t] - ritz.values[j] * x[t];
+      worst = std::max(worst, std::sqrt(kernels::SquaredNorm(r.data(), n)));
+    }
+    telemetry::CountFlops(4 * k * n, 3 * k * n * sizeof(double));
+    if (!std::isfinite(worst)) {
+      return Status::ComputationError("TopKEigen: non-finite residual");
+    }
+    if (worst <= tol * sigma || guard.DeadlineExpired()) {
+      SymmetricEigen out;
+      out.values.assign(ritz.values.begin(), ritz.values.begin() + k);
+      out.vectors = Matrix(n, k);
+      for (size_t t = 0; t < n; ++t) {
+        for (size_t j = 0; j < k; ++j) out.vectors.at(t, j) = q.at(j, t);
+      }
+      out.iterations = iter + 1;
+      return out;
+    }
+
+    // Next block: (a + sigma I) q, orthonormalised.
+    for (size_t j = 0; j < b; ++j) {
+      double* x = q.row_data(j);
+      const double* ax = ar.row_data(j);
+      for (size_t t = 0; t < n; ++t) x[t] = ax[t] + sigma * x[t];
+    }
+    telemetry::CountFlops(2 * b * n, 3 * b * n * sizeof(double));
+    OrthonormalizeRows(&q, &rng);
+  }
+  return Status::ComputationError("TopKEigen: subspace iteration did not "
+                                  "converge");
 }
 
 Result<Svd> ComputeSvd(const Matrix& a, double tol, int max_sweeps) {

@@ -1,10 +1,7 @@
 #include "multiview/mv_spectral.h"
 
-#include <cmath>
-
 #include "cluster/kmeans.h"
-#include "common/runguard.h"
-#include "linalg/decomposition.h"
+#include "cluster/spectral.h"
 #include "stats/hsic.h"
 
 namespace multiclust {
@@ -25,6 +22,8 @@ Result<Clustering> RunMvSpectral(const std::vector<Matrix>& views,
     return Status::InvalidArgument("mv-spectral: invalid k");
   }
 
+  BudgetTracker guard(options.budget, "mv-spectral");
+
   // Fused affinity.
   Matrix w(n, n, options.fusion == AffinityFusion::kProduct ? 1.0 : 0.0);
   for (const Matrix& view : views) {
@@ -39,38 +38,14 @@ Result<Clustering> RunMvSpectral(const std::vector<Matrix>& views,
       }
     }
   }
-  for (size_t i = 0; i < n; ++i) w.at(i, i) = 0.0;
-
-  // Normalised spectral embedding (as in RunSpectral).
-  std::vector<double> inv_sqrt_deg(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    double deg = 0.0;
-    for (size_t j = 0; j < n; ++j) deg += w.at(i, j);
-    inv_sqrt_deg[i] = deg > 1e-12 ? 1.0 / std::sqrt(deg) : 0.0;
-  }
-  Matrix norm(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      norm.at(i, j) = inv_sqrt_deg[i] * w.at(i, j) * inv_sqrt_deg[j];
-    }
-  }
-  MC_ASSIGN_OR_RETURN(SymmetricEigen eig, EigenSymmetric(norm));
-  Matrix embed(n, options.k);
-  for (size_t i = 0; i < n; ++i) {
-    double norm_sq = 0.0;
-    for (size_t c = 0; c < options.k; ++c) {
-      embed.at(i, c) = eig.vectors.at(i, c);
-      norm_sq += embed.at(i, c) * embed.at(i, c);
-    }
-    if (norm_sq > 1e-24) {
-      const double inv = 1.0 / std::sqrt(norm_sq);
-      for (size_t c = 0; c < options.k; ++c) embed.at(i, c) *= inv;
-    }
-  }
+  if (guard.Cancelled()) return guard.CancelledStatus();
+  MC_ASSIGN_OR_RETURN(Matrix embed, SpectralEmbedding(std::move(w), options.k,
+                                                      guard.Remaining()));
   KMeansOptions km;
   km.k = options.k;
   km.restarts = 5;
   km.seed = options.seed;
+  km.budget = guard.Remaining();
   MC_ASSIGN_OR_RETURN(Clustering c, RunKMeans(embed, km));
   c.algorithm = options.fusion == AffinityFusion::kProduct
                     ? "mv-spectral-product"

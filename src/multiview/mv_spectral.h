@@ -6,6 +6,7 @@
 
 #include "cluster/clustering.h"
 #include "common/result.h"
+#include "common/runguard.h"
 
 namespace multiclust {
 
@@ -26,6 +27,9 @@ struct MvSpectralOptions {
   double gamma = 0.0;
   AffinityFusion fusion = AffinityFusion::kAverage;
   uint64_t seed = 1;
+  /// Wall-clock / cancellation limits, forwarded to the eigensolver
+  /// (checked once per iteration) and to the embedded k-means.
+  RunBudget budget;
 };
 
 /// Multi-view spectral clustering: builds one Gaussian affinity per view

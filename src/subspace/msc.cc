@@ -30,6 +30,7 @@ Result<MscResult> RunMultipleSpectralViews(const Matrix& data,
   double max_dep = 0.0;
   for (size_t a = 0; a < d; ++a) {
     for (size_t b = a + 1; b < d; ++b) {
+      if (guard.Cancelled()) return guard.CancelledStatus();
       const Matrix xa = data.SelectColumns({a});
       const Matrix xb = data.SelectColumns({b});
       MC_ASSIGN_OR_RETURN(double dep, Hsic(xa, xb, options.gamma,

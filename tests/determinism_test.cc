@@ -11,6 +11,7 @@
 #include "cluster/dbscan.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "linalg/decomposition.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "metrics/clustering_quality.h"
@@ -314,6 +315,25 @@ TEST(ThreadInvarianceTest, SpectralLabels) {
     const Clustering parallel = WithThreads(threads, run);
     EXPECT_EQ(serial.labels, parallel.labels) << "threads=" << threads;
     EXPECT_EQ(serial.quality, parallel.quality) << "threads=" << threads;
+  }
+}
+
+TEST(ThreadInvarianceTest, TopKEigenVectors) {
+  // n = 300 keeps TopKEigen on its block iteration (2b = 22 < n).
+  std::vector<ViewSpec> views(2);
+  views[0] = {2, 3, 12.0, 0.8, ""};
+  views[1] = {2, 2, 8.0, 0.8, ""};
+  const Matrix data = MakeMultiView(300, views, 1, 33)->data();
+  const Matrix a = NormalizedAffinity(GaussianKernelMatrix(data, 0.0));
+  const auto run = [&] { return TopKEigen(a, 3).value(); };
+  const SymmetricEigen serial = WithThreads(1, run);
+  ASSERT_GT(serial.iterations, 0u);
+  for (const size_t threads : {2u, 4u}) {
+    const SymmetricEigen parallel = WithThreads(threads, run);
+    EXPECT_EQ(serial.values, parallel.values) << "threads=" << threads;
+    EXPECT_EQ(serial.iterations, parallel.iterations);
+    EXPECT_EQ(serial.vectors.MaxAbsDiff(parallel.vectors), 0.0)
+        << "threads=" << threads;
   }
 }
 

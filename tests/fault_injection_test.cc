@@ -7,18 +7,27 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/gmm.h"
 #include "cluster/kmeans.h"
+#include "cluster/spectral.h"
+#include "common/blackbox.h"
 #include "common/fault.h"
 #include "common/runguard.h"
 #include "common/telemetry.h"
+#include "common/trace.h"
 #include "core/pipeline.h"
 #include "data/generators.h"
+#include "linalg/decomposition.h"
+#include "multiview/mv_spectral.h"
+#include "stats/hsic.h"
+#include "subspace/msc.h"
 
 namespace multiclust {
 namespace {
@@ -126,6 +135,174 @@ TEST_F(FaultInjectionTest, AutoKPipelineCancelledDuringSelectK) {
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
   // The cancel stops k-selection itself, not a later stage.
   EXPECT_FALSE(sink.stage_ended);
+}
+
+// ---- Spectral eigensolver budget checks -----------------------------------
+
+using SteadyClock = std::chrono::steady_clock;
+
+double MsBetween(SteadyClock::time_point from, SteadyClock::time_point to) {
+  return std::chrono::duration<double, std::milli>(to - from).count();
+}
+
+// Polls the flight recorder from a second thread and calls `on_open` on
+// that thread the first time a span named `name` has been entered (open
+// spans and the recent-event ring both carry the name). The destructor
+// joins the thread, so whatever `on_open` wrote may be read once the
+// watcher is out of scope.
+class SpanWatcher {
+ public:
+  SpanWatcher(const char* name, std::function<void()> on_open) {
+    blackbox::Reset();
+    thread_ = std::thread([this, name, on_open = std::move(on_open)] {
+      while (!done_.load()) {
+        if (blackbox::FlightRecordJson().find(name) != std::string::npos) {
+          on_open();
+          return;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  }
+  ~SpanWatcher() {
+    done_.store(true);
+    thread_.join();
+  }
+  SpanWatcher(const SpanWatcher&) = delete;
+  SpanWatcher& operator=(const SpanWatcher&) = delete;
+
+ private:
+  std::atomic<bool> done_{false};
+  std::thread thread_;
+};
+
+// n = 1500: large enough that the eigensolve runs for hundreds of
+// milliseconds, while one of its iterations (an n x n times n x 11
+// product) takes a few milliseconds.
+Matrix LargeBlobData() {
+  return MakeBlobs({{{0, 0}, 1.0, 500}, {{6, 0}, 1.0, 500},
+                    {{3, 5}, 1.0, 500}},
+                   23)
+      ->data();
+}
+
+// The promised latency is about one eigensolver iteration. At n = 1500
+// an iteration takes 5-15 ms in an optimized or ASan build, so the bound
+// is 50 ms, far below the ~0.5 s of the whole solve. Where one iteration
+// is slower than 25 ms (ThreadSanitizer makes it ~0.3 s), the bound is
+// two iterations, timed here as one TopKEigen call that an expired
+// deadline stops after its first iteration.
+double EigenLatencyBoundMs(const Matrix& data) {
+  const Matrix a = NormalizedAffinity(GaussianKernelMatrix(data, 0.0));
+  const SteadyClock::time_point start = SteadyClock::now();
+  const auto one = TopKEigen(a, 3, kDefaultEigenTol, RunBudget::Deadline(1e-6));
+  EXPECT_EQ(one.value().iterations, 1u);
+  return std::max(50.0, 2.0 * MsBetween(start, SteadyClock::now()));
+}
+
+TEST_F(FaultInjectionTest, SpectralCancelDuringEigensolveReturnsPromptly) {
+  const Matrix data = LargeBlobData();
+  const double bound_ms = EigenLatencyBoundMs(data);
+  CancelToken cancel;
+  SpectralOptions opts;
+  opts.k = 3;
+  opts.budget.cancel = &cancel;
+  Result<Clustering> result = Status::Internal("not run");
+  SteadyClock::time_point tripped, returned;
+  bool seen = false;
+  {
+    SpanWatcher watcher("cluster.spectral.eigen", [&] {
+      tripped = SteadyClock::now();
+      cancel.Cancel();
+      seen = true;
+    });
+    result = RunSpectral(data, opts);
+    returned = SteadyClock::now();
+  }
+  ASSERT_TRUE(seen) << "the eigen span was never observed open";
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  EXPECT_LE(MsBetween(tripped, returned), bound_ms);
+}
+
+TEST_F(FaultInjectionTest, SpectralDeadlineDuringEigensolveReturnsPromptly) {
+  // The deadline falls inside the eigensolve or, on a slow build, before
+  // it (then the first iteration notices). Latency is measured from the
+  // later of the deadline and the span opening.
+  constexpr int kDeadlineMs = 200;
+  const Matrix data = LargeBlobData();
+  const double bound_ms = EigenLatencyBoundMs(data);
+  SpectralOptions opts;
+  opts.k = 3;
+  opts.budget.deadline_ms = kDeadlineMs;
+  Result<Clustering> result = Status::Internal("not run");
+  SteadyClock::time_point opened, deadline, returned;
+  bool seen = false;
+  {
+    SpanWatcher watcher("cluster.spectral.eigen", [&] {
+      opened = SteadyClock::now();
+      seen = true;
+    });
+    deadline = SteadyClock::now() + std::chrono::milliseconds(kDeadlineMs);
+    result = RunSpectral(data, opts);
+    returned = SteadyClock::now();
+  }
+  ASSERT_TRUE(seen) << "the eigen span was never observed open";
+  // A deadline yields the partial result RunBudget promises.
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->labels.size(), 1500u);
+  EXPECT_FALSE(result->converged);
+  EXPECT_LE(MsBetween(std::max(opened, deadline), returned), bound_ms);
+}
+
+TEST_F(FaultInjectionTest, MscCancelDuringHsicPhaseSkipsRemainingPairs) {
+  // Six dimensions make 15 Hsic calls, two kernel spans each. Cancelled
+  // once the first kernel span opens, mSC must stop at the next pair
+  // instead of finishing the phase and failing at the view loop.
+  auto ds = MakeBlobs({{{0, 0, 0, 0, 0, 0}, 1.0, 400},
+                       {{5, 5, 5, 5, 5, 5}, 1.0, 400}},
+                      29);
+  CancelToken cancel;
+  MscOptions opts;
+  opts.k = 2;
+  opts.budget.cancel = &cancel;
+  trace::Reset();
+  trace::Enable();
+  Result<MscResult> result = Status::Internal("not run");
+  {
+    SpanWatcher watcher("stats.hsic.kernel", [&] { cancel.Cancel(); });
+    result = RunMultipleSpectralViews(ds->data(), opts);
+  }
+  trace::Disable();
+  size_t kernel_spans = 0;
+  for (const trace::SpanStats& span : trace::Summary()) {
+    if (span.name == "stats.hsic.kernel") {
+      kernel_spans = span.count;
+    }
+  }
+  trace::Reset();
+  ASSERT_TRUE(cancel.cancelled()) << "the kernel span was never observed";
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  EXPECT_LT(kernel_spans, 2u * 15u);
+}
+
+TEST_F(FaultInjectionTest, MvSpectralHonoursBudget) {
+  const Matrix data = BlobData();
+  CancelToken cancel;
+  cancel.Cancel();
+  MvSpectralOptions opts;
+  opts.k = 3;
+  opts.budget.cancel = &cancel;
+  auto cancelled = RunMvSpectral({data, data}, opts);
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+
+  opts.budget = RunBudget::Deadline(1e-6);
+  auto partial = RunMvSpectral({data, data}, opts);
+  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+  EXPECT_EQ(partial->labels.size(), data.rows());
+  EXPECT_FALSE(partial->converged);
 }
 
 TEST_F(FaultInjectionTest, RetrySeedsAreDeterministicAndDistinct) {

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
+#include "cluster/spectral.h"
 #include "common/rng.h"
+#include "data/generators.h"
 #include "linalg/decomposition.h"
 #include "linalg/matrix.h"
 #include "linalg/pca.h"
+#include "stats/hsic.h"
 
 namespace multiclust {
 namespace {
@@ -170,6 +175,169 @@ TEST_P(EigenPropertyTest, ReconstructionAndOrthonormality) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, EigenPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21));
+
+// ---- TopKEigen -------------------------------------------------------------
+
+double InfNorm(const Matrix& a) {
+  double norm = 0.0;
+  for (size_t i = 0; i < a.rows(); ++i) {
+    double row = 0.0;
+    for (size_t j = 0; j < a.cols(); ++j) row += std::fabs(a.at(i, j));
+    norm = std::max(norm, row);
+  }
+  return norm;
+}
+
+// Q diag(spectrum) Q^T for a random orthogonal Q.
+Matrix WithSpectrum(const std::vector<double>& spectrum, uint64_t seed) {
+  const size_t n = spectrum.size();
+  const Matrix q = ComputeQr(RandomMatrix(n, n, seed)).value().q;
+  Matrix scaled = q;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) scaled.at(i, j) *= spectrum[j];
+  }
+  Matrix a = scaled * q.Transpose();
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) a.at(j, i) = a.at(i, j);
+  }
+  return a;
+}
+
+// n=120: the four wanted eigenvalues are positive, ten larger ones in
+// magnitude are negative, the rest fill [-1, 1]. The ten outnumber the
+// spare columns of the 12-column block, so an unshifted iteration would
+// lock onto them and lose the wanted 3 and 2.5.
+Matrix NegativeDominatedMatrix() {
+  std::vector<double> spectrum = {5.0, 4.0, 3.0, 2.5};
+  for (int i = 0; i < 10; ++i) spectrum.push_back(-6.0 - 0.4 * i);
+  Rng rng(31);
+  while (spectrum.size() < 120) spectrum.push_back(rng.Uniform(-1.0, 1.0));
+  return WithSpectrum(spectrum, 32);
+}
+
+// The normalised NJW affinity of three well-separated 2-d blobs (n=150).
+Matrix ThreeBlobAffinity() {
+  auto ds = MakeBlobs({{{0, 0}, 0.5, 50}, {{6, 0}, 0.5, 50},
+                       {{3, 5}, 0.5, 50}},
+                      17);
+  return NormalizedAffinity(GaussianKernelMatrix(ds->data(), 0.5));
+}
+
+// ||U U^T - V V^T||_F: zero iff the column spans agree.
+double SubspaceDistance(const Matrix& u, const Matrix& v) {
+  return (u * u.Transpose() - v * v.Transpose()).FrobeniusNorm();
+}
+
+// Every TopKEigen answer is checked against the full Jacobi solve: the
+// eigenvalues, the spanned subspace and each residual.
+void ExpectMatchesJacobi(const Matrix& a, size_t k, double tol) {
+  const double sigma = InfNorm(a);
+  auto top = TopKEigen(a, k, tol);
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  auto full = EigenSymmetric(a);
+  ASSERT_TRUE(full.ok());
+  ASSERT_EQ(top->values.size(), k);
+  ASSERT_EQ(top->vectors.rows(), a.rows());
+  ASSERT_EQ(top->vectors.cols(), k);
+  EXPECT_GT(top->iterations, 0u);
+  std::vector<size_t> first(k);
+  std::iota(first.begin(), first.end(), 0);
+  for (size_t j = 0; j < k; ++j) {
+    EXPECT_NEAR(top->values[j], full->values[j], 1e-9 * sigma) << j;
+    if (j > 0) {
+      EXPECT_GE(top->values[j - 1], top->values[j]);
+    }
+  }
+  EXPECT_LE(SubspaceDistance(top->vectors, full->vectors.SelectColumns(first)),
+            1e-8);
+  const Matrix av = a * top->vectors;
+  for (size_t j = 0; j < k; ++j) {
+    double r = 0.0;
+    for (size_t i = 0; i < a.rows(); ++i) {
+      const double d = av.at(i, j) - top->values[j] * top->vectors.at(i, j);
+      r += d * d;
+    }
+    EXPECT_LE(std::sqrt(r), tol * sigma) << "residual of pair " << j;
+  }
+  const Matrix vtv = top->vectors.Transpose() * top->vectors;
+  EXPECT_LT(vtv.MaxAbsDiff(Matrix::Identity(k)), 1e-12);
+}
+
+TEST(TopKEigenTest, MatchesJacobiWithNegativeEigenvalues) {
+  ExpectMatchesJacobi(NegativeDominatedMatrix(), 4, 1e-11);
+}
+
+TEST(TopKEigenTest, MatchesJacobiOnThreeBlobAffinity) {
+  const Matrix a = ThreeBlobAffinity();
+  ExpectMatchesJacobi(a, 3, kDefaultEigenTol);
+  // Three separated blobs: three eigenvalues near 1, then a clear gap.
+  const auto top = TopKEigen(a, 4).value();
+  EXPECT_GT(top.values[2], 0.999);
+  EXPECT_LT(top.values[3], 0.99) << top.values[3];
+}
+
+TEST(TopKEigenTest, RejectsInvalidArguments) {
+  EXPECT_EQ(TopKEigen(Matrix(4, 5), 1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(TopKEigen(Matrix::Identity(4), 0).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(TopKEigen(Matrix::Identity(4), 5).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(TopKEigenTest, SmallProblemFallsBackToFullJacobi) {
+  // k = 2 gives a block of 10 columns; 2 * 10 >= 20, so no iteration runs
+  // and the answer is the truncated full solve, bit for bit.
+  const Matrix a = RandomSpd(20, 5);
+  const auto top = TopKEigen(a, 2).value();
+  const auto full = EigenSymmetric(a).value();
+  EXPECT_EQ(top.iterations, 0u);
+  ASSERT_EQ(top.values.size(), 2u);
+  EXPECT_EQ(top.values[0], full.values[0]);
+  EXPECT_EQ(top.values[1], full.values[1]);
+  EXPECT_EQ(top.vectors.MaxAbsDiff(full.vectors.SelectColumns({0, 1})), 0.0);
+}
+
+TEST(TopKEigenTest, IterationCapIsAComputationError) {
+  auto r = TopKEigen(NegativeDominatedMatrix(), 4, kDefaultEigenTol, {}, 1);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kComputationError);
+}
+
+TEST(TopKEigenTest, PreCancelledTokenStopsBeforeTheFirstProduct) {
+  CancelToken cancel;
+  cancel.Cancel();
+  RunBudget budget;
+  budget.cancel = &cancel;
+  auto r = TopKEigen(NegativeDominatedMatrix(), 4, kDefaultEigenTol, budget);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+}
+
+TEST(TopKEigenTest, ExpiredDeadlineReturnsCurrentRitzApproximation) {
+  const auto r = TopKEigen(NegativeDominatedMatrix(), 4, kDefaultEigenTol,
+                           RunBudget::Deadline(1e-6));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->iterations, 1u);
+  const Matrix vtv = r->vectors.Transpose() * r->vectors;
+  EXPECT_LT(vtv.MaxAbsDiff(Matrix::Identity(4)), 1e-12);
+}
+
+TEST(TopKEigenTest, IdenticalPointsEndCleanly) {
+  // Every affinity is 1: eigenvalue 1 once, -1/(n-1) n-1 times. The
+  // repeated eigenvalue straddles k; any basis of it is an answer.
+  const Matrix a =
+      NormalizedAffinity(GaussianKernelMatrix(Matrix(200, 2, 3.25), 0.0));
+  auto r = TopKEigen(a, 3);
+  if (r.ok()) {
+    ASSERT_EQ(r->values.size(), 3u);
+    EXPECT_NEAR(r->values[0], 1.0, 1e-9);
+    for (double v : r->values) EXPECT_TRUE(std::isfinite(v));
+    EXPECT_EQ(ValidateMatrix("test", r->vectors).code(), StatusCode::kOk);
+  } else {
+    EXPECT_EQ(r.status().code(), StatusCode::kComputationError);
+  }
+}
 
 class SvdPropertyTest
     : public ::testing::TestWithParam<std::pair<size_t, size_t>> {};

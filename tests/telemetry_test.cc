@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cluster/kmeans.h"
+#include "cluster/spectral.h"
 #include "common/json.h"
 #include "common/profile.h"
 #include "common/report.h"
@@ -20,8 +21,10 @@
 #include "common/trace.h"
 #include "core/pipeline.h"
 #include "data/generators.h"
+#include "linalg/decomposition.h"
 #include "linalg/kernels.h"
 #include "metrics/clustering_quality.h"
+#include "stats/hsic.h"
 #include "support/json_reader.h"
 
 namespace multiclust {
@@ -274,6 +277,39 @@ TEST(ResourceProfileTest, SilhouetteFlopsCoverEveryPair) {
   telemetry::ResourceScope scope;
   ASSERT_TRUE(Silhouette(data, labels).ok());
   EXPECT_EQ(scope.Snapshot().flops, 120u * 108u * (3 * data.cols() + 2));
+}
+
+// The eigensolver's work is counted: every TopKEigen iteration multiplies
+// the n x n affinity by the n x b block (2 n^2 b flops on the GEMM
+// kernel), on top of the counted Gram-Schmidt, residual and Jacobi work.
+TEST(ResourceProfileTest, SpectralFlopsCoverTheEigensolver) {
+  std::vector<ViewSpec> views(2);
+  views[0] = {3, 3, 8.0, 1.0, ""};
+  views[1] = {3, 3, 8.0, 1.0, ""};
+  const Matrix data = MakeMultiView(250, views, 0, 4)->data();
+  const size_t n = data.rows(), k = 3, b = k + 8;
+  const SymmetricEigen eig =
+      TopKEigen(NormalizedAffinity(GaussianKernelMatrix(data, 0.0)), k)
+          .value();
+  ASSERT_GT(eig.iterations, 0u);
+  SpectralOptions opts;
+  opts.k = k;
+  telemetry::ResourceScope scope;
+  ASSERT_TRUE(RunSpectral(data, opts).ok());
+  EXPECT_GE(scope.Snapshot().flops, 2 * n * n * b * eig.iterations);
+}
+
+// EigenSymmetric counts its rotations: at least one sweep of n(n-1)/2
+// rotations, 18n flops each, on a dense matrix.
+TEST(ResourceProfileTest, JacobiFlopsCoverTheRotations) {
+  const size_t n = 12;
+  Matrix a(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) a.at(i, j) = 1.0 / (1.0 + i + j);
+  }
+  telemetry::ResourceScope scope;
+  ASSERT_TRUE(EigenSymmetric(a).ok());
+  EXPECT_GE(scope.Snapshot().flops, n * (n - 1) / 2 * 18 * n);
 }
 
 // The span profile is derived from the buffered trace events: self times
