@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
@@ -102,26 +101,24 @@ struct RestartOutcome {
   }
 };
 
-/// Mid-restart resume state / per-iteration persistence hook; same
-/// protocol as the k-means checkpointing. The shared outer rng is owned by
-/// the caller, which serializes it alongside.
+/// Mid-restart resume state; same protocol as the k-means checkpointing.
+/// The shared outer rng is owned by the caller, which serializes it
+/// alongside.
 struct DecResume {
   size_t start_iter = 0;
   State state;
   std::vector<double> history;
 };
 
-using DecPersistFn = std::function<Status(size_t next_iter, const State& s,
-                                          const std::vector<double>& history,
-                                          bool flush)>;
-
+// `mid` is the checkpointed mid-restart state: read when `resuming`,
+// refreshed whenever `persist` serializes a snapshot.
 Result<RestartOutcome> RunRestart(const Matrix& data,
                                   const DecKMeansOptions& options,
                                   Rng* rng, BudgetTracker* guard,
                                   size_t restart,
                                   ConvergenceRecorder* recorder,
-                                  const DecResume* resume,
-                                  const DecPersistFn& persist) {
+                                  DecResume* mid, bool resuming,
+                                  ckpt::RestartPersistFn persist) {
   const size_t n = data.rows();
   const size_t d = data.cols();
   const size_t num_clusterings = options.ks.size();
@@ -130,10 +127,10 @@ Result<RestartOutcome> RunRestart(const Matrix& data,
   std::vector<double>& history = out.history;
   size_t start_iter = 0;
   double prev = 0.0;
-  if (resume != nullptr) {
-    s = resume->state;
-    history = resume->history;
-    start_iter = resume->start_iter;
+  if (resuming) {
+    s = mid->state;
+    history = mid->history;
+    start_iter = mid->start_iter;
     out.iterations = start_iter;
     prev = history.back();
   } else {
@@ -157,9 +154,17 @@ Result<RestartOutcome> RunRestart(const Matrix& data,
     history.push_back(prev);
   }
 
+  // Persistence point before iteration `next_iter`.
+  const auto checkpoint = [&](size_t next_iter, bool flush) {
+    return persist(flush, [&] {
+      mid->start_iter = next_iter;
+      mid->state = s;
+      mid->history = history;
+    });
+  };
   for (size_t iter = start_iter; iter < options.max_iters; ++iter) {
     if (guard->Cancelled()) {
-      if (persist) persist(iter, s, history, /*flush=*/true);
+      checkpoint(iter, /*flush=*/true);
       return guard->CancelledStatus();
     }
     if (guard->ShouldStop(iter)) break;
@@ -241,9 +246,7 @@ Result<RestartOutcome> RunRestart(const Matrix& data,
       break;
     }
     prev = cur;
-    if (persist) {
-      MC_RETURN_IF_ERROR(persist(iter + 1, s, history, /*flush=*/false));
-    }
+    MC_RETURN_IF_ERROR(checkpoint(iter + 1, /*flush=*/false));
   }
   return out;
 }
@@ -256,7 +259,6 @@ struct DecCkptState {
   size_t winner = 0;
   bool have_best = false;
   RestartOutcome best;
-  double best_objective = std::numeric_limits<double>::infinity();
   Status last_error = Status::OK();
   ConvergenceTrace trace;
   bool mid_restart = false;
@@ -270,6 +272,8 @@ struct DecCkptState {
     ar("winner", winner);
     if (ar.Guard("have_best", have_best)) {
       ar("best", best);
+      // Checkpoint-only copy of best.history.back(); read and dropped.
+      double best_objective = best.history.empty() ? 0.0 : best.history.back();
       ar("best_objective", best_objective);
     }
     ar("last_error", last_error);
@@ -332,76 +336,20 @@ Result<DecKMeansResult> RunDecorrelatedKMeans(
 
   DecCkptState state;
   state.rng = Rng(options.seed);
-  bool resume_mid = false;
-  if (slot.Restore(&state)) {
-    resume_mid = state.mid_restart;
-    if (options.diagnostics != nullptr) {
-      options.diagnostics->trace.winning_restart = state.winner;
-    }
-  }
-
-  // `prepare` defers the state copies until a snapshot is actually
-  // serialized, keeping armed-but-not-due persistence points cheap.
-  const auto snapshot =
-      [&](bool flush, FunctionRef<void()> prepare = {}) -> Status {
-    return slot.Snapshot(&state.step, flush, [&]() -> DecCkptState& {
-      if (prepare) prepare();
-      return state;
-    });
-  };
-
-  const size_t restarts = options.restarts == 0 ? 1 : options.restarts;
-  const size_t start_restart = state.restart;
-  for (size_t restart = start_restart; restart < restarts; ++restart) {
-    if (restart > 0 && guard.DeadlineExpired()) break;
+  const auto run_one = [&](size_t r, bool resuming,
+                           ckpt::RestartPersistFn persist) {
     MC_METRIC_COUNT("altspace.dec_kmeans.restarts", 1);
-    const DecResume* resume =
-        (resume_mid && restart == start_restart) ? &state.seed : nullptr;
-    const DecPersistFn persist =
-        ck == nullptr
-            ? DecPersistFn()
-            : [&](size_t next_iter, const State& s,
-                  const std::vector<double>& history, bool flush) -> Status {
-                return snapshot(flush, [&] {
-                  state.restart = restart;
-                  state.mid_restart = true;
-                  state.seed.start_iter = next_iter;
-                  state.seed.state = s;
-                  state.seed.history = history;
-                });
-              };
-    Result<RestartOutcome> run = RunRestart(data, options, &state.rng, &guard,
-                                            restart, &recorder, resume,
-                                            persist);
-    if (!run.ok()) {
-      if (run.status().code() == StatusCode::kCancelled ||
-          run.status().code() == StatusCode::kAborted) {
-        return run.status();
-      }
-      state.last_error = run.status();
-    } else {
-      const double final_obj = run->history.back();
-      if (!state.have_best || final_obj < state.best_objective) {
-        state.best_objective = final_obj;
-        state.best = std::move(*run);
-        state.have_best = true;
-        state.winner = restart;
-        recorder.SetWinner(restart);
-      }
-    }
-    if (ck != nullptr && restart + 1 < restarts) {
-      state.restart = restart + 1;
-      state.mid_restart = false;
-      MC_RETURN_IF_ERROR(snapshot(/*flush=*/false));
-    }
-  }
-  if (!state.have_best) return state.last_error;
+    return RunRestart(data, options, &state.rng, &guard, r, &recorder,
+                      &state.seed, resuming, persist);
+  };
+  MC_RETURN_IF_ERROR(ckpt::RunRestarts(
+      slot, &state, options.restarts, &guard, &recorder, run_one,
+      [](const RestartOutcome& run) { return run.history.back(); }));
   RestartOutcome& best = state.best;
-  const double best_objective = state.best_objective;
   recorder.Finish("dec-kmeans", best.iterations, best.converged);
 
   DecKMeansResult result;
-  result.objective = best_objective;
+  result.objective = best.history.back();
   result.history = std::move(best.history);
   result.iterations = best.iterations;
   result.converged = best.converged;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <utility>
 
@@ -244,8 +243,8 @@ Result<double> EmStep(const Matrix& data, double variance_floor,
 
 namespace {
 
-/// Mid-restart resume state / per-iteration persistence hook of one EM
-/// restart; see the k-means equivalents for the protocol.
+/// Mid-restart resume state of one EM restart; see the k-means
+/// equivalent for the protocol.
 struct GmmSeed {
   size_t start_iter = 0;
   GmmModel model;
@@ -253,35 +252,41 @@ struct GmmSeed {
   double prev_ll = 0.0;
 };
 
-using GmmPersistFn = std::function<Status(size_t next_iter,
-                                          const GmmModel& model,
-                                          bool has_prev, double prev_ll,
-                                          bool flush)>;
-
 // One EM restart under the shared budget tracker. Returns
 // kComputationError on a non-finite log-likelihood (numerical degeneracy
-// or an injected fault), kCancelled on cooperative cancellation.
+// or an injected fault), kCancelled on cooperative cancellation. `mid` is
+// the checkpointed mid-restart state: read when `resuming`, refreshed
+// whenever `persist` serializes a snapshot.
 Result<GmmModel> FitGmmOnce(const Matrix& data, const GmmOptions& options,
                             uint64_t seed, BudgetTracker* guard,
                             size_t restart, ConvergenceRecorder* recorder,
-                            const GmmSeed* resume,
-                            const GmmPersistFn& persist) {
+                            GmmSeed* mid, bool resuming,
+                            ckpt::RestartPersistFn persist) {
   GmmModel model;
   double prev_ll = -std::numeric_limits<double>::infinity();
   size_t start_iter = 0;
-  if (resume != nullptr) {
-    model = resume->model;
-    if (resume->has_prev) prev_ll = resume->prev_ll;
-    start_iter = resume->start_iter;
+  if (resuming) {
+    model = mid->model;
+    if (mid->has_prev) prev_ll = mid->prev_ll;
+    start_iter = mid->start_iter;
   } else {
     MC_ASSIGN_OR_RETURN(
         model, InitGmm(data, options.k, options.covariance, seed));
   }
+  // Persistence point before iteration `next_iter`.
+  const auto checkpoint = [&](size_t next_iter, bool flush) {
+    return persist(flush, [&] {
+      mid->start_iter = next_iter;
+      mid->model = model;
+      mid->has_prev = std::isfinite(prev_ll);
+      // A missing previous log-likelihood (-inf) is stored as 0, which
+      // JSON can represent.
+      mid->prev_ll = mid->has_prev ? prev_ll : 0.0;
+    });
+  };
   for (size_t iter = start_iter; iter < options.max_iters; ++iter) {
     if (guard->Cancelled()) {
-      if (persist) {
-        persist(iter, model, std::isfinite(prev_ll), prev_ll, /*flush=*/true);
-      }
+      checkpoint(iter, /*flush=*/true);
       return guard->CancelledStatus();
     }
     if (guard->ShouldStop(iter)) break;
@@ -320,12 +325,12 @@ Result<GmmModel> FitGmmOnce(const Matrix& data, const GmmOptions& options,
       break;
     }
     prev_ll = ll;
-    if (persist) {
-      MC_RETURN_IF_ERROR(persist(iter + 1, model, /*has_prev=*/true, prev_ll,
-                                 /*flush=*/false));
-    }
+    MC_RETURN_IF_ERROR(checkpoint(iter + 1, /*flush=*/false));
   }
   model.log_likelihood = model.TotalLogLikelihood(data);
+  if (!std::isfinite(model.log_likelihood)) {
+    return Status::ComputationError("GMM-EM: non-finite final log-likelihood");
+  }
   return model;
 }
 
@@ -337,7 +342,6 @@ struct GmmCkptState {
   size_t winner = 0;
   bool have_best = false;
   GmmModel best;
-  double best_ll = -std::numeric_limits<double>::infinity();
   Status last_error = Status::OK();
   ConvergenceTrace trace;
   bool mid_restart = false;
@@ -351,6 +355,8 @@ struct GmmCkptState {
     ar("winner", winner);
     if (ar.Guard("have_best", have_best)) {
       ar("best", best);
+      // Checkpoint-only copy of best.log_likelihood; read and dropped.
+      double best_ll = best.log_likelihood;
       ar("best_ll", best_ll);
     }
     ar("last_error", last_error);
@@ -402,77 +408,19 @@ Result<GmmModel> FitGmm(const Matrix& data, const GmmOptions& options) {
 
   GmmCkptState state;
   state.outer_rng = Rng(options.seed);
-  bool resume_mid = false;
-  if (slot.Restore(&state)) {
-    resume_mid = state.mid_restart;
-    if (options.diagnostics != nullptr) {
-      options.diagnostics->trace.winning_restart = state.winner;
-    }
-  }
-
-  // `prepare` defers the model/trace copies to the moment a snapshot is
-  // actually serialized — an armed-but-not-due persistence point pays only
-  // the policy check.
-  const auto snapshot =
-      [&](bool flush, FunctionRef<void()> prepare = {}) -> Status {
-    return slot.Snapshot(&state.step, flush, [&]() -> GmmCkptState& {
-      if (prepare) prepare();
-      return state;
-    });
-  };
-
-  const size_t restarts = options.restarts == 0 ? 1 : options.restarts;
-  const size_t start_restart = state.restart;
-  for (size_t r = start_restart; r < restarts; ++r) {
-    uint64_t restart_seed = 0;
-    if (!(resume_mid && r == start_restart)) {
-      restart_seed = state.outer_rng.NextU64();
-    }
-    if (r > 0 && guard.DeadlineExpired()) break;
+  // A restart's seed is drawn from the outer stream in restart order; a
+  // resumed restart continues from its checkpointed model instead.
+  const auto run_one = [&](size_t r, bool resuming,
+                           ckpt::RestartPersistFn persist) {
     MC_METRIC_COUNT("cluster.gmm.restarts", 1);
-    const GmmSeed* seed =
-        (resume_mid && r == start_restart) ? &state.seed : nullptr;
-    const GmmPersistFn persist =
-        ck == nullptr
-            ? GmmPersistFn()
-            : [&](size_t next_iter, const GmmModel& model, bool has_prev,
-                  double prev_ll, bool flush) -> Status {
-                return snapshot(flush, [&] {
-                  state.restart = r;
-                  state.mid_restart = true;
-                  state.seed.start_iter = next_iter;
-                  state.seed.model = model;
-                  state.seed.has_prev = has_prev;
-                  // A missing previous log-likelihood (-inf) is stored
-                  // as 0, which JSON can represent.
-                  state.seed.prev_ll = has_prev ? prev_ll : 0.0;
-                });
-              };
-    Result<GmmModel> model = FitGmmOnce(data, options, restart_seed, &guard,
-                                        r, &recorder, seed, persist);
-    if (!model.ok()) {
-      if (model.status().code() == StatusCode::kCancelled ||
-          model.status().code() == StatusCode::kAborted) {
-        return model.status();
-      }
-      state.last_error = model.status();
-    } else if (!std::isfinite(model->log_likelihood)) {
-      state.last_error = Status::ComputationError(
-          "GMM-EM: non-finite final log-likelihood");
-    } else if (!state.have_best || model->log_likelihood > state.best_ll) {
-      state.best_ll = model->log_likelihood;
-      state.best = std::move(*model);
-      state.have_best = true;
-      state.winner = r;
-      recorder.SetWinner(r);
-    }
-    if (ck != nullptr && r + 1 < restarts) {
-      state.restart = r + 1;
-      state.mid_restart = false;
-      MC_RETURN_IF_ERROR(snapshot(/*flush=*/false));
-    }
-  }
-  if (!state.have_best) return state.last_error;
+    const uint64_t restart_seed = resuming ? 0 : state.outer_rng.NextU64();
+    return FitGmmOnce(data, options, restart_seed, &guard, r, &recorder,
+                      &state.seed, resuming, persist);
+  };
+  // Exact negation: the highest log-likelihood wins.
+  MC_RETURN_IF_ERROR(ckpt::RunRestarts(
+      slot, &state, options.restarts, &guard, &recorder, run_one,
+      [](const GmmModel& model) { return -model.log_likelihood; }));
   recorder.Finish("gmm", state.best.iterations, state.best.converged);
   return std::move(state.best);
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <utility>
 
@@ -117,28 +116,22 @@ struct LloydSeed {
   std::vector<int> labels;
 };
 
-/// Called at the end of every non-final outer iteration (and on the
-/// cancellation path with `flush` set) so RunKMeans can persist the full
-/// run state. `next_iter` is the iteration a resumed run executes next.
-using LloydPersistFn = std::function<Status(size_t next_iter,
-                                            const LloydResult& current,
-                                            const Rng& child, bool flush)>;
-
+// One Lloyd restart. `mid` is the checkpointed mid-restart state: read
+// when `resuming`, refreshed whenever `persist` serializes a snapshot.
 Result<LloydResult> RunLloyd(const Matrix& data, size_t k, size_t max_iters,
                              double tol, bool plus_plus, Rng* rng,
                              BudgetTracker* guard, size_t restart,
-                             ConvergenceRecorder* recorder,
-                             const LloydSeed* resume,
-                             const LloydPersistFn& persist,
+                             ConvergenceRecorder* recorder, LloydSeed* mid,
+                             bool resuming, ckpt::RestartPersistFn persist,
                              const std::vector<float>* data_f32) {
   const size_t n = data.rows();
   const size_t d = data.cols();
   LloydResult r;
   size_t start_iter = 0;
-  if (resume != nullptr) {
-    r.centers = resume->centers;
-    r.labels = resume->labels;
-    start_iter = resume->start_iter;
+  if (resuming) {
+    r.centers = mid->centers;
+    r.labels = mid->labels;
+    start_iter = mid->start_iter;
     r.iterations = start_iter;
   } else {
     r.centers = InitCenters(data, k, plus_plus, rng, data_f32);
@@ -146,10 +139,18 @@ Result<LloydResult> RunLloyd(const Matrix& data, size_t k, size_t max_iters,
   }
   const std::vector<double> x_norms =
       data_f32 != nullptr ? std::vector<double>() : RowSquaredNorms(data);
+  // Persistence point before iteration `next_iter`.
+  const auto checkpoint = [&](size_t next_iter, bool flush) {
+    return persist(flush, [&] {
+      mid->start_iter = next_iter;
+      mid->centers = r.centers;
+      mid->labels = r.labels;
+    });
+  };
 
   for (size_t iter = start_iter; iter < max_iters; ++iter) {
     if (guard->Cancelled()) {
-      if (persist) persist(iter, r, *rng, /*flush=*/true);
+      checkpoint(iter, /*flush=*/true);
       return guard->CancelledStatus();
     }
     if (guard->ShouldStop(iter)) break;
@@ -235,11 +236,9 @@ Result<LloydResult> RunLloyd(const Matrix& data, size_t k, size_t max_iters,
       break;
     }
     // Persistence point: this restart continues, so a resumed run picks up
-    // at iter + 1. The restart-boundary snapshot in RunKMeans covers the
-    // converged/exhausted exits.
-    if (persist) {
-      MC_RETURN_IF_ERROR(persist(iter + 1, r, *rng, /*flush=*/false));
-    }
+    // at iter + 1. The restart-boundary snapshot of ckpt::RunRestarts
+    // covers the converged/exhausted exits.
+    MC_RETURN_IF_ERROR(checkpoint(iter + 1, /*flush=*/false));
   }
 
   r.sse = SseOf(data, r.centers, r.labels);
@@ -258,7 +257,7 @@ struct KMeansCkptState {
   Status last_error = Status::OK();
   ConvergenceTrace trace;
   bool mid_restart = false;  ///< payload carries LloydSeed + child rng
-  Rng child_rng;
+  Rng child_rng;             ///< the running restart's stream
   LloydSeed seed;
 
   template <class Ar>
@@ -323,31 +322,6 @@ Result<Clustering> RunKMeans(const Matrix& data,
       ck, "kmeans", ck != nullptr ? KMeansFingerprint(data, options) : 0,
       options.diagnostics};
 
-  KMeansCkptState state;
-  state.outer_rng = Rng(options.seed);
-  state.best.sse = std::numeric_limits<double>::infinity();
-  bool resume_mid = false;
-  if (slot.Restore(&state)) {
-    resume_mid = state.mid_restart;
-    if (options.diagnostics != nullptr) {
-      options.diagnostics->trace.winning_restart = state.winner;
-    }
-  }
-
-  // One snapshot writer serves the mid-restart persistence points and the
-  // restart boundaries. `prepare` captures the expensive volatile state
-  // (centers, labels, trace) and runs only when the policy actually
-  // serializes a snapshot, so an armed-but-not-due persistence point costs
-  // a policy check and nothing else.
-  const auto snapshot =
-      [&](bool flush, FunctionRef<void()> prepare = {}) -> Status {
-    return slot.Snapshot(&state.step, flush, [&]() -> KMeansCkptState& {
-      if (prepare) prepare();
-      return state;
-    });
-  };
-
-  const size_t restarts = options.restarts == 0 ? 1 : options.restarts;
   // Materialize the f32 copy once for all restarts on the opt-in path.
   std::vector<float> data_f32_storage;
   const std::vector<float>* data_f32 = nullptr;
@@ -355,60 +329,21 @@ Result<Clustering> RunKMeans(const Matrix& data,
     data_f32_storage = ToFloat32(data);
     data_f32 = &data_f32_storage;
   }
-  const size_t start_restart = state.restart;
-  for (size_t r = start_restart; r < restarts; ++r) {
-    Rng child;
-    if (resume_mid && r == start_restart) {
-      child = state.child_rng;
-    } else {
-      child = state.outer_rng.Split();
-    }
-    if (r > 0 && guard.DeadlineExpired()) break;
+  KMeansCkptState state;
+  state.outer_rng = Rng(options.seed);
+  // A restart's child stream is split from the outer stream in restart
+  // order; a resumed restart continues from its checkpointed child.
+  const auto run_one = [&](size_t r, bool resuming,
+                           ckpt::RestartPersistFn persist) {
     MC_METRIC_COUNT("cluster.kmeans.restarts", 1);
-    const LloydSeed* seed =
-        (resume_mid && r == start_restart) ? &state.seed : nullptr;
-    const LloydPersistFn persist =
-        ck == nullptr
-            ? LloydPersistFn()
-            : [&](size_t next_iter, const LloydResult& current,
-                  const Rng& child_now, bool flush) -> Status {
-                return snapshot(flush, [&] {
-                  state.restart = r;
-                  state.mid_restart = true;
-                  state.child_rng = child_now;
-                  state.seed.start_iter = next_iter;
-                  state.seed.centers = current.centers;
-                  state.seed.labels = current.labels;
-                });
-              };
-    Result<LloydResult> run =
-        RunLloyd(data, options.k, options.max_iters, options.tol,
-                 options.plus_plus_init, &child, &guard, r, &recorder, seed,
-                 persist, data_f32);
-    if (!run.ok()) {
-      // Cancellation (and a simulated crash) aborts the whole call; a
-      // numerically degenerate restart is skipped — the remaining restarts
-      // still compete.
-      if (run.status().code() == StatusCode::kCancelled ||
-          run.status().code() == StatusCode::kAborted) {
-        return run.status();
-      }
-      state.last_error = run.status();
-    } else if (!state.have_best || run->sse < state.best.sse) {
-      state.best = std::move(*run);
-      state.have_best = true;
-      state.winner = r;
-      recorder.SetWinner(r);
-    }
-    if (ck != nullptr && r + 1 < restarts) {
-      // Restart boundary: the next persistence point starts restart r + 1
-      // fresh (covers the converged / exhausted / skipped exits).
-      state.restart = r + 1;
-      state.mid_restart = false;
-      MC_RETURN_IF_ERROR(snapshot(/*flush=*/false));
-    }
-  }
-  if (!state.have_best) return state.last_error;
+    if (!resuming) state.child_rng = state.outer_rng.Split();
+    return RunLloyd(data, options.k, options.max_iters, options.tol,
+                    options.plus_plus_init, &state.child_rng, &guard, r,
+                    &recorder, &state.seed, resuming, persist, data_f32);
+  };
+  MC_RETURN_IF_ERROR(ckpt::RunRestarts(
+      slot, &state, options.restarts, &guard, &recorder, run_one,
+      [](const LloydResult& run) { return run.sse; }));
   recorder.Finish("kmeans", state.best.iterations, state.best.converged);
   Clustering c;
   c.labels = std::move(state.best.labels);

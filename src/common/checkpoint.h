@@ -1,6 +1,7 @@
 #ifndef MULTICLUST_COMMON_CHECKPOINT_H_
 #define MULTICLUST_COMMON_CHECKPOINT_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -490,6 +491,74 @@ struct Slot {
     return flush ? Status::OK() : st;
   }
 };
+
+/// The persistence hook RunRestarts hands each restart. A restart calls it
+/// at every persistence point with `capture`, which copies the restart's
+/// live state into the checkpoint state's mid-restart fields; `capture`
+/// runs only when a snapshot is actually serialized (never when the slot
+/// is disarmed).
+using RestartPersistFn =
+    FunctionRef<Status(bool flush, FunctionRef<void()> capture)>;
+
+/// The restart loop of every multi-restart algorithm (k-means, GMM,
+/// ORCLUS, dec-kmeans): run `restarts` (0 counts as 1) independent
+/// restarts and keep the best, checkpointed through `slot`.
+///
+/// `State` is the algorithm's checkpoint state. Besides its own fields it
+/// has `step`, `restart`, `have_best`, `best`, `last_error` and
+/// `mid_restart`, and optionally `winner`. `run_one(r, resuming, persist)`
+/// runs restart r (continuing from the state's mid-restart fields when
+/// `resuming`) and returns a Result of `best`'s type; `objective(best)`
+/// scores a finished restart, lower wins. The rules:
+///  - a restored checkpoint resumes at its `restart`, mid-restart when it
+///    says so;
+///  - restart 0 always runs; later ones are skipped once the deadline has
+///    expired;
+///  - kCancelled and kAborted (a simulated crash) end the call; any other
+///    error skips the restart and is kept in `last_error`;
+///  - the first restart with the strictly lowest objective wins;
+///  - a snapshot at every restart boundary but the last;
+///  - no surviving restart returns the last error.
+/// On OK `state->best` holds the winner.
+template <class State, class RunOne, class Objective>
+Status RunRestarts(const Slot& slot, State* state, size_t restarts,
+                   BudgetTracker* guard, ConvergenceRecorder* recorder,
+                   const RunOne& run_one, const Objective& objective) {
+  restarts = std::max<size_t>(restarts, 1);
+  bool resume_mid = slot.Restore(state) && state->mid_restart;
+  for (size_t r = state->restart; r < restarts; ++r) {
+    if (r > 0 && guard->DeadlineExpired()) break;
+    const auto persist = [&](bool flush, FunctionRef<void()> capture) {
+      return slot.Snapshot(&state->step, flush, [&]() -> State& {
+        state->restart = r;
+        state->mid_restart = true;
+        capture();
+        return *state;
+      });
+    };
+    auto run = run_one(r, resume_mid, RestartPersistFn(persist));
+    resume_mid = false;
+    if (!run.ok()) {
+      const StatusCode code = run.status().code();
+      if (code == StatusCode::kCancelled || code == StatusCode::kAborted) {
+        return run.status();
+      }
+      state->last_error = run.status();
+    } else if (!state->have_best || objective(*run) < objective(state->best)) {
+      state->best = std::move(*run);
+      state->have_best = true;
+      if constexpr (requires { state->winner; }) state->winner = r;
+      recorder->SetWinner(r);
+    }
+    if (r + 1 < restarts) {
+      state->restart = r + 1;
+      state->mid_restart = false;
+      MC_RETURN_IF_ERROR(slot.Snapshot(&state->step, /*flush=*/false,
+                                       [&]() -> State& { return *state; }));
+    }
+  }
+  return state->have_best ? Status::OK() : state->last_error;
+}
 
 }  // namespace ckpt
 }  // namespace multiclust

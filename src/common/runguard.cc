@@ -164,6 +164,7 @@ bool BudgetTracker::ShouldStop(size_t iteration) {
 }
 
 bool BudgetTracker::DeadlineExpired() {
+  if (reason_ == StopReason::kDeadline) return true;
   if (budget_.deadline_ms > 0.0 && ElapsedMs() >= budget_.deadline_ms) {
     reason_ = StopReason::kDeadline;
     return true;

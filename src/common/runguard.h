@@ -183,7 +183,8 @@ class BudgetTracker {
   /// no armed faults.
   bool ShouldStop(size_t iteration);
 
-  /// True when the wall-clock deadline has expired (checked between
+  /// True when the wall-clock deadline has expired, or ShouldStop already
+  /// reported an expired (real or fault-injected) deadline (checked between
   /// restarts: started restarts finish their iteration, later ones are
   /// skipped). Does not consult the iteration cap.
   bool DeadlineExpired();

@@ -395,7 +395,6 @@ void Daemon::ExecuteJob(const std::shared_ptr<Job>& job) {
 
   JobResult result;
   result.fingerprint = out.fingerprint;
-  job->fingerprint = out.fingerprint;  // worker-owned until Finish
 
   if (out.status.ok()) {
     // The report excludes the process-wide metrics/spans snapshots: the
@@ -442,8 +441,7 @@ void Daemon::ExecuteJob(const std::shared_ptr<Job>& job) {
     // against the live daemon): the snapshot is on disk, so re-enqueue in
     // place with resume=true instead of failing the job.
     mux_.AbandonJob();
-    ++job->resumes;
-    job->resume = true;
+    queue_.MarkResumed(job, out.fingerprint);
     (void)AppendLedger(job, "resumed", 0, "in-daemon resume after fault");
     queue_.EnqueueRecovered(job);
     MC_METRIC_COUNT("serve.jobs_fault_resumed", 1);

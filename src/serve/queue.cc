@@ -144,6 +144,14 @@ void JobQueue::Finish(const std::shared_ptr<Job>& job, JobState terminal,
   cv_.notify_all();
 }
 
+void JobQueue::MarkResumed(const std::shared_ptr<Job>& job,
+                           uint64_t fingerprint) {
+  std::lock_guard<std::mutex> lock(mu_);
+  job->fingerprint = fingerprint;
+  ++job->resumes;
+  job->resume = true;
+}
+
 bool JobQueue::Cancel(const std::string& job_id, const std::string& cause,
                       JobState* state_after, bool* evicted_now) {
   std::lock_guard<std::mutex> lock(mu_);

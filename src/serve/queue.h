@@ -40,7 +40,7 @@ struct Job {
   std::string id;
   std::string tenant;
   JobSpec spec;
-  bool resume = false;  ///< re-enqueued by the recovery scan
+  bool resume = false;  ///< re-enqueued by the recovery scan or a fault resume
 
   JobState state = JobState::kQueued;
   /// Durability latch: the daemon admits a job BEFORE writing its spool
@@ -171,6 +171,12 @@ class JobQueue {
   /// publish its result fields under the queue mutex.
   void Finish(const std::shared_ptr<Job>& job, JobState terminal,
               const JobResult& result);
+
+  /// Fault-resume hand-back of a running job whose run aborted at a
+  /// persistence point: publishes the run's fingerprint and one more
+  /// resume (resume=true) under the queue mutex. The caller ledgers the
+  /// job, then re-enqueues it with EnqueueRecovered.
+  void MarkResumed(const std::shared_ptr<Job>& job, uint64_t fingerprint);
 
   /// Client/watchdog cancel. A queued job is evicted immediately; a
   /// running job gets its CancelToken tripped and `cause` recorded (the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
@@ -143,19 +142,16 @@ struct OrclusSeed {
   Rng rng;  ///< stream position at the persistence point
 };
 
-// The persist callback receives a *builder* rather than a packed seed so
-// the O(k·d²) group copy happens only when the policy actually serializes
-// a snapshot.
-using OrclusSeedFn = FunctionRef<OrclusSeed()>;
-using OrclusPersistFn = std::function<Status(OrclusSeedFn, bool flush)>;
-
+// One ORCLUS restart. `mid` is the checkpointed mid-restart state: read
+// when `resuming`, refreshed whenever `persist` serializes a snapshot (so
+// the O(k·d²) group copy happens only then).
 Result<OrclusResult> RunOrclusOnce(const Matrix& data,
                                    const OrclusOptions& options,
                                    uint64_t seed, BudgetTracker* guard,
                                    size_t restart,
                                    ConvergenceRecorder* recorder,
-                                   const OrclusSeed* resume,
-                                   const OrclusPersistFn& persist) {
+                                   OrclusSeed* mid, bool resuming,
+                                   ckpt::RestartPersistFn persist) {
   const size_t n = data.rows();
   const size_t d = data.cols();
   Rng rng(seed);
@@ -178,16 +174,15 @@ Result<OrclusResult> RunOrclusOnce(const Matrix& data,
   double qc = static_cast<double>(d);
   double prev_energy = std::numeric_limits<double>::infinity();
   size_t start_iter = 0;
-  if (resume != nullptr) {
-    groups = resume->groups;
+  if (resuming) {
+    groups = mid->groups;
     kc = groups.size();
-    qc = resume->qc;
-    prev_energy = resume->has_prev
-                      ? resume->prev_energy
-                      : std::numeric_limits<double>::infinity();
-    iterations = resume->iterations;
-    start_iter = resume->start_iter;
-    rng = resume->rng;
+    qc = mid->qc;
+    prev_energy = mid->has_prev ? mid->prev_energy
+                                : std::numeric_limits<double>::infinity();
+    iterations = mid->iterations;
+    start_iter = mid->start_iter;
+    rng = mid->rng;
   } else {
     groups.resize(kc);
     const std::vector<size_t> picks = rng.SampleWithoutReplacement(n, kc);
@@ -197,25 +192,23 @@ Result<OrclusResult> RunOrclusOnce(const Matrix& data,
     }
   }
 
-  // Packs the current merge-loop state for the persist callback.
-  const auto make_seed = [&](size_t next_iter) {
-    OrclusSeed s;
-    s.start_iter = next_iter;
-    s.groups = groups;
-    s.qc = qc;
-    s.has_prev = std::isfinite(prev_energy);
-    s.prev_energy = s.has_prev ? prev_energy : 0.0;
-    s.iterations = iterations;
-    s.rng = rng;
-    return s;
+  // Merge-loop persistence point before iteration `next_iter`.
+  const auto checkpoint = [&](size_t next_iter, bool flush) {
+    return persist(flush, [&] {
+      mid->start_iter = next_iter;
+      mid->groups = groups;
+      mid->qc = qc;
+      mid->has_prev = std::isfinite(prev_energy);
+      mid->prev_energy = mid->has_prev ? prev_energy : 0.0;
+      mid->iterations = iterations;
+      mid->rng = rng;
+    });
   };
 
   for (size_t iter = start_iter; iter < options.max_iters || kc > options.k;
        ++iter) {
     if (guard->Cancelled()) {
-      if (persist) {
-        (void)persist([&] { return make_seed(iter); }, /*flush=*/true);
-      }
+      (void)checkpoint(iter, /*flush=*/true);
       return guard->CancelledStatus();
     }
     if (guard->ShouldStop(iter)) {
@@ -322,20 +315,18 @@ Result<OrclusResult> RunOrclusOnce(const Matrix& data,
     // Persistence point: the schedule continues, so a resumed run picks up
     // at iter + 1. The exits above fall through to the refinement loop,
     // which replays deterministically from the previous snapshot.
-    if (persist) {
-      MC_RETURN_IF_ERROR(
-          persist([&] { return make_seed(iter + 1); }, /*flush=*/false));
-    }
+    MC_RETURN_IF_ERROR(checkpoint(iter + 1, /*flush=*/false));
   }
 
   // Final refinement at (k, l): iterate projected assignment and subspace
   // updates until the labeling stabilises (projected k-means in each
-  // cluster's own oriented subspace).
+  // cluster's own oriented subspace). Round 0 runs even past the deadline,
+  // so a stopped run still assigns every object.
   std::vector<int> labels(n, -1);
   bool refined = false;
   for (size_t round = 0; round < 20; ++round) {
     if (guard->Cancelled()) return guard->CancelledStatus();
-    if (guard->DeadlineExpired()) {
+    if (round > 0 && guard->DeadlineExpired()) {
       stopped_early = true;
       break;
     }
@@ -431,7 +422,7 @@ struct OrclusCkptState {
   Status last_error = Status::OK();
   ConvergenceTrace trace;
   bool mid_restart = false;
-  uint64_t restart_seed = 0;  ///< seed the interrupted restart was launched with
+  uint64_t restart_seed = 0;  ///< seed the running restart was launched with
   OrclusSeed seed;
 
   template <class Ar>
@@ -496,68 +487,21 @@ Result<OrclusResult> RunOrclus(const Matrix& data,
 
   OrclusCkptState state;
   state.outer_rng = Rng(options.seed);
-  bool resume_mid = false;
-  if (slot.Restore(&state)) {
-    resume_mid = state.mid_restart;
-    state.best.clustering.algorithm = "orclus";
-  }
-
-  // `prepare` defers the seed/trace capture until a snapshot is actually
-  // serialized, keeping armed-but-not-due persistence points cheap.
-  const auto snapshot =
-      [&](bool flush, FunctionRef<void()> prepare = {}) -> Status {
-    return slot.Snapshot(&state.step, flush, [&]() -> OrclusCkptState& {
-      if (prepare) prepare();
-      return state;
-    });
-  };
-
-  const size_t restarts = options.restarts == 0 ? 1 : options.restarts;
-  const size_t start_restart = state.restart;
-  for (size_t r = start_restart; r < restarts; ++r) {
-    const bool resuming = resume_mid && r == start_restart;
-    // A resumed restart re-uses the seed it was originally launched with
-    // (the outer rng was saved *after* the draw, so it must not re-draw).
-    const uint64_t restart_seed =
-        resuming ? state.restart_seed : state.outer_rng.NextU64();
-    if (r > 0 && guard.DeadlineExpired()) break;
+  // A restart's seed is drawn from the outer stream in restart order; a
+  // resumed restart re-uses the seed it was launched with (the outer rng
+  // was saved *after* the draw, so it must not re-draw).
+  const auto run_one = [&](size_t r, bool resuming,
+                           ckpt::RestartPersistFn persist) {
     MC_METRIC_COUNT("subspace.orclus.restarts", 1);
-    const OrclusSeed* seed = resuming ? &state.seed : nullptr;
-    const OrclusPersistFn persist =
-        ck == nullptr
-            ? OrclusPersistFn()
-            : [&](OrclusSeedFn make, bool flush) -> Status {
-                return snapshot(flush, [&] {
-                  state.restart = r;
-                  state.mid_restart = true;
-                  state.restart_seed = restart_seed;
-                  state.seed = make();
-                });
-              };
-    Result<OrclusResult> run = RunOrclusOnce(data, options, restart_seed,
-                                             &guard, r, &recorder, seed,
-                                             persist);
-    if (!run.ok()) {
-      if (run.status().code() == StatusCode::kCancelled ||
-          run.status().code() == StatusCode::kAborted) {
-        return run.status();
-      }
-      state.last_error = run.status();
-    } else if (!state.have_best ||
-               run->projected_energy < state.best.projected_energy) {
-      state.best = std::move(*run);
-      state.have_best = true;
-      recorder.SetWinner(r);
-    }
-    if (ck != nullptr && r + 1 < restarts) {
-      // Restart boundary (covers the converged / skipped exits).
-      state.restart = r + 1;
-      state.mid_restart = false;
-      state.seed = OrclusSeed();
-      MC_RETURN_IF_ERROR(snapshot(/*flush=*/false));
-    }
-  }
-  if (!state.have_best) return state.last_error;
+    if (!resuming) state.restart_seed = state.outer_rng.NextU64();
+    return RunOrclusOnce(data, options, state.restart_seed, &guard, r,
+                         &recorder, &state.seed, resuming, persist);
+  };
+  MC_RETURN_IF_ERROR(ckpt::RunRestarts(
+      slot, &state, options.restarts, &guard, &recorder, run_one,
+      [](const OrclusResult& run) { return run.projected_energy; }));
+  // A restored best carries no algorithm name (not in the payload).
+  state.best.clustering.algorithm = "orclus";
   recorder.Finish("orclus", state.best.clustering.iterations,
                   state.best.clustering.converged);
   return std::move(state.best);

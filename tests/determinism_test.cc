@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "altspace/cami.h"
 #include "altspace/cib.h"
@@ -34,6 +35,7 @@
 #include "subspace/msc.h"
 #include "subspace/orclus.h"
 #include "subspace/proclus.h"
+#include "support/restart_algorithms.h"
 
 namespace multiclust {
 namespace {
@@ -265,24 +267,53 @@ auto WithThreads(size_t threads, Fn fn) {
 // tests pin that guarantee with exact comparisons — EXPECT_EQ on doubles
 // is intentional.
 
-TEST(ThreadInvarianceTest, KMeansLabelsAndObjective) {
+// Field-by-field trace comparison. budget_remaining_ms is wall-clock
+// dependent and deliberately excluded.
+void ExpectSameTrace(const ConvergenceTrace& a, const ConvergenceTrace& b) {
+  ASSERT_EQ(a.points.size(), b.points.size());
+  EXPECT_EQ(a.winning_restart, b.winning_restart);
+  for (size_t i = 0; i < a.points.size(); ++i) {
+    EXPECT_EQ(a.points[i].restart, b.points[i].restart) << "point " << i;
+    EXPECT_EQ(a.points[i].iteration, b.points[i].iteration) << "point " << i;
+    EXPECT_EQ(a.points[i].objective, b.points[i].objective) << "point " << i;
+    EXPECT_EQ(a.points[i].delta, b.points[i].delta) << "point " << i;
+    EXPECT_EQ(a.points[i].reseeds, b.points[i].reseeds) << "point " << i;
+  }
+}
+
+// Bit-for-bit comparison of two runs of one restart-driven algorithm.
+void ExpectSameRun(const test::RestartRun& serial,
+                   const test::RestartRun& parallel) {
+  EXPECT_EQ(serial.labels, parallel.labels);
+  EXPECT_EQ(serial.objective, parallel.objective);
+  EXPECT_EQ(serial.converged, parallel.converged);
+  ASSERT_EQ(serial.model.size(), parallel.model.size());
+  for (size_t m = 0; m < serial.model.size(); ++m) {
+    EXPECT_EQ(serial.model[m].MaxAbsDiff(parallel.model[m]), 0.0)
+        << "model " << m;
+  }
+  ExpectSameTrace(serial.diagnostics.trace, parallel.diagnostics.trace);
+}
+
+TEST(ThreadInvarianceTest, RestartDrivenAlgorithms) {
   // Large enough that assignment, D^2 updates and the SSE reduction all
   // span multiple chunks.
   std::vector<ViewSpec> views(2);
   views[0] = {3, 4, 10.0, 1.0, ""};
   views[1] = {3, 4, 10.0, 1.0, ""};
   const Matrix data = MakeMultiView(3000, views, 0, 21)->data();
-  KMeansOptions opts;
-  opts.k = 4;
-  opts.restarts = 2;
-  opts.seed = 7;
-  const auto run = [&] { return RunKMeans(data, opts).value(); };
-  const Clustering serial = WithThreads(1, run);
-  for (const size_t threads : {2u, 4u}) {
-    const Clustering parallel = WithThreads(threads, run);
-    EXPECT_EQ(serial.labels, parallel.labels) << "threads=" << threads;
-    EXPECT_EQ(serial.quality, parallel.quality) << "threads=" << threads;
-    EXPECT_EQ(serial.centroids.MaxAbsDiff(parallel.centroids), 0.0);
+  for (const test::RestartAlgorithm& a : test::RestartAlgorithms(4, 7)) {
+    SCOPED_TRACE(a.site);
+    const auto run = [&] { return a.run(data, 2); };
+    const test::RestartRun serial = WithThreads(1, run);
+    ASSERT_TRUE(serial.status.ok()) << serial.status.ToString();
+    ASSERT_FALSE(serial.diagnostics.trace.points.empty());
+    for (const size_t threads : {2u, 4u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      const test::RestartRun parallel = WithThreads(threads, run);
+      ASSERT_TRUE(parallel.status.ok()) << parallel.status.ToString();
+      ExpectSameRun(serial, parallel);
+    }
   }
 }
 
@@ -405,20 +436,6 @@ TEST(ThreadInvarianceTest, EnclusSubspaces) {
       EXPECT_EQ(serial[i].entropy, parallel[i].entropy);
       EXPECT_EQ(serial[i].interest, parallel[i].interest);
     }
-  }
-}
-
-// Field-by-field trace comparison. budget_remaining_ms is wall-clock
-// dependent and deliberately excluded.
-void ExpectSameTrace(const ConvergenceTrace& a, const ConvergenceTrace& b) {
-  ASSERT_EQ(a.points.size(), b.points.size());
-  EXPECT_EQ(a.winning_restart, b.winning_restart);
-  for (size_t i = 0; i < a.points.size(); ++i) {
-    EXPECT_EQ(a.points[i].restart, b.points[i].restart) << "point " << i;
-    EXPECT_EQ(a.points[i].iteration, b.points[i].iteration) << "point " << i;
-    EXPECT_EQ(a.points[i].objective, b.points[i].objective) << "point " << i;
-    EXPECT_EQ(a.points[i].delta, b.points[i].delta) << "point " << i;
-    EXPECT_EQ(a.points[i].reseeds, b.points[i].reseeds) << "point " << i;
   }
 }
 

@@ -9,11 +9,13 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "altspace/dec_kmeans.h"
 #include "cluster/gmm.h"
 #include "cluster/kmeans.h"
 #include "cluster/spectral.h"
@@ -28,6 +30,8 @@
 #include "multiview/mv_spectral.h"
 #include "stats/hsic.h"
 #include "subspace/msc.h"
+#include "subspace/orclus.h"
+#include "support/restart_algorithms.h"
 
 namespace multiclust {
 namespace {
@@ -343,46 +347,65 @@ TEST_F(FaultInjectionTest, InjectedDeadlineStopsRunEarly) {
   EXPECT_GT(fault::TotalFires(), 0u);
 }
 
+// ---- The restart rules, one table over every multi-restart algorithm ----
+
 TEST_F(FaultInjectionTest, PoisonedRestartIsSkippedDeterministically) {
   const Matrix data = BlobData();
-  auto run = [&data] {
-    // The single armed fire poisons restart 0; restart 1 must win cleanly.
-    fault::Reset();
-    fault::Arm({"kmeans", FaultKind::kInjectNaN, 0, 1});
-    KMeansOptions opts;
-    opts.k = 3;
-    opts.restarts = 2;
-    opts.seed = 5;
-    return RunKMeans(data, opts);
-  };
-  auto first = run();
-  ASSERT_TRUE(first.ok());
-  EXPECT_TRUE(first->converged);
-  auto second = run();
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first->labels, second->labels);
-  EXPECT_DOUBLE_EQ(first->quality, second->quality);
-}
-
-TEST_F(FaultInjectionTest, GmmRecoversFromPoisonedRestart) {
-  fault::Arm({"gmm", FaultKind::kInjectNaN, 0, 1});
-  GmmOptions opts;
-  opts.k = 3;
-  opts.restarts = 2;
-  opts.seed = 5;
-  auto model = FitGmm(BlobData(), opts);
-  ASSERT_TRUE(model.ok());
-  EXPECT_TRUE(std::isfinite(model->log_likelihood));
+  for (const test::RestartAlgorithm& a : test::RestartAlgorithms(3, 5)) {
+    SCOPED_TRACE(a.site);
+    const auto run = [&] {
+      // The single armed fire poisons restart 0; restart 1 must win.
+      fault::Reset();
+      fault::Arm({a.site, FaultKind::kInjectNaN, 0, 1});
+      test::RestartRun out = a.run(data, 2);
+      EXPECT_EQ(fault::TotalFires(a.site), 1u);
+      return out;
+    };
+    const test::RestartRun first = run();
+    ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+    EXPECT_TRUE(std::isfinite(first.objective));
+    EXPECT_TRUE(first.converged);
+    EXPECT_EQ(first.diagnostics.trace.winning_restart, 1u);
+    const test::RestartRun second = run();
+    ASSERT_TRUE(second.status.ok()) << second.status.ToString();
+    EXPECT_EQ(first.labels, second.labels);
+    EXPECT_EQ(std::memcmp(&first.objective, &second.objective,
+                          sizeof(double)),
+              0);
+  }
 }
 
 TEST_F(FaultInjectionTest, AllRestartsPoisonedSurfacesComputationError) {
-  fault::Arm({"kmeans", FaultKind::kInjectNaN, 0, 0});
-  KMeansOptions opts;
-  opts.k = 3;
-  opts.restarts = 3;
-  auto c = RunKMeans(BlobData(), opts);
-  ASSERT_FALSE(c.ok());
-  EXPECT_EQ(c.status().code(), StatusCode::kComputationError);
+  const Matrix data = BlobData();
+  for (const test::RestartAlgorithm& a : test::RestartAlgorithms(3, 5)) {
+    SCOPED_TRACE(a.site);
+    fault::Reset();
+    fault::Arm({a.site, FaultKind::kInjectNaN, 0, 0});
+    const test::RestartRun out = a.run(data, 3);
+    EXPECT_EQ(out.status.code(), StatusCode::kComputationError)
+        << out.status.ToString();
+  }
+}
+
+TEST_F(FaultInjectionTest, ExpiredDeadlineInRestartZeroSkipsLaterRestarts) {
+  const Matrix data = BlobData();
+  for (const test::RestartAlgorithm& a : test::RestartAlgorithms(3, 5)) {
+    SCOPED_TRACE(a.site);
+    fault::Reset();
+    fault::Arm({a.site, FaultKind::kExpireDeadline, 1, 1});
+    const test::RestartRun out = a.run(data, 3);
+    ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+    EXPECT_EQ(fault::TotalFires(a.site), 1u);
+    EXPECT_FALSE(out.converged);
+    ASSERT_FALSE(out.diagnostics.trace.points.empty());
+    for (const ConvergencePoint& p : out.diagnostics.trace.points) {
+      EXPECT_EQ(p.restart, 0u) << "iteration " << p.iteration;
+    }
+    EXPECT_EQ(out.diagnostics.trace.winning_restart, 0u);
+    // A stopped run still labels every object.
+    ASSERT_FALSE(out.labels.empty());
+    EXPECT_GE(*std::min_element(out.labels.begin(), out.labels.end()), 0);
+  }
 }
 
 TEST_F(FaultInjectionTest, RetryWithReseedRecoversDeterministically) {

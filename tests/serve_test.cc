@@ -1046,6 +1046,69 @@ TEST(DaemonFaultTest, CrashFaultSuspendsThenResumesInDaemon) {
   EXPECT_EQ(ReportEssence(ReadFileOrEmpty(done.GetString("report", ""))),
             ReportEssence(DiscoveryReportJson(outcome.report, compact)));
 }
+
+TEST(DaemonFaultTest, StatusPollsDuringFaultResumeSeeConsistentJob) {
+  // Two crash fires: the job is fault-resumed twice while a second client
+  // polls `status` as fast as it can. The worker publishes the resume
+  // through the queue mutex, so every poll sees a consistent job record.
+  fault::Reset();
+  FaultSpec spec;
+  spec.site = "dec-kmeans";
+  spec.kind = FaultKind::kCrash;
+  spec.at_iteration = 2;
+  spec.max_fires = 2;
+  fault::Arm(spec);
+
+  DaemonFixture fixture(/*workers=*/1);
+  serve::Daemon daemon(fixture.options);
+  ASSERT_TRUE(daemon.Start().ok());
+  serve::Client client(fixture.options.socket_path);
+  ASSERT_TRUE(client.Connect().ok());
+  const std::string job_id =
+      SubmitOk(&client, CustomerSpec(11, 150)).GetString("job_id", "");
+  ASSERT_FALSE(job_id.empty());
+
+  std::atomic<bool> stop{false};
+  size_t polls = 0;
+  size_t failed_polls = 0;
+  std::thread poller([&] {
+    serve::Client watcher(fixture.options.socket_path);
+    if (!watcher.Connect().ok()) {
+      ++failed_polls;
+      return;
+    }
+    serve::Request status;
+    status.op = "status";
+    status.job_id = job_id;
+    do {
+      auto response = watcher.Call(status);
+      ++polls;
+      if (!response.ok() || !response->GetBool("ok", false)) ++failed_polls;
+    } while (!stop.load());
+  });
+  const json::Value done = WaitTerminal(&client, job_id);
+  stop.store(true);
+  poller.join();
+  daemon.Shutdown();
+  EXPECT_EQ(fault::TotalFires("dec-kmeans"), 2u);
+  fault::Reset();
+
+  EXPECT_EQ(done.GetString("state", ""), "done");
+  EXPECT_GT(polls, 0u);
+  EXPECT_EQ(failed_polls, 0u);
+  // Both "resumed" rows carry the run's fingerprint.
+  const std::string fingerprint = done.GetString("fingerprint", "");
+  ASSERT_FALSE(fingerprint.empty());
+  std::vector<ledger::RunRecord> records;
+  ASSERT_TRUE(ledger::Read(daemon.ledger_path(), &records).ok());
+  size_t resumed = 0;
+  for (const ledger::RunRecord& record : records) {
+    if (record.job != job_id || record.status != "resumed") continue;
+    ++resumed;
+    EXPECT_EQ(record.fingerprint, fingerprint);
+  }
+  EXPECT_EQ(resumed, 2u);
+}
 #endif  // MULTICLUST_FAULT_INJECTION
 
 }  // namespace
