@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels underneath the
 // algorithms: pairwise distances, Jacobi eigendecomposition, one-sided
-// Jacobi SVD, a Lloyd iteration, dense-unit mining, kernel matrices and
-// the exact silhouette.
+// Jacobi SVD, a Lloyd iteration, dense-unit mining, kernel matrices, the
+// exact silhouette and the nearest-centre assignment.
 //
 // The harness flags (--json=PATH, --quick) are consumed before
 // benchmark::Initialize, so the usual --benchmark_* flags still work.
@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/clustering.h"
 #include "cluster/hierarchical.h"
 #include "cluster/kmeans.h"
 #include "common/rng.h"
@@ -127,6 +128,27 @@ void BM_Silhouette(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Silhouette)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond);
+
+// n rows in 6 dimensions against 5 centres: the shape of every
+// dec-kmeans assignment step of an auto-k job.
+struct AssignInput {
+  Matrix data;
+  Matrix centers;
+};
+
+AssignInput MakeAssignInput(size_t n) {
+  AssignInput in{RandomMatrix(n, 6, 9), Matrix(5, 6)};
+  for (size_t c = 0; c < 5; ++c) in.centers.CopyRowFrom(in.data, 97 * c, c);
+  return in;
+}
+
+void BM_AssignToNearest(benchmark::State& state) {
+  const AssignInput in = MakeAssignInput(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(AssignToNearest(in.data, in.centers));
+  }
+}
+BENCHMARK(BM_AssignToNearest)->Arg(8000)->Unit(benchmark::kMillisecond);
 
 double TimeUnitToMs(benchmark::TimeUnit unit) {
   switch (unit) {
@@ -344,6 +366,28 @@ void RecordSilhouette(bench::Harness* h) {
            "n=8000");
 }
 
+// AssignToNearest (row-lane kernel, parallel over row blocks) against the
+// per-pair NearestSquared loop it replaced, one call each. The labels
+// must be equal; the speedup is host-dependent.
+void RecordAssignToNearest(bench::Harness* h) {
+  const AssignInput in = MakeAssignInput(8000);
+  const size_t n = in.data.rows(), k = in.centers.rows();
+  std::vector<int> fast, per_pair(n);
+  const double fast_ms =
+      OnceMs([&] { fast = AssignToNearest(in.data, in.centers); });
+  const double per_pair_ms = OnceMs([&] {
+    for (size_t i = 0; i < n; ++i) {
+      per_pair[i] = kernels::NearestSquared(
+          in.data.row_data(i), in.centers.row_data(0), k, in.data.cols());
+    }
+  });
+  h->Scalar("assign_8000_per_pair_ms", per_pair_ms, HostDependent("ms"));
+  h->Scalar("assign_8000_speedup", per_pair_ms / fast_ms, HostDependent("x"));
+  h->Check("assign_to_nearest_equal_per_pair", fast == per_pair,
+           "AssignToNearest must return the per-pair NearestSquared labels "
+           "at n=8000, d=6, k=5");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -367,12 +411,13 @@ int main(int argc, char** argv) {
 
   RecordKernelGflops(&h, h.quick());
   RecordSilhouette(&h);
+  RecordAssignToNearest(&h);
 
-  // 2+3+3+1+3+2+2 registered (name, size) combinations — a registration
+  // 2+3+3+1+3+2+2+1 registered (name, size) combinations — a registration
   // that silently disappears should fail the diff, not just shrink it.
   h.Scalar("benchmarks_recorded", static_cast<double>(reporter.recorded()));
   h.Check("all_microbenchmarks_ran",
-          reporter.recorded() == 16 && reporter.errors() == 0,
-          "all 16 registered micro-benchmark cases must run without error");
+          reporter.recorded() == 17 && reporter.errors() == 0,
+          "all 17 registered micro-benchmark cases must run without error");
   return h.Finish();
 }

@@ -11,6 +11,7 @@
 #include "common/checkpoint.h"
 #include "common/fault.h"
 #include "common/metrics.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/trace.h"
 #include "linalg/decomposition.h"
@@ -34,40 +35,61 @@ struct State {
   }
 };
 
-// Cluster means from current labels (empty clusters keep their rep as mean).
-Matrix MeansFromLabels(const Matrix& data, const std::vector<int>& labels,
-                       const Matrix& fallback_reps, size_t k) {
-  Matrix means(k, data.cols());
-  std::vector<size_t> counts(k, 0);
+// Per-cluster member counts and coordinate sums of one clustering, added
+// in ascending row order (unassigned rows skipped).
+struct ClusterSums {
+  std::vector<size_t> counts;
+  Matrix sums;
+};
+
+ClusterSums SumByCluster(const Matrix& data, const std::vector<int>& labels,
+                         size_t k) {
+  ClusterSums cs{std::vector<size_t>(k, 0), Matrix(k, data.cols())};
   for (size_t i = 0; i < data.rows(); ++i) {
     const int c = labels[i];
     if (c < 0) continue;
-    ++counts[c];
-    kernels::Add(means.row_data(c), data.row_data(i), data.cols());
+    ++cs.counts[c];
+    kernels::Add(cs.sums.row_data(c), data.row_data(i), data.cols());
   }
-  for (size_t c = 0; c < k; ++c) {
-    if (counts[c] == 0) {
+  return cs;
+}
+
+// Cluster means (empty clusters keep their rep as mean).
+Matrix MeansOf(const ClusterSums& cs, const Matrix& fallback_reps) {
+  Matrix means = cs.sums;
+  for (size_t c = 0; c < cs.counts.size(); ++c) {
+    if (cs.counts[c] == 0) {
       means.SetRow(c, fallback_reps.Row(c));
       continue;
     }
     double* m = means.row_data(c);
-    for (size_t j = 0; j < data.cols(); ++j) {
-      m[j] /= static_cast<double>(counts[c]);
+    for (size_t j = 0; j < means.cols(); ++j) {
+      m[j] /= static_cast<double>(cs.counts[c]);
     }
   }
   return means;
+}
+
+// acc + sum_i ||x_i - reps_{labels_i}||^2, added in ascending i (unassigned
+// rows add +0, which leaves the never-negative-zero sum unchanged). The
+// per-row distances are computed on the pool first.
+double AddCompactness(double acc, const Matrix& data, const Matrix& reps,
+                      const std::vector<int>& labels) {
+  std::vector<double> dist(data.rows());
+  ParallelFor(0, data.rows(), 256, [&](size_t lo, size_t hi) {
+    kernels::AssignedSquaredDistances(data.row_data(lo), hi - lo,
+                                      reps.row_data(0), labels.data() + lo,
+                                      data.cols(), dist.data() + lo);
+  });
+  for (double v : dist) acc += v;
+  return acc;
 }
 
 double Objective(const Matrix& data, const State& s, double lambda) {
   double g = 0.0;
   // Compactness.
   for (size_t t = 0; t < s.reps.size(); ++t) {
-    for (size_t i = 0; i < data.rows(); ++i) {
-      const int c = s.labels[t][i];
-      if (c < 0) continue;
-      g += kernels::SquaredDistance(data.row_data(i), s.reps[t].row_data(c),
-                                    data.cols());
-    }
+    g = AddCompactness(g, data, s.reps[t], s.labels[t]);
   }
   // Decorrelation penalty between every ordered pair of clusterings.
   for (size_t t = 0; t < s.reps.size(); ++t) {
@@ -147,8 +169,8 @@ Result<RestartOutcome> RunRestart(const Matrix& data,
       MC_ASSIGN_OR_RETURN(Clustering init, RunKMeans(data, km));
       s.reps[t] = init.centroids;
       s.labels[t] = init.labels;
-      s.means[t] = MeansFromLabels(data, s.labels[t], s.reps[t],
-                                   options.ks[t]);
+      s.means[t] = MeansOf(SumByCluster(data, s.labels[t], options.ks[t]),
+                           s.reps[t]);
     }
     prev = Objective(data, s, options.lambda);
     history.push_back(prev);
@@ -174,9 +196,9 @@ Result<RestartOutcome> RunRestart(const Matrix& data,
     for (size_t t = 0; t < num_clusterings; ++t) {
       // 1. Assignment to nearest representative.
       s.labels[t] = AssignToNearest(data, s.reps[t]);
-      // 2. Means from assignment.
-      s.means[t] =
-          MeansFromLabels(data, s.labels[t], s.reps[t], options.ks[t]);
+      // 2. Means from assignment; the counts and sums also feed step 3.
+      const ClusterSums cs = SumByCluster(data, s.labels[t], options.ks[t]);
+      s.means[t] = MeansOf(cs, s.reps[t]);
       // 3. Closed-form representative update: minimising
       //    sum_{x in C_i} ||x - r||^2 + lambda * sum_{u != t, j}
       //    (beta^u_j^T r)^2 gives
@@ -195,16 +217,8 @@ Result<RestartOutcome> RunRestart(const Matrix& data,
           }
         }
       }
-      std::vector<size_t> counts(options.ks[t], 0);
-      Matrix sums(options.ks[t], d);
-      for (size_t i = 0; i < n; ++i) {
-        const int c = s.labels[t][i];
-        if (c < 0) continue;
-        ++counts[c];
-        kernels::Add(sums.row_data(c), data.row_data(i), d);
-      }
       for (size_t c = 0; c < options.ks[t]; ++c) {
-        if (counts[c] == 0) {
+        if (cs.counts[c] == 0) {
           // Re-seed an empty cluster at a random object.
           s.reps[t].SetRow(c, data.Row(rng->NextIndex(n)));
           ++reseeds;
@@ -212,10 +226,10 @@ Result<RestartOutcome> RunRestart(const Matrix& data,
         }
         Matrix a = b;
         for (size_t j = 0; j < d; ++j) {
-          a.at(j, j) += static_cast<double>(counts[c]) + 1e-9;
+          a.at(j, j) += static_cast<double>(cs.counts[c]) + 1e-9;
         }
         MC_ASSIGN_OR_RETURN(std::vector<double> r,
-                            SolveSpd(a, sums.Row(c)));
+                            SolveSpd(a, cs.sums.Row(c)));
         s.reps[t].SetRow(c, r);
       }
     }
@@ -306,7 +320,6 @@ uint64_t DecFingerprint(const Matrix& data, const DecKMeansOptions& options) {
 Result<DecKMeansResult> RunDecorrelatedKMeans(
     const Matrix& data, const DecKMeansOptions& options) {
   const size_t n = data.rows();
-  const size_t d = data.cols();
   const size_t num_clusterings = options.ks.size();
   if (num_clusterings < 2) {
     return Status::InvalidArgument(
@@ -360,14 +373,7 @@ Result<DecKMeansResult> RunDecorrelatedKMeans(
     c.algorithm = "dec-kmeans";
     c.iterations = best.iterations;
     c.converged = best.converged;
-    double sse = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const int cl = c.labels[i];
-      if (cl < 0) continue;
-      sse += kernels::SquaredDistance(data.row_data(i),
-                                      best.state.reps[t].row_data(cl), d);
-    }
-    c.quality = sse;
+    c.quality = AddCompactness(0.0, data, c.centroids, c.labels);
     MC_RETURN_IF_ERROR(result.solutions.Add(std::move(c)));
   }
   return result;

@@ -1,5 +1,6 @@
 #include "cluster/clustering.h"
 
+#include "common/parallel.h"
 #include "linalg/kernels.h"
 #include "stats/contingency.h"
 
@@ -29,11 +30,13 @@ void Clustering::Canonicalize() {
 std::vector<int> AssignToNearest(const Matrix& data, const Matrix& centers) {
   std::vector<int> labels(data.rows(), -1);
   if (centers.rows() == 0) return labels;
-  const double* centers_flat = centers.row_data(0);
-  for (size_t i = 0; i < data.rows(); ++i) {
-    labels[i] = kernels::NearestSquared(data.row_data(i), centers_flat,
-                                        centers.rows(), data.cols());
-  }
+  // Labels are written per row, so the result is the same for any thread
+  // count.
+  ParallelFor(0, data.rows(), 256, [&](size_t lo, size_t hi) {
+    kernels::NearestSquaredRows(data.row_data(lo), hi - lo,
+                                centers.row_data(0), centers.rows(),
+                                data.cols(), labels.data() + lo);
+  });
   return labels;
 }
 

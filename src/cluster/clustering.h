@@ -71,7 +71,9 @@ class Clusterer {
 };
 
 /// Assigns every row of `data` to the nearest row of `centers` (squared
-/// Euclidean). Shared by k-means-style algorithms.
+/// Euclidean, ties to the lowest index), in parallel over row blocks; the
+/// labels do not depend on the thread count. Shared by k-means-style
+/// algorithms.
 std::vector<int> AssignToNearest(const Matrix& data, const Matrix& centers);
 
 }  // namespace multiclust

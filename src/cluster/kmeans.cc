@@ -17,13 +17,6 @@ namespace multiclust {
 
 namespace {
 
-// Squared distance from row i of data to row c of centers.
-double RowCenterDist2(const Matrix& data, size_t i, const Matrix& centers,
-                      size_t c) {
-  return kernels::SquaredDistance(data.row_data(i), centers.row_data(c),
-                                  data.cols());
-}
-
 // Per-row squared norms ||x_i||^2 (for the norm-form assignment step).
 std::vector<double> RowSquaredNorms(const Matrix& m) {
   std::vector<double> norms(m.rows());
@@ -44,16 +37,21 @@ std::vector<float> ToFloat32(const Matrix& m) {
 }
 
 // Exact-form SSE via deterministic chunked reduction (fixed grain), so the
-// objective is bit-identical for any thread count.
+// objective is bit-identical for any thread count. Each chunk sums its
+// rows' distances to their own centres in ascending order.
 double SseOf(const Matrix& data, const Matrix& centers,
              const std::vector<int>& labels) {
+  constexpr size_t kGrain = 1024;
   return ParallelReduce(
-      0, data.rows(), 1024, 0.0,
+      0, data.rows(), kGrain, 0.0,
       [&](size_t lo, size_t hi) {
+        double dist[kGrain];
+        kernels::AssignedSquaredDistances(data.row_data(lo), hi - lo,
+                                          centers.row_data(0),
+                                          labels.data() + lo, data.cols(),
+                                          dist);
         double s = 0.0;
-        for (size_t i = lo; i < hi; ++i) {
-          s += RowCenterDist2(data, i, centers, labels[i]);
-        }
+        for (size_t i = 0; i < hi - lo; ++i) s += dist[i];
         return s;
       },
       [](double a, double b) { return a + b; });
@@ -91,7 +89,8 @@ Matrix InitCenters(const Matrix& data, size_t k, bool plus_plus, Rng* rng,
             data_f32 != nullptr
                 ? static_cast<double>(kernels::SquaredDistanceF(
                       data_f32->data() + i * d, ctr_f32.data(), d))
-                : RowCenterDist2(data, i, centers, c - 1);
+                : kernels::SquaredDistance(data.row_data(i),
+                                           centers.row_data(c - 1), d);
         d2[i] = std::min(d2[i], dist);
       }
     });
@@ -177,17 +176,11 @@ Result<LloydResult> RunLloyd(const Matrix& data, size_t k, size_t max_iters,
       // inner loop is a plain dot product. Labels are written per point,
       // so the step is bit-identical for any thread count.
       const std::vector<double> c_norms = RowSquaredNorms(r.centers);
-      const double* centers_flat = r.centers.row_data(0);
       ParallelFor(0, n, 256, [&](size_t lo, size_t hi) {
-        // Telemetry FLOP tally per chunk (never per point): the norm-form
-        // scan is a k x d dot product (2 flops/element) per point.
-        telemetry::CountFlops(2 * (hi - lo) * k * d,
-                              (hi - lo) * d * sizeof(double));
-        for (size_t i = lo; i < hi; ++i) {
-          r.labels[i] =
-              kernels::NearestNormForm(data.row_data(i), centers_flat, k, d,
-                                       x_norms[i], c_norms.data());
-        }
+        kernels::NearestNormFormRows(data.row_data(lo), hi - lo,
+                                     r.centers.row_data(0), k, d,
+                                     x_norms.data() + lo, c_norms.data(),
+                                     r.labels.data() + lo);
       });
     }
     // Update step (always float64, also on the float32 assignment path).

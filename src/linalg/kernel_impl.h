@@ -242,6 +242,152 @@ int NearestNormForm(const double* x, const double* centers, size_t k, size_t d,
   return best_c;
 }
 
+// --- row-lane distance kernels (four rows ride the four lanes). ---
+//
+// Each group of four rows is transposed to lane-major order and each
+// centre coordinate is broadcast, so one vector op advances four
+// (row, centre) pairs. Eight slot accumulators s[j % 8] replay the
+// per-pair kernels lane for lane: slot l < 4 is lane l of acc0, slot l + 4
+// is lane l of acc1, and the combine ((s0+s4)+(s1+s5)) + ((s2+s6)+(s3+s7))
+// is acc0 + acc1 followed by ReduceSum's fixed order. The per-pair
+// kernels' zero-padded tail slots only add +0 to an accumulator that
+// started at +0 and so is never -0 (+0 + -0 = +0); adding +0 leaves it
+// unchanged, so the row-lane kernels skip those slots. Every distance or
+// dot product is therefore bit-identical to SquaredDistance / Dot on the
+// same backend, and with them identical across backends.
+
+// lanes[4*t + l] = x_{l, t} for the first `width` rows of x (stride d);
+// lanes of missing rows are zero.
+inline void TransposeRows(const double* x, size_t width, size_t d,
+                          double* lanes) {
+  for (size_t t = 0; t < d; ++t) {
+    for (size_t l = 0; l < 4; ++l) {
+      lanes[4 * t + l] = l < width ? x[l * d + t] : 0.0;
+    }
+  }
+}
+
+// Runs slot = term(t, slot) for coordinate t = 0 .. d-1 into slot t % 8,
+// then combines the slots in the per-pair kernels' order.
+template <typename V, typename Term>
+V SlotReduce(size_t d, const Term& term) {
+  V s0 = V::Zero(), s1 = V::Zero(), s2 = V::Zero(), s3 = V::Zero();
+  V s4 = V::Zero(), s5 = V::Zero(), s6 = V::Zero(), s7 = V::Zero();
+  size_t t = 0;
+  for (; t + 8 <= d; t += 8) {
+    s0 = term(t, s0);
+    s1 = term(t + 1, s1);
+    s2 = term(t + 2, s2);
+    s3 = term(t + 3, s3);
+    s4 = term(t + 4, s4);
+    s5 = term(t + 5, s5);
+    s6 = term(t + 6, s6);
+    s7 = term(t + 7, s7);
+  }
+  switch (d - t) {
+    case 7: s6 = term(t + 6, s6); [[fallthrough]];
+    case 6: s5 = term(t + 5, s5); [[fallthrough]];
+    case 5: s4 = term(t + 4, s4); [[fallthrough]];
+    case 4: s3 = term(t + 3, s3); [[fallthrough]];
+    case 3: s2 = term(t + 2, s2); [[fallthrough]];
+    case 2: s1 = term(t + 1, s1); [[fallthrough]];
+    case 1: s0 = term(t, s0); [[fallthrough]];
+    default: break;
+  }
+  return ((s0 + s4) + (s1 + s5)) + ((s2 + s6) + (s3 + s7));
+}
+
+// out[r] = NearestSquared(x_r, centers, k, d) for the `count` rows
+// x_r = x + r*d.
+template <typename V>
+void NearestSquaredRows(const double* x, size_t count, const double* centers,
+                        size_t k, size_t d, int* out) {
+  std::vector<double> lanes(4 * d);
+  const double* xl = lanes.data();
+  for (size_t r0 = 0; r0 < count; r0 += 4) {
+    const size_t width = count - r0 < 4 ? count - r0 : 4;
+    TransposeRows(x + r0 * d, width, d, lanes.data());
+    double best[4] = {0, 0, 0, 0};
+    int best_c[4] = {0, 0, 0, 0};
+    for (size_t c = 0; c < k; ++c) {
+      const double* ctr = centers + c * d;
+      double s[4];
+      SlotReduce<V>(d, [&](size_t t, V acc) {
+        const V diff = V::Load(xl + 4 * t) - V::Broadcast(ctr[t]);
+        return V::MulAdd(diff, diff, acc);
+      }).Store(s);
+      for (size_t l = 0; l < width; ++l) {
+        if (c == 0 || s[l] < best[l]) {
+          best[l] = s[l];
+          best_c[l] = static_cast<int>(c);
+        }
+      }
+    }
+    for (size_t l = 0; l < width; ++l) out[r0 + l] = best_c[l];
+  }
+}
+
+// out[r] = NearestNormForm(x_r, centers, k, d, x_norms[r], center_norms)
+// for the `count` rows x_r = x + r*d.
+template <typename V>
+void NearestNormFormRows(const double* x, size_t count, const double* centers,
+                         size_t k, size_t d, const double* x_norms,
+                         const double* center_norms, int* out) {
+  std::vector<double> lanes(4 * d);
+  const double* xl = lanes.data();
+  for (size_t r0 = 0; r0 < count; r0 += 4) {
+    const size_t width = count - r0 < 4 ? count - r0 : 4;
+    TransposeRows(x + r0 * d, width, d, lanes.data());
+    double best[4] = {0, 0, 0, 0};
+    int best_c[4] = {0, 0, 0, 0};
+    for (size_t c = 0; c < k; ++c) {
+      const double* ctr = centers + c * d;
+      double dot[4];
+      SlotReduce<V>(d, [&](size_t t, V acc) {
+        return V::MulAdd(V::Load(xl + 4 * t), V::Broadcast(ctr[t]), acc);
+      }).Store(dot);
+      for (size_t l = 0; l < width; ++l) {
+        const double dist = x_norms[r0 + l] - 2.0 * dot[l] + center_norms[c];
+        if (c == 0 || dist < best[l]) {
+          best[l] = dist;
+          best_c[l] = static_cast<int>(c);
+        }
+      }
+    }
+    for (size_t l = 0; l < width; ++l) out[r0 + l] = best_c[l];
+  }
+}
+
+// out[r] = SquaredDistance(x_r, centers + labels[r]*d, d) for the `count`
+// rows x_r = x + r*d; a row with a negative label gets +0. Both operands
+// are per lane here: the four rows' own centres are transposed alongside.
+template <typename V>
+void AssignedSquaredDistances(const double* x, size_t count,
+                              const double* centers, const int* labels,
+                              size_t d, double* out) {
+  std::vector<double> lanes(8 * d);
+  const double* xl = lanes.data();
+  double* cl = lanes.data() + 4 * d;
+  for (size_t r0 = 0; r0 < count; r0 += 4) {
+    const size_t width = count - r0 < 4 ? count - r0 : 4;
+    TransposeRows(x + r0 * d, width, d, lanes.data());
+    for (size_t l = 0; l < 4; ++l) {
+      const int c = l < width ? labels[r0 + l] : -1;
+      for (size_t t = 0; t < d; ++t) {
+        cl[4 * t + l] = c >= 0 ? centers[static_cast<size_t>(c) * d + t] : 0.0;
+      }
+    }
+    double s[4];
+    SlotReduce<V>(d, [&](size_t t, V acc) {
+      const V diff = V::Load(xl + 4 * t) - V::Load(cl + 4 * t);
+      return V::MulAdd(diff, diff, acc);
+    }).Store(s);
+    for (size_t l = 0; l < width; ++l) {
+      out[r0 + l] = labels[r0 + l] >= 0 ? s[l] : 0.0;
+    }
+  }
+}
+
 // Cache-blocked row-major GEMM: c[i,:] = a[i,:] * b for i in
 // [row_begin, row_end). a is (? x acols), b is (acols x bcols), c rows
 // must be zero-initialized. Blocked over columns (kNc) and the inner

@@ -92,6 +92,33 @@ int NearestNormForm(const double* x, const double* centers, size_t k, size_t d,
   return impl::NearestNormForm<Double4>(x, centers, k, d, x_norm,
                                         center_norms);
 }
+// The row-lane kernels tally at call granularity (one row block per
+// call). Per (row, centre) pair: d subs, d muls and d adds for a squared
+// distance; d muls and d adds for a dot product plus the norm form's
+// three. Bytes count per-row traffic only (the row, its own centre, its
+// inputs and output; the shared centres stay cached), so a tally summed
+// over row blocks does not depend on how the rows were split.
+void NearestSquaredRows(const double* x, size_t count, const double* centers,
+                        size_t k, size_t d, int* out) {
+  telemetry::CountFlops(3 * count * k * d,
+                        count * (d * sizeof(double) + sizeof(int)));
+  impl::NearestSquaredRows<Double4>(x, count, centers, k, d, out);
+}
+void NearestNormFormRows(const double* x, size_t count, const double* centers,
+                         size_t k, size_t d, const double* x_norms,
+                         const double* center_norms, int* out) {
+  telemetry::CountFlops(count * k * (2 * d + 3),
+                        count * ((d + 1) * sizeof(double) + sizeof(int)));
+  impl::NearestNormFormRows<Double4>(x, count, centers, k, d, x_norms,
+                                     center_norms, out);
+}
+void AssignedSquaredDistances(const double* x, size_t count,
+                              const double* centers, const int* labels,
+                              size_t d, double* out) {
+  telemetry::CountFlops(3 * count * d,
+                        count * ((2 * d + 1) * sizeof(double) + sizeof(int)));
+  impl::AssignedSquaredDistances<Double4>(x, count, centers, labels, d, out);
+}
 void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
               double* c, size_t row_begin, size_t row_end) {
   // Telemetry FLOP tally at call granularity (one row block per call —

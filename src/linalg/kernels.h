@@ -70,6 +70,23 @@ int NearestSquared(const double* x, const double* centers, size_t k, size_t d);
 /// argmin_c x_norm - 2*x.center_c + center_norms[c], ties -> lowest index.
 int NearestNormForm(const double* x, const double* centers, size_t k, size_t d,
                     double x_norm, const double* center_norms);
+/// Row-lane batches of the nearest-centre and own-centre distance scans,
+/// for the `count` rows x_r = x + r*d. Every distance (or dot product) is
+/// bit-identical to SquaredDistance (or Dot) of the same pair, so the
+/// labels equal the per-pair kernels' on every backend (kernel_impl.h has
+/// the argument).
+/// out[r] = NearestSquared(x_r, centers, k, d).
+void NearestSquaredRows(const double* x, size_t count, const double* centers,
+                        size_t k, size_t d, int* out);
+/// out[r] = NearestNormForm(x_r, centers, k, d, x_norms[r], center_norms).
+void NearestNormFormRows(const double* x, size_t count, const double* centers,
+                         size_t k, size_t d, const double* x_norms,
+                         const double* center_norms, int* out);
+/// out[r] = SquaredDistance(x_r, centers + labels[r]*d, d), or +0 where
+/// labels[r] < 0.
+void AssignedSquaredDistances(const double* x, size_t count,
+                              const double* centers, const int* labels,
+                              size_t d, double* out);
 /// Cache-blocked row-major GEMM for rows [row_begin, row_end):
 /// c[i,:] = a[i,:] * b. c rows must be zeroed. a is (?,acols), b is
 /// (acols,bcols). Result is independent of the internal block sizes.
@@ -114,6 +131,14 @@ void GaussianRow(const double* x, const double* rows, size_t count, size_t d,
 int NearestSquared(const double* x, const double* centers, size_t k, size_t d);
 int NearestNormForm(const double* x, const double* centers, size_t k, size_t d,
                     double x_norm, const double* center_norms);
+void NearestSquaredRows(const double* x, size_t count, const double* centers,
+                        size_t k, size_t d, int* out);
+void NearestNormFormRows(const double* x, size_t count, const double* centers,
+                         size_t k, size_t d, const double* x_norms,
+                         const double* center_norms, int* out);
+void AssignedSquaredDistances(const double* x, size_t count,
+                              const double* centers, const int* labels,
+                              size_t d, double* out);
 void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
               double* c, size_t row_begin, size_t row_end);
 void ClusterDistanceSums(const double* x, size_t count, const double* data,

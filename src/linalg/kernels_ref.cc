@@ -66,6 +66,21 @@ int NearestNormForm(const double* x, const double* centers, size_t k, size_t d,
   return impl::NearestNormForm<Double4>(x, centers, k, d, x_norm,
                                         center_norms);
 }
+void NearestSquaredRows(const double* x, size_t count, const double* centers,
+                        size_t k, size_t d, int* out) {
+  impl::NearestSquaredRows<Double4>(x, count, centers, k, d, out);
+}
+void NearestNormFormRows(const double* x, size_t count, const double* centers,
+                         size_t k, size_t d, const double* x_norms,
+                         const double* center_norms, int* out) {
+  impl::NearestNormFormRows<Double4>(x, count, centers, k, d, x_norms,
+                                     center_norms, out);
+}
+void AssignedSquaredDistances(const double* x, size_t count,
+                              const double* centers, const int* labels,
+                              size_t d, double* out) {
+  impl::AssignedSquaredDistances<Double4>(x, count, centers, labels, d, out);
+}
 void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
               double* c, size_t row_begin, size_t row_end) {
   impl::GemmRows<Double4>(a, acols, b, bcols, c, row_begin, row_end);

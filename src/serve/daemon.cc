@@ -307,13 +307,14 @@ void Daemon::Shutdown() {
   }
   watchdog_stop_.store(true);
   if (watchdog_.joinable()) watchdog_.join();
+  // The acceptor is joined, so no connection starts any more. Join the
+  // rest outside conn_mu_: a finishing thread takes it to report itself.
+  std::unordered_map<std::thread::id, std::thread> open;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    for (std::thread& c : connections_) {
-      if (c.joinable()) c.join();
-    }
-    connections_.clear();
+    open.swap(connections_);
   }
+  for (auto& [id, c] : open) c.join();
   telemetry::SetProgressSink(nullptr);
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -330,6 +331,7 @@ void Daemon::Shutdown() {
 
 void Daemon::AcceptLoop() {
   while (!draining_.load(std::memory_order_relaxed)) {
+    ReapConnections();
     pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
     const int rc = ::poll(fds, 2, 200);
     if (rc < 0) {
@@ -340,11 +342,26 @@ void Daemon::AcceptLoop() {
     if ((fds[0].revents & POLLIN) != 0) {
       const int cfd = ::accept(listen_fd_, nullptr, nullptr);
       if (cfd < 0) continue;
+      // Registered under conn_mu_, which the new thread needs before it
+      // can report itself finished.
       std::lock_guard<std::mutex> lock(conn_mu_);
-      connections_.emplace_back(&Daemon::HandleConnection, this, cfd);
+      std::thread t(&Daemon::HandleConnection, this, cfd);
+      const std::thread::id id = t.get_id();
+      connections_.emplace(id, std::move(t));
     }
   }
   draining_.store(true, std::memory_order_relaxed);
+}
+
+void Daemon::ReapConnections() {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  // A finished thread only has to return, so joining it here is brief.
+  for (const std::thread::id id : finished_connections_) {
+    const auto it = connections_.find(id);
+    it->second.join();
+    connections_.erase(it);
+  }
+  finished_connections_.clear();
 }
 
 void Daemon::WatchdogLoop() {
@@ -487,6 +504,8 @@ void Daemon::HandleConnection(int fd) {
     buffer.append(chunk, static_cast<size_t>(n));
   }
   ::close(fd);
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  finished_connections_.push_back(std::this_thread::get_id());
 }
 
 void Daemon::HandleRequest(const std::string& line, int fd) {

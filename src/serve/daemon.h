@@ -8,6 +8,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/runguard.h"
@@ -102,6 +103,10 @@ class Daemon {
 
  private:
   void AcceptLoop();
+  /// Joins the connection threads that have finished, so a closed
+  /// connection's stack is freed at the next accept-loop turn instead of
+  /// at shutdown.
+  void ReapConnections();
   void WorkerLoop();
   void WatchdogLoop();
   void HandleConnection(int fd);
@@ -149,7 +154,10 @@ class Daemon {
   std::thread acceptor_;
   std::thread watchdog_;
   std::mutex conn_mu_;
-  std::vector<std::thread> connections_;
+  /// Connection threads not yet joined, and the ids of those that have
+  /// returned from HandleConnection (both guarded by conn_mu_).
+  std::unordered_map<std::thread::id, std::thread> connections_;
+  std::vector<std::thread::id> finished_connections_;
   std::mutex lifecycle_mu_;
   std::condition_variable lifecycle_cv_;
 };

@@ -9,6 +9,7 @@
 
 #include "altspace/cami.h"
 #include "altspace/cib.h"
+#include "cluster/clustering.h"
 #include "cluster/dbscan.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -317,6 +318,68 @@ TEST(ThreadInvarianceTest, RestartDrivenAlgorithms) {
   }
 }
 
+// Row count with 256-row chunks and a partial one, d = 7 (a partial
+// 8-slot block) and k = 5: the assignment kernel's chunking must be
+// invisible in the labels, which also equal the per-pair kernel's.
+TEST(ThreadInvarianceTest, AssignToNearest) {
+  std::vector<ViewSpec> views(2);
+  views[0] = {3, 4, 10.0, 1.0, ""};
+  views[1] = {2, 3, 8.0, 1.0, ""};
+  const Matrix data = MakeMultiView(3001, views, 0, 43)->data();
+  Matrix centers(5, data.cols());
+  for (size_t c = 0; c < centers.rows(); ++c) {
+    centers.CopyRowFrom(data, 600 * c + 1, c);
+  }
+  const auto run = [&] { return AssignToNearest(data, centers); };
+  const std::vector<int> serial = WithThreads(1, run);
+  for (size_t i = 0; i < data.rows(); ++i) {
+    ASSERT_EQ(serial[i],
+              kernels::NearestSquared(data.row_data(i), centers.row_data(0),
+                                      centers.rows(), data.cols()))
+        << "row " << i;
+  }
+  for (const size_t threads : {2u, 4u}) {
+    EXPECT_EQ(WithThreads(threads, run), serial) << "threads=" << threads;
+  }
+}
+
+// dec-kmeans's objective sums per-row distances computed on the pool; its
+// history (one objective per iteration), final objective and per-solution
+// SSE must keep their bits at every thread count.
+TEST(ThreadInvarianceTest, DecKMeansHistoryAndObjective) {
+  std::vector<ViewSpec> views(2);
+  views[0] = {3, 3, 8.0, 1.0, ""};
+  views[1] = {3, 3, 8.0, 1.0, ""};
+  const Matrix data = MakeMultiView(2500, views, 0, 47)->data();
+  DecKMeansOptions opts;
+  opts.ks = {3, 3};
+  opts.restarts = 2;
+  opts.seed = 11;
+  const auto run = [&] { return RunDecorrelatedKMeans(data, opts).value(); };
+  const DecKMeansResult serial = WithThreads(1, run);
+  ASSERT_GT(serial.history.size(), 2u);
+  for (const size_t threads : {2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const DecKMeansResult parallel = WithThreads(threads, run);
+    ASSERT_EQ(parallel.history.size(), serial.history.size());
+    EXPECT_EQ(std::memcmp(parallel.history.data(), serial.history.data(),
+                          serial.history.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(&parallel.objective, &serial.objective,
+                          sizeof(double)),
+              0);
+    ASSERT_EQ(parallel.solutions.size(), serial.solutions.size());
+    for (size_t t = 0; t < serial.solutions.size(); ++t) {
+      EXPECT_EQ(parallel.solutions.at(t).labels,
+                serial.solutions.at(t).labels);
+      EXPECT_EQ(std::memcmp(&parallel.solutions.at(t).quality,
+                            &serial.solutions.at(t).quality, sizeof(double)),
+                0)
+          << "solution " << t;
+    }
+  }
+}
+
 TEST(ThreadInvarianceTest, DbscanBruteForceAndIndexed) {
   std::vector<ViewSpec> views(1);
   views[0] = {3, 3, 6.0, 0.9, ""};
@@ -533,6 +596,42 @@ TEST(SimdInvarianceTest, KMeansAssignmentMatchesScalarBackend) {
     ASSERT_EQ(kernels::SquaredDistance(row, centers.row_data(fast), d),
               kernels::ref::SquaredDistance(row, centers.row_data(fast), d))
         << "point " << i;
+  }
+}
+
+TEST(SimdInvarianceTest, DecKMeansMatchesScalarBackend) {
+  // dec-kmeans runs on the row-lane kernels: its assignment to the final
+  // representatives and each solution's SSE (the ascending sum of per-row
+  // own-centre distances) must come out the same from the scalar build.
+  std::vector<ViewSpec> views(2);
+  views[0] = {3, 4, 10.0, 1.0, ""};
+  views[1] = {2, 3, 8.0, 1.0, ""};  // 7 columns: a partial slot block
+  const Matrix data = MakeMultiView(700, views, 0, 53)->data();
+  DecKMeansOptions opts;
+  opts.ks = {3, 4};
+  opts.seed = 5;
+  const DecKMeansResult result = RunDecorrelatedKMeans(data, opts).value();
+  const size_t n = data.rows(), d = data.cols();
+  for (size_t t = 0; t < result.solutions.size(); ++t) {
+    SCOPED_TRACE("solution " + std::to_string(t));
+    const Clustering& c = result.solutions.at(t);
+    const Matrix& reps = c.centroids;
+    std::vector<int> ref_labels(n);
+    kernels::ref::NearestSquaredRows(data.row_data(0), n, reps.row_data(0),
+                                     reps.rows(), d, ref_labels.data());
+    EXPECT_EQ(AssignToNearest(data, reps), ref_labels);
+    std::vector<double> dist(n);
+    kernels::ref::AssignedSquaredDistances(data.row_data(0), n,
+                                           reps.row_data(0), c.labels.data(),
+                                           d, dist.data());
+    double sse = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(dist[i], kernels::ref::SquaredDistance(
+                             data.row_data(i), reps.row_data(c.labels[i]), d))
+          << "row " << i;
+      sse += dist[i];
+    }
+    EXPECT_EQ(std::memcmp(&sse, &c.quality, sizeof(double)), 0);
   }
 }
 

@@ -4,14 +4,17 @@
 // with jobs in flight, restart, zero accepted jobs lost, bit-identical
 // reports.
 
+#include <dirent.h>
 #include <ftw.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -864,6 +867,62 @@ TEST(DaemonTest, DrainRequestedBeforeStartStopsAcceptLoopAtOnce) {
   daemon.Wait();
   serve::Client late(fixture.options.socket_path);
   EXPECT_FALSE(late.Connect().ok());
+}
+
+// Threads of this process (entries of /proc/self/task).
+size_t TaskCount() {
+  size_t count = 0;
+  if (DIR* dir = ::opendir("/proc/self/task")) {
+    while (const dirent* entry = ::readdir(dir)) {
+      if (entry->d_name[0] != '.') ++count;
+    }
+    ::closedir(dir);
+  }
+  return count;
+}
+
+// Virtual size of this process in kB (the VmSize line of
+// /proc/self/status), or 0 when unreadable.
+size_t VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+  }
+  return 0;
+}
+
+TEST(DaemonTest, SequentialConnectionsDoNotAccumulateThreads) {
+  // Each connection runs on its own thread. A finished one must be joined
+  // while the daemon runs: an exited but unjoined thread keeps its stack
+  // (8 MB of address space by default) until shutdown.
+  DaemonFixture fixture(/*workers=*/0);
+  serve::Daemon daemon(fixture.options);
+  ASSERT_TRUE(daemon.Start().ok());
+  const auto ping = [&] {
+    serve::Client client(fixture.options.socket_path);
+    ASSERT_TRUE(client.Connect().ok());
+    serve::Request request;
+    request.op = "ping";
+    auto response = client.Call(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_TRUE(response->GetBool("ok", false));
+  };
+  for (int i = 0; i < 20; ++i) ping();  // warm the allocator's stack cache
+  const size_t tasks_before = TaskCount();
+  const size_t vm_before_kb = VmSizeKb();
+  ASSERT_GT(tasks_before, 0u);
+  ASSERT_GT(vm_before_kb, 0u);
+  size_t max_tasks = tasks_before;
+  for (int i = 0; i < 500; ++i) {
+    ping();
+    max_tasks = std::max(max_tasks, TaskCount());
+  }
+  EXPECT_LE(max_tasks, tasks_before + 4);
+  EXPECT_LT(VmSizeKb(), vm_before_kb + 256 * 1024)
+      << "500 connections grew the address space by "
+      << (VmSizeKb() - vm_before_kb) / 1024 << " MB";
+  daemon.Shutdown();
 }
 
 #if defined(MULTICLUST_DISCOVERD_PATH)

@@ -4,9 +4,11 @@
 // and numerically faithful to a naive reference within reduction-order
 // tolerance. Also pins tie-breaking and the GemmRows blocking invariance.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,6 +34,12 @@ std::vector<float> RandVecF(size_t n, uint64_t seed) {
   std::vector<float> v(n);
   for (auto& x : v) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
   return v;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 // Lengths that exercise every tail residue and a few vectorized bodies.
@@ -220,6 +228,87 @@ TEST(SimdKernelTest, NearestKernelsAgreeWithRefAndBreakTiesLow) {
   EXPECT_EQ(k::ref::NearestSquared(x.data(), same.data(), kcount, d), 0);
 }
 
+// The row-lane kernels promise the per-pair kernels' result for every
+// row, on both builds: d 1-21 (every slot residue, one and two 8-blocks),
+// k 1-9, counts that are not a multiple of 4, exact ties (a duplicated
+// centre, a row equal to a centre) and infinite coordinates (inf - inf is
+// NaN, whose comparisons are all false). The per-pair NearestSquared /
+// NearestNormForm / SquaredDistance are the oracle.
+TEST(SimdKernelTest, RowLaneKernelsMatchPerPairKernelsAndRef) {
+  const double inf = std::numeric_limits<double>::infinity();
+  size_t cases = 0;
+  for (size_t d = 1; d <= 21; ++d) {
+    for (size_t kc = 1; kc <= 9; ++kc) {
+      for (size_t count : {1, 2, 3, 5, 6, 7, 13, 22}) {
+        const uint64_t seed = 1000 * d + 10 * kc + count;
+        auto x = RandVec(count * d, seed);
+        auto centers = RandVec(kc * d, seed + 7);
+        if (kc >= 3) {  // duplicated centre: the lower index must win
+          std::copy(centers.begin() + d, centers.begin() + 2 * d,
+                    centers.end() - d);
+        }
+        std::copy(centers.end() - d, centers.end(), x.begin());  // dist 0
+        if (count >= 3) x[2 * d] = inf;
+        if (count >= 4) x[3 * d + d - 1] = -inf;
+        if (kc >= 2 && count % 2 == 0) centers[d] = inf;  // some NaN pairs
+        std::vector<double> xn(count), cn(kc);
+        for (size_t r = 0; r < count; ++r) {
+          xn[r] = k::SquaredNorm(x.data() + r * d, d);
+        }
+        for (size_t c = 0; c < kc; ++c) {
+          cn[c] = k::SquaredNorm(centers.data() + c * d, d);
+        }
+
+        std::vector<int> sq(count, -7), sq_ref(count, -8), nf(count, -7),
+            nf_ref(count, -8);
+        k::NearestSquaredRows(x.data(), count, centers.data(), kc, d,
+                              sq.data());
+        k::ref::NearestSquaredRows(x.data(), count, centers.data(), kc, d,
+                                   sq_ref.data());
+        k::NearestNormFormRows(x.data(), count, centers.data(), kc, d,
+                               xn.data(), cn.data(), nf.data());
+        k::ref::NearestNormFormRows(x.data(), count, centers.data(), kc, d,
+                                    xn.data(), cn.data(), nf_ref.data());
+        std::vector<int> labels(count);
+        for (size_t r = 0; r < count; ++r) {
+          const double* row = x.data() + r * d;
+          const int want_sq = k::NearestSquared(row, centers.data(), kc, d);
+          ASSERT_EQ(want_sq,
+                    k::ref::NearestSquared(row, centers.data(), kc, d));
+          const int want_nf = k::NearestNormForm(row, centers.data(), kc, d,
+                                                 xn[r], cn.data());
+          ASSERT_EQ(want_nf, k::ref::NearestNormForm(row, centers.data(), kc,
+                                                     d, xn[r], cn.data()));
+          ASSERT_EQ(sq[r], want_sq) << "d=" << d << " k=" << kc << " r=" << r;
+          ASSERT_EQ(sq_ref[r], want_sq) << "d=" << d << " k=" << kc;
+          ASSERT_EQ(nf[r], want_nf) << "d=" << d << " k=" << kc << " r=" << r;
+          ASSERT_EQ(nf_ref[r], want_nf) << "d=" << d << " k=" << kc;
+          // Own-centre labels, with one unassigned row per call.
+          labels[r] = r == count / 2 ? -1 : static_cast<int>((r * 5) % kc);
+        }
+
+        std::vector<double> dist(count, -1.0), dist_ref(count, -2.0),
+            want(count);
+        k::AssignedSquaredDistances(x.data(), count, centers.data(),
+                                    labels.data(), d, dist.data());
+        k::ref::AssignedSquaredDistances(x.data(), count, centers.data(),
+                                         labels.data(), d, dist_ref.data());
+        for (size_t r = 0; r < count; ++r) {
+          want[r] = labels[r] < 0
+                        ? 0.0
+                        : k::SquaredDistance(x.data() + r * d,
+                                             centers.data() + labels[r] * d,
+                                             d);
+        }
+        ASSERT_TRUE(SameBits(dist, want)) << "d=" << d << " k=" << kc;
+        ASSERT_TRUE(SameBits(dist_ref, want)) << "d=" << d << " k=" << kc;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 21u * 9u * 8u);
+}
+
 TEST(SimdKernelTest, GemmRowsMatchesRefAndNaive) {
   // Odd shapes straddle the j-block (512) and k-block (64) boundaries.
   struct Shape {
@@ -284,12 +373,6 @@ std::vector<double> NaiveClusterSums(const std::vector<double>& x,
     }
   }
   return out;
-}
-
-bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 TEST(SimdKernelTest, ClusterDistanceSumsBitIdenticalToRefAndScalarLoop) {

@@ -265,6 +265,43 @@ TEST(ResourceProfileTest, ClusterDistanceSumsCountsExactFlops) {
                 7u * sizeof(size_t));
 }
 
+// The row-lane assignment kernels count their work once per call: 3d
+// flops per (row, centre) squared distance, 2d + 3 per norm-form
+// distance, 3d per own-centre distance; bytes are each row's own doubles
+// and label, so the tally does not depend on how rows are split.
+TEST(ResourceProfileTest, RowLaneKernelsCountExactFlops) {
+  const size_t count = 5, d = 3, k = 2;
+  const std::vector<double> x(count * d, 0.5), centers(k * d, 0.25);
+  const std::vector<double> x_norms(count, 0.75), c_norms(k, 0.1875);
+  std::vector<int> labels(count, 0);
+  std::vector<double> dist(count);
+  {
+    telemetry::ResourceScope scope;
+    kernels::NearestSquaredRows(x.data(), count, centers.data(), k, d,
+                                labels.data());
+    const telemetry::ResourceProfile p = scope.Snapshot();
+    EXPECT_EQ(p.flops, 5u * 2u * 3u * 3u);  // 90
+    EXPECT_EQ(p.kernel_bytes, 5u * (3u * sizeof(double) + sizeof(int)));
+  }
+  {
+    telemetry::ResourceScope scope;
+    kernels::NearestNormFormRows(x.data(), count, centers.data(), k, d,
+                                 x_norms.data(), c_norms.data(),
+                                 labels.data());
+    const telemetry::ResourceProfile p = scope.Snapshot();
+    EXPECT_EQ(p.flops, 5u * 2u * (2u * 3u + 3u));  // 90
+    EXPECT_EQ(p.kernel_bytes, 5u * (4u * sizeof(double) + sizeof(int)));
+  }
+  {
+    telemetry::ResourceScope scope;
+    kernels::AssignedSquaredDistances(x.data(), count, centers.data(),
+                                      labels.data(), d, dist.data());
+    const telemetry::ResourceProfile p = scope.Snapshot();
+    EXPECT_EQ(p.flops, 5u * 3u * 3u);  // 45
+    EXPECT_EQ(p.kernel_bytes, 5u * (7u * sizeof(double) + sizeof(int)));
+  }
+}
+
 // Silhouette's tally is the kernel's over every row block: each of the n
 // rows (noise included) against every non-noise row.
 TEST(ResourceProfileTest, SilhouetteFlopsCoverEveryPair) {
