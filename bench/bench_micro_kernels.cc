@@ -129,6 +129,28 @@ void BM_Silhouette(benchmark::State& state) {
 }
 BENCHMARK(BM_Silhouette)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond);
 
+// The same rows under select_k's candidate labellings, k = 2..6, scored in
+// one Silhouettes pass: the shape of select_k in an auto-k job.
+std::vector<std::vector<int>> CandidateLabellings(size_t n) {
+  std::vector<std::vector<int>> labellings;
+  for (size_t k = 2; k <= 6; ++k) {
+    std::vector<int> labels(n);
+    for (size_t i = 0; i < n; ++i) labels[i] = static_cast<int>(i % k);
+    labellings.push_back(std::move(labels));
+  }
+  return labellings;
+}
+
+void BM_SilhouetteBatch(benchmark::State& state) {
+  const SilhouetteInput in = MakeSilhouetteInput(state.range(0));
+  const std::vector<std::vector<int>> labellings =
+      CandidateLabellings(in.data.rows());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Silhouettes(in.data, labellings));
+  }
+}
+BENCHMARK(BM_SilhouetteBatch)->Arg(8000)->Unit(benchmark::kMillisecond);
+
 // n rows in 6 dimensions against 5 centres: the shape of every
 // dec-kmeans assignment step of an auto-k job.
 struct AssignInput {
@@ -364,6 +386,32 @@ void RecordSilhouette(bench::Harness* h) {
   h->Check("silhouette_bitwise_equal_serial", identical,
            "Silhouette must return the serial loop's bits at n=2000 and "
            "n=8000");
+
+  // One Silhouettes pass over select_k's five candidate labellings against
+  // five Silhouette calls: the same bits, one distance pass instead of five.
+  const SilhouetteInput in = MakeSilhouetteInput(8000);
+  const std::vector<std::vector<int>> labellings =
+      CandidateLabellings(in.data.rows());
+  std::vector<Result<double>> batch;
+  std::vector<double> single;
+  const double batch_ms =
+      OnceMs([&] { batch = Silhouettes(in.data, labellings).value(); });
+  const double single_ms = OnceMs([&] {
+    for (const std::vector<int>& labels : labellings) {
+      single.push_back(Silhouette(in.data, labels).value());
+    }
+  });
+  h->Scalar("silhouette_batch_8000_single_ms", single_ms, HostDependent("ms"));
+  h->Scalar("silhouette_batch_8000_speedup", single_ms / batch_ms,
+            HostDependent("x"));
+  bool batch_equal = batch.size() == single.size();
+  for (size_t l = 0; batch_equal && l < batch.size(); ++l) {
+    batch_equal = batch[l].ok() && std::memcmp(&batch[l].value(), &single[l],
+                                               sizeof(double)) == 0;
+  }
+  h->Check("silhouette_batch_equal_single", batch_equal,
+           "Silhouettes over k = 2..6 must return the bits of five "
+           "Silhouette calls at n=8000");
 }
 
 // AssignToNearest (row-lane kernel, parallel over row blocks) against the
@@ -413,11 +461,12 @@ int main(int argc, char** argv) {
   RecordSilhouette(&h);
   RecordAssignToNearest(&h);
 
-  // 2+3+3+1+3+2+2+1 registered (name, size) combinations — a registration
-  // that silently disappears should fail the diff, not just shrink it.
+  // 2+3+3+1+3+2+2+1+1 registered (name, size) combinations — a
+  // registration that silently disappears should fail the diff, not just
+  // shrink it.
   h.Scalar("benchmarks_recorded", static_cast<double>(reporter.recorded()));
   h.Check("all_microbenchmarks_ran",
-          reporter.recorded() == 17 && reporter.errors() == 0,
-          "all 17 registered micro-benchmark cases must run without error");
+          reporter.recorded() == 18 && reporter.errors() == 0,
+          "all 18 registered micro-benchmark cases must run without error");
   return h.Finish();
 }

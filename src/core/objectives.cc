@@ -17,10 +17,10 @@ QualityFn NegativeSseQuality() {
   };
 }
 
-QualityFn SilhouetteQuality() {
-  return [](const Matrix& data,
-            const std::vector<int>& labels) -> Result<double> {
-    return Silhouette(data, labels);
+QualityFn SilhouetteQuality(const CancelToken* cancel) {
+  return [cancel](const Matrix& data,
+                  const std::vector<int>& labels) -> Result<double> {
+    return Silhouette(data, labels, cancel);
   };
 }
 

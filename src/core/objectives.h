@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/runguard.h"
 #include "core/solution_set.h"
 #include "linalg/matrix.h"
 
@@ -32,8 +33,9 @@ using DissimilarityFn =
 /// Q = negative SSE (so that higher is better).
 QualityFn NegativeSseQuality();
 
-/// Q = mean silhouette.
-QualityFn SilhouetteQuality();
+/// Q = mean silhouette. `cancel` (optional, not owned) reaches every
+/// Silhouette call, which then returns kCancelled.
+QualityFn SilhouetteQuality(const CancelToken* cancel = nullptr);
 
 /// Q = Dunn index.
 QualityFn DunnQuality();

@@ -24,8 +24,11 @@ Result<size_t> SelectKBySilhouette(const Matrix& data, size_t max_k,
     return Status::InvalidArgument("SelectKBySilhouette: max_k must be >= 2");
   }
   MULTICLUST_TRACE_SPAN("pipeline.select_k");
-  size_t best_k = 2;
-  double best_score = -2.0;
+  // Each candidate's k-means depends only on (data, k, seed + k), so all
+  // of them run first; one Silhouettes pass then scores every candidate
+  // with each pairwise distance computed once.
+  std::vector<size_t> candidates;
+  std::vector<std::vector<int>> labellings;
   for (size_t k = 2; k <= max_k && k < data.rows(); ++k) {
     if (cancel != nullptr && cancel->cancelled()) {
       return Status::Cancelled("select_k: cancelled by caller");
@@ -36,11 +39,18 @@ Result<size_t> SelectKBySilhouette(const Matrix& data, size_t max_k,
     opts.seed = seed + k;
     opts.budget.cancel = cancel;
     MC_ASSIGN_OR_RETURN(Clustering c, RunKMeans(data, opts));
-    auto sil = Silhouette(data, c.labels);
-    if (!sil.ok()) continue;
-    if (*sil > best_score) {
-      best_score = *sil;
-      best_k = k;
+    candidates.push_back(k);
+    labellings.push_back(std::move(c.labels));
+  }
+  MC_ASSIGN_OR_RETURN(std::vector<Result<double>> scores,
+                      Silhouettes(data, labellings, cancel));
+  size_t best_k = 2;
+  double best_score = -2.0;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (!scores[i].ok()) continue;
+    if (*scores[i] > best_score) {
+      best_score = *scores[i];
+      best_k = candidates[i];
     }
   }
   return best_k;
@@ -422,10 +432,11 @@ Result<DiscoveryReport> DiscoverMultipleClusterings(
   }
   MULTICLUST_TRACE_SPAN("pipeline.objective");
   telemetry::EmitStage("pipeline.objective", "start");
-  MC_ASSIGN_OR_RETURN(report.objective,
-                      EvaluateObjective(data, report.solutions,
-                                        SilhouetteQuality(),
-                                        NmiDissimilarity(), 1.0));
+  MC_ASSIGN_OR_RETURN(
+      report.objective,
+      EvaluateObjective(data, report.solutions,
+                        SilhouetteQuality(options.budget.cancel),
+                        NmiDissimilarity(), 1.0));
   telemetry::EmitStage("pipeline.objective", "end");
   report.resource = resource_scope.Snapshot();
   telemetry::EmitStage("pipeline", "end");

@@ -92,11 +92,14 @@ struct DiscoveryReport {
 Result<DiscoveryReport> DiscoverMultipleClusterings(
     const Matrix& data, const DiscoveryOptions& options);
 
-/// Silhouette-based selection of k over [2, max_k] using k-means.
-/// `cancel` (optional, not owned) is checked before each candidate k and
-/// forwarded to its k-means; once set the call returns kCancelled. No
-/// other budget member reaches the candidates, so the chosen k never
-/// depends on a deadline or an iteration cap.
+/// Silhouette-based selection of k over [2, max_k] using k-means: the
+/// first candidate with the highest silhouette wins. The candidates'
+/// k-means runs come first, then one Silhouettes pass scores them all.
+/// `cancel` (optional, not owned) is checked before each candidate k,
+/// forwarded to its k-means and polled by the silhouette pass; once set
+/// the call returns kCancelled. No other budget member reaches the
+/// candidates, so the chosen k never depends on a deadline or an
+/// iteration cap.
 Result<size_t> SelectKBySilhouette(const Matrix& data, size_t max_k,
                                    uint64_t seed,
                                    const CancelToken* cancel = nullptr);

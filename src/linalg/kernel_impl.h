@@ -24,8 +24,10 @@
 ///    Square roots are the exception: `Double4::Sqrt` is the IEEE
 ///    correctly rounded root on every backend, so it vectorizes freely.
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "linalg/simd.h"
@@ -456,22 +458,59 @@ void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
   }
 }
 
-// out[r*k + c] = sum over m in [offsets[c], offsets[c+1]) of
-// ||x_r - data_{members[m]}|| for the `count` rows x_r = x + r*d.
+// For every labelling l < num_labellings: out[l][r*ks[l] + c] = sum over
+// the rows j in ascending order with labels[l][j] == c of ||x_r - data_j||,
+// for the `count` rows x_r = x + r*d. A label < 0 skips that labelling.
 //
-// Lanes run across four rows x_r, never across members: each member row
+// Lanes run across four rows x_r, never across the rows j: each data row
 // is broadcast, so every lane runs exactly the scalar recurrence
-//   s = 0; for t ascending: s += (x_rt - y_t)^2;  sum += sqrt(s)
-// with separately rounded mul + add, over the members in list order. The
-// sums are therefore bit-identical to that plain double loop, for any
-// row count and any d. Four member rows are in flight at once (four
-// independent distance chains); their roots still enter the sum one at a
-// time, in member order. Missing rows of a last partial group are
-// zero-padded lanes whose results are dropped.
+//   s = 0; for t ascending: s += (x_rt - y_t)^2;  root = sqrt(s)
+// with separately rounded mul + add. Each root is computed once and added
+// to the (l, labels[l][j]) accumulator of every labelling. j runs
+// ascending, four rows in flight at a time (four independent distance
+// chains) whose roots still enter the sums one at a time in j order, so
+// every (l, c) sum adds the same roots in the same order as a loop over
+// cluster c's members in ascending row order: the plain scalar loop's
+// bits, for any row count, d and labelling count. Missing rows of a last
+// partial group are zero-padded lanes whose results are dropped.
 template <typename V>
-void ClusterDistanceSums(const double* x, size_t count, const double* data,
-                         size_t d, const size_t* members,
-                         const size_t* offsets, size_t k, double* out) {
+void ClusterDistanceSumsMulti(const double* x, size_t count,
+                              const double* data, size_t n, size_t d,
+                              const int* const* labels, const size_t* ks,
+                              size_t num_labellings, double* const* out) {
+  const size_t num = num_labellings;
+  // Accumulator slots, four lanes each: labelling l's cluster c is slot
+  // base[l] + c, and every noise row adds into one discarded slot.
+  std::vector<size_t> base(num + 1, 0);
+  for (size_t l = 0; l < num; ++l) base[l + 1] = base[l] + ks[l];
+  const size_t discard = base[num];
+  std::vector<double> acc(4 * (discard + 1));
+  double* const accs = acc.data();
+  // slot[j*num + l]: offset of row j's accumulator under labelling l, so
+  // the add loop has no branch and no per-labelling base. 32 bits keep
+  // the table small; the offsets stay below 4 * (sum of ks + 1).
+  std::vector<uint32_t> slot(n * num);
+  for (size_t j = 0; j < n; ++j) {
+    for (size_t l = 0; l < num; ++l) {
+      const int c = labels[l][j];
+      slot[j * num + l] = static_cast<uint32_t>(
+          4 * (c >= 0 ? base[l] + static_cast<size_t>(c) : discard));
+    }
+  }
+  const auto add = [&](size_t j, V root) {
+    const uint32_t* s = slot.data() + j * num;
+    // One labelling (every single Silhouette call) skips the loop
+    // bookkeeping, which measurably slows a pass that is this tight.
+    if (num == 1) {
+      double* a = accs + s[0];
+      (V::Load(a) + root).Store(a);
+      return;
+    }
+    for (size_t l = 0; l < num; ++l) {
+      double* a = accs + s[l];
+      (V::Load(a) + root).Store(a);
+    }
+  };
   // Four rows transposed to lane-major: lanes[4*t + l] = x_{r0+l, t}.
   std::vector<double> lanes(4 * d);
   for (size_t r0 = 0; r0 < count; r0 += 4) {
@@ -482,44 +521,46 @@ void ClusterDistanceSums(const double* x, size_t count, const double* data,
       }
     }
     const double* xl = lanes.data();
-    for (size_t c = 0; c < k; ++c) {
-      V acc = V::Zero();
-      size_t m = offsets[c];
-      const size_t end = offsets[c + 1];
-      for (; m + 4 <= end; m += 4) {
-        const double* y0 = data + members[m] * d;
-        const double* y1 = data + members[m + 1] * d;
-        const double* y2 = data + members[m + 2] * d;
-        const double* y3 = data + members[m + 3] * d;
-        V s0 = V::Zero(), s1 = V::Zero(), s2 = V::Zero(), s3 = V::Zero();
-        for (size_t t = 0; t < d; ++t) {
-          const V xi = V::Load(xl + 4 * t);
-          const V d0 = xi - V::Broadcast(y0[t]);
-          const V d1 = xi - V::Broadcast(y1[t]);
-          const V d2 = xi - V::Broadcast(y2[t]);
-          const V d3 = xi - V::Broadcast(y3[t]);
-          s0 = V::MulAdd(d0, d0, s0);
-          s1 = V::MulAdd(d1, d1, s1);
-          s2 = V::MulAdd(d2, d2, s2);
-          s3 = V::MulAdd(d3, d3, s3);
-        }
-        acc = acc + s0.Sqrt();
-        acc = acc + s1.Sqrt();
-        acc = acc + s2.Sqrt();
-        acc = acc + s3.Sqrt();
+    std::fill(acc.begin(), acc.end(), 0.0);
+    size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      const double* y0 = data + j * d;
+      const double* y1 = y0 + d;
+      const double* y2 = y1 + d;
+      const double* y3 = y2 + d;
+      V s0 = V::Zero(), s1 = V::Zero(), s2 = V::Zero(), s3 = V::Zero();
+      for (size_t t = 0; t < d; ++t) {
+        const V xi = V::Load(xl + 4 * t);
+        const V d0 = xi - V::Broadcast(y0[t]);
+        const V d1 = xi - V::Broadcast(y1[t]);
+        const V d2 = xi - V::Broadcast(y2[t]);
+        const V d3 = xi - V::Broadcast(y3[t]);
+        s0 = V::MulAdd(d0, d0, s0);
+        s1 = V::MulAdd(d1, d1, s1);
+        s2 = V::MulAdd(d2, d2, s2);
+        s3 = V::MulAdd(d3, d3, s3);
       }
-      for (; m < end; ++m) {
-        const double* y = data + members[m] * d;
-        V s = V::Zero();
-        for (size_t t = 0; t < d; ++t) {
-          const V diff = V::Load(xl + 4 * t) - V::Broadcast(y[t]);
-          s = V::MulAdd(diff, diff, s);
-        }
-        acc = acc + s.Sqrt();
+      add(j, s0.Sqrt());
+      add(j + 1, s1.Sqrt());
+      add(j + 2, s2.Sqrt());
+      add(j + 3, s3.Sqrt());
+    }
+    for (; j < n; ++j) {
+      const double* y = data + j * d;
+      V s = V::Zero();
+      for (size_t t = 0; t < d; ++t) {
+        const V diff = V::Load(xl + 4 * t) - V::Broadcast(y[t]);
+        s = V::MulAdd(diff, diff, s);
       }
-      double sums[4];
-      acc.Store(sums);
-      for (size_t l = 0; l < width; ++l) out[(r0 + l) * k + c] = sums[l];
+      add(j, s.Sqrt());
+    }
+    for (size_t l = 0; l < num; ++l) {
+      for (size_t c = 0; c < ks[l]; ++c) {
+        const double* a = accs + 4 * (base[l] + c);
+        for (size_t r = 0; r < width; ++r) {
+          out[l][(r0 + r) * ks[l] + c] = a[r];
+        }
+      }
     }
   }
 }

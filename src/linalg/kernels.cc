@@ -130,18 +130,24 @@ void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
                             sizeof(double));
   impl::GemmRows<Double4>(a, acols, b, bcols, c, row_begin, row_end);
 }
-void ClusterDistanceSums(const double* x, size_t count, const double* data,
-                         size_t d, const size_t* members,
-                         const size_t* offsets, size_t k, double* out) {
+void ClusterDistanceSumsMulti(const double* x, size_t count,
+                              const double* data, size_t n, size_t d,
+                              const int* const* labels, const size_t* ks,
+                              size_t num_labellings, double* const* out) {
   // Telemetry tally at call granularity (one row block per call): per
-  // (row, member) pair d subs, d muls, d adds, the root and its add.
-  // Bytes: the block's rows, the member rows and indices, the sums.
-  const size_t m = offsets[k] - offsets[0];
-  telemetry::CountFlops(count * m * (3 * d + 2),
-                        (count * d + m * d + count * k) * sizeof(double) +
-                            m * sizeof(size_t));
-  impl::ClusterDistanceSums<Double4>(x, count, data, d, members, offsets, k,
-                                     out);
+  // (row, j) pair d subs, d muls, d adds and the root, shared by every
+  // labelling, plus one add per labelling that labels j. Bytes: the
+  // block's rows, the data rows and labels, the sums.
+  size_t labelled = 0, slots = 0;
+  for (size_t l = 0; l < num_labellings; ++l) {
+    for (size_t j = 0; j < n; ++j) labelled += labels[l][j] >= 0;
+    slots += ks[l];
+  }
+  telemetry::CountFlops(count * (n * (3 * d + 1) + labelled),
+                        (count * d + n * d + count * slots) * sizeof(double) +
+                            num_labellings * n * sizeof(int));
+  impl::ClusterDistanceSumsMulti<Double4>(x, count, data, n, d, labels, ks,
+                                          num_labellings, out);
 }
 
 float DotF(const float* a, const float* b, size_t n) {

@@ -92,16 +92,21 @@ void AssignedSquaredDistances(const double* x, size_t count,
 /// (acols,bcols). Result is independent of the internal block sizes.
 void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
               double* c, size_t row_begin, size_t row_end);
-/// Per-cluster Euclidean distance sums for `count` rows x_r = x + r*d:
-/// out[r*k + c] = sum over m in [offsets[c], offsets[c+1]) of
-/// ||x_r - data_{members[m]}||, each distance the sqrt of the
-/// ascending-coordinate sum of squared differences, summed in member
-/// order. Bit-identical to that plain scalar double loop (lanes run
-/// across rows, never across members). out is (count x k); an empty
-/// member range gives +0.
-void ClusterDistanceSums(const double* x, size_t count, const double* data,
-                         size_t d, const size_t* members,
-                         const size_t* offsets, size_t k, double* out);
+/// Per-cluster Euclidean distance sums of `count` rows x_r = x + r*d
+/// against the n rows of `data`, under `num_labellings` labellings of
+/// those rows at once: out[l][r*ks[l] + c] = sum over the rows j with
+/// labels[l][j] == c of ||x_r - data_j||, each distance the sqrt of the
+/// ascending-coordinate sum of squared differences, summed in ascending
+/// j. Labels must lie in [0, ks[l]); a label < 0 leaves row j out of that
+/// labelling. Every distance is computed once, whatever the labelling
+/// count, and each sum is bit-identical to the plain scalar double loop
+/// over cluster c's members in ascending row order (lanes run across
+/// rows, never across j). out[l] is (count x ks[l]); an empty cluster
+/// gives +0.
+void ClusterDistanceSumsMulti(const double* x, size_t count,
+                              const double* data, size_t n, size_t d,
+                              const int* const* labels, const size_t* ks,
+                              size_t num_labellings, double* const* out);
 
 // --- f32 kernels (fixed 8-lane model; opt-in distance path). ---
 float DotF(const float* a, const float* b, size_t n);
@@ -141,9 +146,10 @@ void AssignedSquaredDistances(const double* x, size_t count,
                               size_t d, double* out);
 void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
               double* c, size_t row_begin, size_t row_end);
-void ClusterDistanceSums(const double* x, size_t count, const double* data,
-                         size_t d, const size_t* members,
-                         const size_t* offsets, size_t k, double* out);
+void ClusterDistanceSumsMulti(const double* x, size_t count,
+                              const double* data, size_t n, size_t d,
+                              const int* const* labels, const size_t* ks,
+                              size_t num_labellings, double* const* out);
 float DotF(const float* a, const float* b, size_t n);
 float SquaredNormF(const float* x, size_t n);
 float SquaredDistanceF(const float* x, const float* b, size_t n);

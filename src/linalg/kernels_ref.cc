@@ -85,11 +85,12 @@ void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
               double* c, size_t row_begin, size_t row_end) {
   impl::GemmRows<Double4>(a, acols, b, bcols, c, row_begin, row_end);
 }
-void ClusterDistanceSums(const double* x, size_t count, const double* data,
-                         size_t d, const size_t* members,
-                         const size_t* offsets, size_t k, double* out) {
-  impl::ClusterDistanceSums<Double4>(x, count, data, d, members, offsets, k,
-                                     out);
+void ClusterDistanceSumsMulti(const double* x, size_t count,
+                              const double* data, size_t n, size_t d,
+                              const int* const* labels, const size_t* ks,
+                              size_t num_labellings, double* const* out) {
+  impl::ClusterDistanceSumsMulti<Double4>(x, count, data, n, d, labels, ks,
+                                          num_labellings, out);
 }
 
 float DotF(const float* a, const float* b, size_t n) {

@@ -32,81 +32,121 @@ Result<double> SumSquaredError(const Matrix& data,
   return sse;
 }
 
-Result<double> Silhouette(const Matrix& data,
-                          const std::vector<int>& labels) {
-  if (data.rows() != labels.size()) {
-    return Status::InvalidArgument("Silhouette: size mismatch");
-  }
+Result<std::vector<Result<double>>> Silhouettes(
+    const Matrix& data, const std::vector<std::vector<int>>& labellings,
+    const CancelToken* cancel) {
   MULTICLUST_TRACE_SPAN("metrics.silhouette");
-  std::vector<int> dense;
-  const size_t k = DenseRelabel(labels, &dense);
-  if (k < 2) {
-    return Status::FailedPrecondition("Silhouette: needs >= 2 clusters");
-  }
   const size_t n = data.rows();
-  // Counting sort of the non-noise rows by cluster: cluster c's members
-  // are members[offsets[c] .. offsets[c+1]), in ascending row order, so
-  // every per-cluster distance sum adds its terms in ascending j.
-  std::vector<size_t> offsets(k + 1, 0);
-  for (int l : dense) {
-    if (l >= 0) ++offsets[l + 1];
-  }
-  for (size_t c = 0; c < k; ++c) offsets[c + 1] += offsets[c];
-  std::vector<size_t> members(offsets[k]);
-  {
-    std::vector<size_t> next(offsets.begin(), offsets.end() - 1);
-    for (size_t i = 0; i < n; ++i) {
-      if (dense[i] >= 0) members[next[dense[i]]++] = i;
+  // The labellings the pass scores: dense labels (noise stays -1) and
+  // cluster sizes. The rest get their status here.
+  struct Scored {
+    size_t index;
+    std::vector<int> dense;
+    std::vector<size_t> sizes;
+  };
+  std::vector<Result<double>> results;
+  std::vector<Scored> scored;
+  for (size_t index = 0; index < labellings.size(); ++index) {
+    if (labellings[index].size() != n) {
+      results.push_back(Status::InvalidArgument("Silhouette: size mismatch"));
+      continue;
     }
+    Scored s{index, {}, {}};
+    const size_t k = DenseRelabel(labellings[index], &s.dense);
+    if (k < 2) {
+      results.push_back(
+          Status::FailedPrecondition("Silhouette: needs >= 2 clusters"));
+      continue;
+    }
+    s.sizes.assign(k, 0);
+    for (int l : s.dense) {
+      if (l >= 0) ++s.sizes[l];
+    }
+    results.push_back(Status::Internal("Silhouette: not scored"));
+    scored.push_back(std::move(s));
   }
-  const auto size_of = [&](size_t c) { return offsets[c + 1] - offsets[c]; };
+  if (scored.empty()) return results;
+  const size_t num = scored.size();
+  std::vector<const int*> label_ptrs(num);
+  std::vector<size_t> ks(num);
+  for (size_t l = 0; l < num; ++l) {
+    label_ptrs[l] = scored[l].dense.data();
+    ks[l] = scored[l].sizes.size();
+  }
 
-  // s(i) per row, over fixed row blocks. The sum for row i includes the
-  // j == i term sqrt(0) = +0, an exact identity on a non-negative sum.
+  // s(i) per labelling and row, over fixed row blocks. Each sum for row
+  // i includes the j == i term sqrt(0) = +0, an exact identity on a
+  // non-negative sum. The token is polled once per block.
   constexpr size_t kRowBlock = 64;
-  std::vector<double> score(n, 0.0);
-  std::vector<unsigned char> scored(n, 0);
+  std::vector<double> score(num * n, 0.0);
+  std::vector<unsigned char> counted_row(num * n, 0);
+  const auto cancelled = [&] {
+    return cancel != nullptr && cancel->cancelled();
+  };
   ParallelFor(0, n, kRowBlock, [&](size_t lo, size_t hi) {
-    std::vector<double> dist_sum(kRowBlock * k);
+    std::vector<std::vector<double>> dist_sum(num);
+    std::vector<double*> out(num);
+    for (size_t l = 0; l < num; ++l) {
+      dist_sum[l].resize(kRowBlock * ks[l]);
+      out[l] = dist_sum[l].data();
+    }
     for (size_t block = lo; block < hi; block += kRowBlock) {
+      if (cancelled()) return;
       const size_t block_end = std::min(block + kRowBlock, hi);
-      kernels::ClusterDistanceSums(data.row_data(block), block_end - block,
-                                   data.row_data(0), data.cols(),
-                                   members.data(), offsets.data(), k,
-                                   dist_sum.data());
-      for (size_t i = block; i < block_end; ++i) {
-        if (dense[i] < 0) continue;
-        const double* sums = dist_sum.data() + (i - block) * k;
-        const size_t own = dense[i];
-        if (size_of(own) <= 1) continue;  // silhouette undefined; skip
-        const double a = sums[own] / static_cast<double>(size_of(own) - 1);
-        double b = std::numeric_limits<double>::infinity();
-        for (size_t c = 0; c < k; ++c) {
-          if (c == own) continue;
-          b = std::min(b, sums[c] / static_cast<double>(size_of(c)));
-        }
-        if (!std::isfinite(b)) continue;
-        const double denom = std::max(a, b);
-        if (denom > 0) {
-          score[i] = (b - a) / denom;
-          scored[i] = 1;
+      kernels::ClusterDistanceSumsMulti(
+          data.row_data(block), block_end - block, data.row_data(0), n,
+          data.cols(), label_ptrs.data(), ks.data(), num, out.data());
+      for (size_t l = 0; l < num; ++l) {
+        const std::vector<int>& dense = scored[l].dense;
+        const std::vector<size_t>& sizes = scored[l].sizes;
+        for (size_t i = block; i < block_end; ++i) {
+          if (dense[i] < 0) continue;
+          const double* sums = out[l] + (i - block) * ks[l];
+          const size_t own = dense[i];
+          if (sizes[own] <= 1) continue;  // silhouette undefined; skip
+          const double a = sums[own] / static_cast<double>(sizes[own] - 1);
+          double b = std::numeric_limits<double>::infinity();
+          for (size_t c = 0; c < ks[l]; ++c) {
+            if (c == own) continue;
+            b = std::min(b, sums[c] / static_cast<double>(sizes[c]));
+          }
+          if (!std::isfinite(b)) continue;
+          const double denom = std::max(a, b);
+          if (denom > 0) {
+            score[l * n + i] = (b - a) / denom;
+            counted_row[l * n + i] = 1;
+          }
         }
       }
     }
   });
+  // The token only ever goes from unset to set, so a skipped block
+  // implies it is set here.
+  if (cancelled()) return Status::Cancelled("silhouette: cancelled by caller");
 
   // Ascending serial reduction: the same bits for any thread count.
-  double total = 0.0;
-  size_t counted = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (!scored[i]) continue;
-    total += score[i];
-    ++counted;
+  for (size_t l = 0; l < num; ++l) {
+    double total = 0.0;
+    size_t counted = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (!counted_row[l * n + i]) continue;
+      total += score[l * n + i];
+      ++counted;
+    }
+    results[scored[l].index] =
+        counted == 0
+            ? Result<double>(Status::FailedPrecondition(
+                  "Silhouette: no scorable objects"))
+            : Result<double>(total / static_cast<double>(counted));
   }
-  if (counted == 0) {
-    return Status::FailedPrecondition("Silhouette: no scorable objects");
-  }
-  return total / static_cast<double>(counted);
+  return results;
+}
+
+Result<double> Silhouette(const Matrix& data, const std::vector<int>& labels,
+                          const CancelToken* cancel) {
+  MC_ASSIGN_OR_RETURN(std::vector<Result<double>> scores,
+                      Silhouettes(data, {labels}, cancel));
+  return scores[0];
 }
 
 Result<double> DunnIndex(const Matrix& data, const std::vector<int>& labels) {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/runguard.h"
 #include "linalg/matrix.h"
 
 namespace multiclust {
@@ -19,8 +20,21 @@ Result<double> SumSquaredError(const Matrix& data,
 
 /// Mean silhouette coefficient in [-1, 1] (higher is better). O(n^2 d),
 /// vectorised and parallel over row blocks; the bits do not depend on the
-/// SIMD backend or the thread count.
-Result<double> Silhouette(const Matrix& data, const std::vector<int>& labels);
+/// SIMD backend or the thread count. The one-labelling case of
+/// Silhouettes.
+Result<double> Silhouette(const Matrix& data, const std::vector<int>& labels,
+                          const CancelToken* cancel = nullptr);
+
+/// Mean silhouette of each labelling of the rows of `data`, in one pass
+/// over the row pairs: every distance is computed once and shared by all
+/// labellings. Entry l is bit-identical to Silhouette(data,
+/// labellings[l]), with the same status when that labelling cannot be
+/// scored (size mismatch, fewer than 2 clusters, no scorable object).
+/// `cancel` (optional, not owned) is polled once per 64-row block; once
+/// set the call returns kCancelled.
+Result<std::vector<Result<double>>> Silhouettes(
+    const Matrix& data, const std::vector<std::vector<int>>& labellings,
+    const CancelToken* cancel = nullptr);
 
 /// Dunn index: min inter-cluster distance / max intra-cluster diameter
 /// (higher is better). O(n^2).

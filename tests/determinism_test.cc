@@ -37,6 +37,7 @@
 #include "subspace/orclus.h"
 #include "subspace/proclus.h"
 #include "support/restart_algorithms.h"
+#include "support/silhouette_oracle.h"
 
 namespace multiclust {
 namespace {
@@ -481,6 +482,40 @@ TEST(ThreadInvarianceTest, Silhouette) {
     EXPECT_EQ(std::memcmp(&serial, &parallel, sizeof(double)), 0)
         << "threads=" << threads;
   }
+  // Five labellings in one Silhouettes pass, as select_k scores them: each
+  // score has the same bits at every thread count and equals its
+  // one-labelling Silhouette.
+  std::vector<std::vector<int>> labellings = {labels};
+  for (int k = 2; k <= 5; ++k) {
+    std::vector<int> l(data.rows());
+    for (size_t i = 0; i < l.size(); ++i) {
+      l[i] = i % (11 + k) == 0 ? -1 : static_cast<int>((i * 13 + k) % k);
+    }
+    labellings.push_back(std::move(l));
+  }
+  const auto run_all = [&] {
+    const std::vector<Result<double>> scores =
+        Silhouettes(data, labellings).value();
+    std::vector<double> out;
+    for (const Result<double>& r : scores) out.push_back(r.value());
+    return out;
+  };
+  const std::vector<double> all1 = WithThreads(1, run_all);
+  ASSERT_EQ(all1.size(), 5u);
+  EXPECT_EQ(std::memcmp(&all1[0], &serial, sizeof(double)), 0);
+  for (size_t l = 1; l < all1.size(); ++l) {
+    const double one = WithThreads(1, [&] {
+      return Silhouette(data, labellings[l]).value();
+    });
+    EXPECT_EQ(std::memcmp(&all1[l], &one, sizeof(double)), 0) << "l=" << l;
+  }
+  for (const size_t threads : {2u, 4u}) {
+    const std::vector<double> all = WithThreads(threads, run_all);
+    ASSERT_EQ(all.size(), all1.size());
+    EXPECT_EQ(std::memcmp(all.data(), all1.data(), all.size() * sizeof(double)),
+              0)
+        << "threads=" << threads;
+  }
 }
 
 TEST(ThreadInvarianceTest, EnclusSubspaces) {
@@ -632,6 +667,60 @@ TEST(SimdInvarianceTest, DecKMeansMatchesScalarBackend) {
       sse += dist[i];
     }
     EXPECT_EQ(std::memcmp(&sse, &c.quality, sizeof(double)), 0);
+  }
+}
+
+TEST(SimdInvarianceTest, SilhouettesMatchScalarBackend) {
+  // The batched silhouette pass's per-cluster distance sums, for five
+  // labellings of 301 rows (7 columns: a partial d, a partial row group),
+  // come out the same from the scalar build; so does every score, which
+  // equals the plain serial loop.
+  std::vector<ViewSpec> views(2);
+  views[0] = {3, 4, 10.0, 1.0, ""};
+  views[1] = {4, 3, 8.0, 1.0, ""};
+  const Matrix data = MakeMultiView(301, views, 0, 61)->data();
+  const size_t n = data.rows(), d = data.cols();
+  std::vector<std::vector<int>> labellings;
+  std::vector<size_t> ks;
+  for (int k = 2; k <= 6; ++k) {
+    std::vector<int> l(n);
+    for (size_t i = 0; i < n; ++i) {
+      l[i] = i % 19 == 0 ? -1 : static_cast<int>((i * 7 + k) % k);
+    }
+    labellings.push_back(std::move(l));
+    ks.push_back(k);
+  }
+  std::vector<const int*> label_ptrs;
+  std::vector<std::vector<double>> fast, ref;
+  std::vector<double*> fast_out, ref_out;
+  for (size_t l = 0; l < labellings.size(); ++l) {
+    label_ptrs.push_back(labellings[l].data());
+    fast.emplace_back(n * ks[l]);
+    ref.emplace_back(n * ks[l]);
+  }
+  for (size_t l = 0; l < labellings.size(); ++l) {
+    fast_out.push_back(fast[l].data());
+    ref_out.push_back(ref[l].data());
+  }
+  kernels::ClusterDistanceSumsMulti(data.row_data(0), n, data.row_data(0), n,
+                                    d, label_ptrs.data(), ks.data(),
+                                    ks.size(), fast_out.data());
+  kernels::ref::ClusterDistanceSumsMulti(data.row_data(0), n,
+                                         data.row_data(0), n, d,
+                                         label_ptrs.data(), ks.data(),
+                                         ks.size(), ref_out.data());
+  for (size_t l = 0; l < labellings.size(); ++l) {
+    EXPECT_EQ(std::memcmp(fast[l].data(), ref[l].data(),
+                          fast[l].size() * sizeof(double)),
+              0)
+        << "labelling " << l;
+  }
+  const std::vector<Result<double>> scores =
+      Silhouettes(data, labellings).value();
+  for (size_t l = 0; l < labellings.size(); ++l) {
+    const double want = test::SerialSilhouette(data, labellings[l]).value();
+    EXPECT_EQ(std::memcmp(&scores[l].value(), &want, sizeof(double)), 0)
+        << "labelling " << l;
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include "altspace/cib.h"
 #include "altspace/disparate.h"
+#include "cluster/kmeans.h"
 #include "common/rng.h"
 #include "core/pipeline.h"
 #include "data/discrete.h"
@@ -19,6 +20,7 @@
 #include "subspace/msc.h"
 #include "subspace/orclus.h"
 #include "subspace/proclus.h"
+#include "support/silhouette_oracle.h"
 
 namespace multiclust {
 namespace {
@@ -442,6 +444,58 @@ TEST(PipelineTest, SelectKBySilhouette) {
   auto k = SelectKBySilhouette(ds->data(), 6, 14);
   ASSERT_TRUE(k.ok());
   EXPECT_EQ(*k, 3u);
+}
+
+// The per-k loop SelectKBySilhouette ran before it scored all candidates
+// in one Silhouettes pass: k-means for one k, then its silhouette (the
+// serial oracle loop), then the next k. Counts the failed silhouettes.
+size_t PerKSelectK(const Matrix& data, size_t max_k, uint64_t seed,
+                   size_t* failed) {
+  size_t best_k = 2;
+  double best_score = -2.0;
+  for (size_t k = 2; k <= max_k && k < data.rows(); ++k) {
+    KMeansOptions opts;
+    opts.k = k;
+    opts.restarts = 5;
+    opts.seed = seed + k;
+    const Clustering c = RunKMeans(data, opts).value();
+    const Result<double> sil = test::SerialSilhouette(data, c.labels);
+    if (!sil.ok()) {
+      ++*failed;
+      continue;
+    }
+    if (*sil > best_score) {
+      best_score = *sil;
+      best_k = k;
+    }
+  }
+  return best_k;
+}
+
+TEST(PipelineTest, SelectKBySilhouetteMatchesPerKLoop) {
+  std::vector<ViewSpec> views(2);
+  views[0] = {3, 4, 6.0, 1.0, ""};
+  views[1] = {2, 3, 6.0, 1.0, ""};
+  for (const uint64_t seed : {3u, 8u, 21u, 40u}) {
+    const Matrix data = MakeMultiView(150 + 10 * seed, views, 1, seed)
+                            ->data();
+    for (const size_t max_k : {2u, 3u, 5u, 8u}) {
+      size_t failed = 0;
+      const auto k = SelectKBySilhouette(data, max_k, seed);
+      ASSERT_TRUE(k.ok()) << k.status().ToString();
+      EXPECT_EQ(*k, PerKSelectK(data, max_k, seed, &failed))
+          << "seed=" << seed << " max_k=" << max_k;
+    }
+  }
+  // Identical rows: every candidate's k-means finds one cluster, so every
+  // silhouette fails and both loops fall back to k = 2.
+  const Matrix same(7, 2, 1.5);
+  size_t failed = 0;
+  const size_t want = PerKSelectK(same, 5, 1, &failed);
+  EXPECT_EQ(failed, 4u);
+  const auto k = SelectKBySilhouette(same, 5, 1);
+  ASSERT_TRUE(k.ok()) << k.status().ToString();
+  EXPECT_EQ(*k, want);
 }
 
 TEST(PipelineTest, DiscoversBothSquareSplits) {

@@ -117,12 +117,16 @@ struct CancelAtStageSink : telemetry::ProgressSink {
       : token(t), stage(std::move(s)) {}
   void OnEvent(const telemetry::ProgressEvent& event) override {
     if (event.stage != stage) return;
-    if (event.phase == "start") token->Cancel();
+    if (event.phase == "start") {
+      tripped = std::chrono::steady_clock::now();
+      token->Cancel();
+    }
     if (event.phase == "end") stage_ended = true;
   }
   CancelToken* token;
   std::string stage;
   bool stage_ended = false;
+  std::chrono::steady_clock::time_point tripped;
 };
 
 TEST_F(FaultInjectionTest, AutoKPipelineCancelledDuringSelectK) {
@@ -289,6 +293,66 @@ TEST_F(FaultInjectionTest, MscCancelDuringHsicPhaseSkipsRemainingPairs) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
   EXPECT_LT(kernel_spans, 2u * 15u);
+}
+
+// ---- Silhouette cancel points ---------------------------------------------
+
+// n = 8000 in two 3-d views of 3 clusters each: the shape of an auto-k
+// dec-kmeans job. One 64-row block of the silhouette pass takes about a
+// millisecond here, and the pass polls the token once per block.
+Matrix ViewData8k() {
+  std::vector<ViewSpec> views(2);
+  for (ViewSpec& v : views) {
+    v.num_dims = 3;
+    v.num_clusters = 3;
+  }
+  return MakeMultiView(8000, views, 0, 31)->data();
+}
+
+TEST_F(FaultInjectionTest, SelectKCancelDuringSilhouettePassReturnsPromptly) {
+  // select_k runs every candidate's k-means, then one silhouette pass for
+  // them all (~0.1 s at n = 8000). Tripped once that pass's span opens,
+  // it must stop within a few blocks, not at the end of the pass.
+  const Matrix data = ViewData8k();
+  CancelToken cancel;
+  Result<size_t> k = Status::Internal("not run");
+  SteadyClock::time_point tripped, returned;
+  bool seen = false;
+  {
+    SpanWatcher watcher("metrics.silhouette", [&] {
+      tripped = SteadyClock::now();
+      cancel.Cancel();
+      seen = true;
+    });
+    k = SelectKBySilhouette(data, 6, 1, &cancel);
+    returned = SteadyClock::now();
+  }
+  ASSERT_TRUE(seen) << "the silhouette span was never observed open";
+  ASSERT_FALSE(k.ok()) << "the pass ended before the token was tripped";
+  EXPECT_EQ(k.status().code(), StatusCode::kCancelled);
+  EXPECT_LE(MsBetween(tripped, returned), 50.0);
+}
+
+TEST_F(FaultInjectionTest, ObjectiveStageCancelReturnsPromptly) {
+  // The objective scores every solution's silhouette (~0.05 s each at
+  // n = 8000). Tripped when the stage starts, the run must return
+  // kCancelled before the stage ends.
+  const Matrix data = ViewData8k();
+  CancelToken cancel;
+  CancelAtStageSink sink(&cancel, "pipeline.objective");
+  telemetry::SetProgressSink(&sink);
+  DiscoveryOptions opts;
+  opts.k = 3;  // no select_k
+  opts.seed = 1;
+  opts.budget.cancel = &cancel;
+  auto r = DiscoverMultipleClusterings(data, opts);
+  const SteadyClock::time_point returned = SteadyClock::now();
+  telemetry::SetProgressSink(nullptr);
+  ASSERT_TRUE(cancel.cancelled()) << "the objective stage never started";
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+  EXPECT_FALSE(sink.stage_ended);
+  EXPECT_LE(MsBetween(sink.tripped, returned), 50.0);
 }
 
 TEST_F(FaultInjectionTest, MvSpectralHonoursBudget) {

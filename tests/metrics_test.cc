@@ -329,6 +329,43 @@ TEST(SilhouetteTest, BitIdenticalToSerialLoopOnEdgeCases) {
   ExpectSameAsSerial(empty_cols, {0, 0, 1, 1}, "zero columns");
 }
 
+// One Silhouettes pass scores each labelling exactly as its own serial
+// loop would, statuses included: every case's data under its own labels,
+// the labels of the next seeds cut or padded to the same n, a one-cluster
+// labelling, an all-noise one and a wrong-sized one.
+TEST(SilhouetteTest, SilhouettesScoreEachLabellingAsItsOwnCall) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    const SilhouetteCase c = RandomSilhouetteCase(seed);
+    const size_t n = c.data.rows();
+    std::vector<std::vector<int>> labellings = {c.labels};
+    for (uint64_t other = seed + 1; other <= seed + 4; ++other) {
+      std::vector<int> l = RandomSilhouetteCase(other).labels;
+      l.resize(n, 3);
+      labellings.push_back(std::move(l));
+    }
+    labellings.push_back(std::vector<int>(n, 2));
+    labellings.push_back(std::vector<int>(n, -1));
+    labellings.push_back(std::vector<int>(n + 1, 0));
+    const std::vector<Result<double>> got =
+        Silhouettes(c.data, labellings).value();
+    ASSERT_EQ(got.size(), labellings.size());
+    for (size_t l = 0; l < labellings.size(); ++l) {
+      const Result<double> want = test::SerialSilhouette(c.data, labellings[l]);
+      const std::string what =
+          "seed=" + std::to_string(seed) + " l=" + std::to_string(l);
+      ASSERT_EQ(got[l].ok(), want.ok()) << what;
+      if (!want.ok()) {
+        EXPECT_EQ(got[l].status().code(), want.status().code()) << what;
+        EXPECT_EQ(got[l].status().message(), want.status().message()) << what;
+        continue;
+      }
+      const double g = *got[l], w = *want;
+      EXPECT_EQ(std::memcmp(&g, &w, sizeof(double)), 0) << what;
+    }
+  }
+  EXPECT_TRUE(Silhouettes(Matrix(3, 1), {}).value().empty());
+}
+
 TEST(DunnTest, SeparationRaisesDunn) {
   const Matrix tight = Matrix::FromRows({{0, 0}, {1, 0}, {10, 0}, {11, 0}});
   const Matrix loose = Matrix::FromRows({{0, 0}, {1, 0}, {2, 0}, {3, 0}});

@@ -351,20 +351,25 @@ TEST(SimdKernelTest, GemmRowsRowRangeOnlyTouchesRequestedRows) {
   }
 }
 
-// The plain scalar loop ClusterDistanceSums promises to reproduce.
-std::vector<double> NaiveClusterSums(const std::vector<double>& x,
-                                     size_t count, const std::vector<double>& data,
-                                     size_t d, const std::vector<size_t>& members,
-                                     const std::vector<size_t>& offsets) {
-  const size_t kc = offsets.size() - 1;
+// The plain scalar loop ClusterDistanceSumsMulti promises to reproduce,
+// one labelling at a time: cluster c's members in ascending row order,
+// each root added in that order.
+std::vector<double> MemberOrderSums(const double* x, size_t count,
+                                    const std::vector<double>& data, size_t d,
+                                    const std::vector<int>& labels,
+                                    size_t kc) {
+  std::vector<std::vector<size_t>> members(kc);
+  for (size_t j = 0; j < labels.size(); ++j) {
+    if (labels[j] >= 0) members[labels[j]].push_back(j);
+  }
   std::vector<double> out(count * kc);
   for (size_t r = 0; r < count; ++r) {
     for (size_t c = 0; c < kc; ++c) {
       double sum = 0.0;
-      for (size_t m = offsets[c]; m < offsets[c + 1]; ++m) {
+      for (size_t m : members[c]) {
         double s = 0.0;
         for (size_t t = 0; t < d; ++t) {
-          const double diff = x[r * d + t] - data[members[m] * d + t];
+          const double diff = x[r * d + t] - data[m * d + t];
           s += diff * diff;
         }
         sum += std::sqrt(s);
@@ -375,62 +380,98 @@ std::vector<double> NaiveClusterSums(const std::vector<double>& x,
   return out;
 }
 
-TEST(SimdKernelTest, ClusterDistanceSumsBitIdenticalToRefAndScalarLoop) {
-  // Row counts cover every count % 4 residue; cluster 1 is an empty
-  // member range; member ids are unsorted across clusters, include the
-  // rows themselves (a +0 term) and span clusters of 1-9 members so both
-  // the 4-wide member loop and its tail run.
-  const size_t npool = 40;
-  for (size_t d : {1, 3, 6, 9, 17, 70}) {
-    const auto pool = RandVec(npool * d, 131 + d);
-    const std::vector<size_t> members = {3, 8, 9, 21, 30, 31, 33, 38, 39,
-                                         0,  // own
-                                         5, 6, 7, 17, 25,
-                                         2, 4, 10, 11};
-    const std::vector<size_t> offsets = {0, 9, 9, 10, 15, 19};
-    const size_t kc = offsets.size() - 1;
-    for (size_t count : {0, 1, 2, 3, 4, 5, 6, 7, 8, 13}) {
-      const double* x = pool.data();  // rows 0 .. count-1 of the pool
-      std::vector<double> fast(count * kc, -1.0), ref(count * kc, -2.0);
-      k::ClusterDistanceSums(x, count, pool.data(), d, members.data(),
-                             offsets.data(), kc, fast.data());
-      k::ref::ClusterDistanceSums(x, count, pool.data(), d, members.data(),
-                                  offsets.data(), kc, ref.data());
-      const std::vector<double> rows(pool.begin(), pool.begin() + count * d);
-      const auto naive =
-          NaiveClusterSums(rows, count, pool, d, members, offsets);
-      EXPECT_TRUE(SameBits(fast, ref)) << "d=" << d << " count=" << count;
-      EXPECT_TRUE(SameBits(fast, naive)) << "d=" << d << " count=" << count;
-      for (size_t r = 0; r < count; ++r) {
-        EXPECT_EQ(fast[r * kc + 1], 0.0) << "empty range must sum to +0";
-        EXPECT_FALSE(std::signbit(fast[r * kc + 1]));
+TEST(SimdKernelTest, ClusterDistanceSumsMultiBitIdenticalToRefAndMemberLoop) {
+  // Row counts and n cover every residue mod 4 (both the 4-wide j loop
+  // and its tail run); labellings carry noise (-1), a singleton cluster
+  // and, for k >= 3, an empty one; rows are scaled
+  // across magnitudes from 1e-160 to 1e150, and the block's rows are rows
+  // of the data, so each of them meets itself (a +0 term).
+  const double kScales[] = {1.0, 1e-3, 1e10, 1e-160, 1e150, 7.5};
+  for (size_t d : {1, 2, 3, 5, 6, 9, 17, 21}) {
+    for (size_t n : {5, 13, 38, 43}) {
+      std::vector<double> pool = RandVec(n * d, 131 + d * 7 + n);
+      for (size_t j = 0; j < n; ++j) {
+        for (size_t t = 0; t < d; ++t) pool[j * d + t] *= kScales[j % 6];
+      }
+      for (size_t num = 1; num <= 6; ++num) {
+        Rng rng(1000 * d + 10 * n + num);
+        std::vector<std::vector<int>> labels(num, std::vector<int>(n));
+        std::vector<size_t> ks(num);
+        for (size_t l = 0; l < num; ++l) {
+          ks[l] = 2 + (l + d + n) % 8;  // 2 .. 9
+          // Rows draw clusters 0 .. drawn-1 or noise; the last row alone
+          // is cluster ks-1, and for ks >= 3 cluster ks-2 stays empty.
+          const size_t drawn = ks[l] >= 3 ? ks[l] - 2 : 1;
+          for (size_t j = 0; j + 1 < n; ++j) {
+            const uint64_t draw = rng.NextIndex(drawn + 1);
+            labels[l][j] = draw == drawn ? -1 : static_cast<int>(draw);
+          }
+          labels[l][n - 1] = static_cast<int>(ks[l]) - 1;
+        }
+        std::vector<const int*> label_ptrs(num);
+        for (size_t l = 0; l < num; ++l) label_ptrs[l] = labels[l].data();
+        for (size_t count : {0, 1, 2, 3, 4, 5, 7, 13}) {
+          if (count > n) continue;
+          std::vector<std::vector<double>> fast(num), ref(num);
+          std::vector<double*> fast_out(num), ref_out(num);
+          for (size_t l = 0; l < num; ++l) {
+            fast[l].assign(count * ks[l], -1.0);
+            ref[l].assign(count * ks[l], -2.0);
+            fast_out[l] = fast[l].data();
+            ref_out[l] = ref[l].data();
+          }
+          k::ClusterDistanceSumsMulti(pool.data(), count, pool.data(), n, d,
+                                      label_ptrs.data(), ks.data(), num,
+                                      fast_out.data());
+          k::ref::ClusterDistanceSumsMulti(pool.data(), count, pool.data(), n,
+                                           d, label_ptrs.data(), ks.data(),
+                                           num, ref_out.data());
+          for (size_t l = 0; l < num; ++l) {
+            const auto want = MemberOrderSums(pool.data(), count, pool, d,
+                                              labels[l], ks[l]);
+            EXPECT_TRUE(SameBits(fast[l], ref[l]))
+                << "d=" << d << " n=" << n << " count=" << count << " l=" << l;
+            EXPECT_TRUE(SameBits(fast[l], want))
+                << "d=" << d << " n=" << n << " count=" << count << " l=" << l;
+          }
+        }
       }
     }
   }
 }
 
-TEST(SimdKernelTest, ClusterDistanceSumsSqrtExactAcrossMagnitudes) {
-  // d = 1 and one member per call: each output is one root, of squared
-  // distances from subnormal to overflow (sqrt(inf) = inf) and exact
-  // zeros. Every lane's Double4::Sqrt must equal std::sqrt.
+TEST(SimdKernelTest, ClusterDistanceSumsMultiSqrtExactAcrossMagnitudes) {
+  // d = 1 and one labelled row per call: each output is one root, of
+  // squared distances from subnormal to overflow (sqrt(inf) = inf) and
+  // exact zeros. Every lane's Double4::Sqrt must equal std::sqrt, and the
+  // second labelling's empty cluster must read +0.
   const std::vector<double> pool = {0.0,    1e-160, 3e-155, 1e-3,  0.5,
                                     1.0,    2.0,    1e10,   1e150, 1e154,
                                     1e155,  1e160,  -1e160, -2.0,  7.25,
                                     -0.0};
   const size_t n = pool.size();
-  const std::vector<size_t> one = {0, 1};
+  const size_t ks[] = {1, 2};
   for (size_t m = 0; m < n; ++m) {
-    std::vector<double> fast(n), ref(n);
-    k::ClusterDistanceSums(pool.data(), n, pool.data(), 1, &m, one.data(), 1,
-                           fast.data());
-    k::ref::ClusterDistanceSums(pool.data(), n, pool.data(), 1, &m,
-                                one.data(), 1, ref.data());
+    std::vector<int> only_m(n, -1);
+    only_m[m] = 0;
+    const int* labels[] = {only_m.data(), only_m.data()};
+    std::vector<double> fast(n), ref(n), fast2(2 * n), ref2(2 * n);
+    double* fast_out[] = {fast.data(), fast2.data()};
+    double* ref_out[] = {ref.data(), ref2.data()};
+    k::ClusterDistanceSumsMulti(pool.data(), n, pool.data(), n, 1, labels, ks,
+                                2, fast_out);
+    k::ref::ClusterDistanceSumsMulti(pool.data(), n, pool.data(), n, 1, labels,
+                                     ks, 2, ref_out);
     EXPECT_TRUE(SameBits(fast, ref)) << "member " << m;
+    EXPECT_TRUE(SameBits(fast2, ref2)) << "member " << m;
     for (size_t i = 0; i < n; ++i) {
       const double diff = pool[i] - pool[m];
       const double want = std::sqrt(diff * diff);
       EXPECT_EQ(std::memcmp(&fast[i], &want, sizeof(double)), 0)
           << "row " << i << " member " << m;
+      EXPECT_EQ(std::memcmp(&fast2[2 * i], &want, sizeof(double)), 0);
+      EXPECT_EQ(fast2[2 * i + 1], 0.0) << "an empty cluster must sum to +0";
+      EXPECT_FALSE(std::signbit(fast2[2 * i + 1]));
     }
   }
 }

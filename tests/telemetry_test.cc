@@ -247,22 +247,26 @@ TEST(ResourceProfileTest, RunDiagnosticsCarryResource) {
   EXPECT_GT(diag.resource.flops, 0u) << "kernel hooks should have fired";
 }
 
-// ClusterDistanceSums counts (3d + 2) flops per (row, member) pair, plus
-// the doubles and member indices it touches, once per call.
+// ClusterDistanceSumsMulti counts (3d + 1) flops per (row, j) pair for
+// the shared distance and root, plus one add per labelling that labels j,
+// and the doubles and labels it touches, once per call.
 TEST(ResourceProfileTest, ClusterDistanceSumsCountsExactFlops) {
-  const size_t count = 5, d = 3, k = 2;
-  const std::vector<double> data(10 * d, 0.5);
-  const std::vector<size_t> members = {1, 4, 6, 2, 3, 8, 9};
-  const std::vector<size_t> offsets = {0, 3, 7};
-  std::vector<double> out(count * k);
+  const size_t count = 5, n = 10, d = 3;
+  const std::vector<double> data(n * d, 0.5);
+  const std::vector<int> first = {-1, 0, 1, 1, 0, -1, 0, -1, 1, 1};  // 7
+  const std::vector<int> second = {0, 1, 2, 0, 1, 2, 0, 1, 2, -1};   // 9
+  const int* labels[] = {first.data(), second.data()};
+  const size_t ks[] = {2, 3};
+  std::vector<double> out0(count * 2), out1(count * 3);
+  double* out[] = {out0.data(), out1.data()};
   telemetry::ResourceScope scope;
-  kernels::ClusterDistanceSums(data.data(), count, data.data(), d,
-                               members.data(), offsets.data(), k, out.data());
+  kernels::ClusterDistanceSumsMulti(data.data(), count, data.data(), n, d,
+                                    labels, ks, 2, out);
   const telemetry::ResourceProfile p = scope.Snapshot();
-  EXPECT_EQ(p.flops, 5u * 7u * (3u * 3u + 2u));  // 385
+  EXPECT_EQ(p.flops, 5u * (10u * (3u * 3u + 1u) + 7u + 9u));  // 580
   EXPECT_EQ(p.kernel_bytes,
-            (5u * 3u + 7u * 3u + 5u * 2u) * sizeof(double) +
-                7u * sizeof(size_t));
+            (5u * 3u + 10u * 3u + 5u * (2u + 3u)) * sizeof(double) +
+                2u * 10u * sizeof(int));
 }
 
 // The row-lane assignment kernels count their work once per call: 3d
@@ -303,17 +307,28 @@ TEST(ResourceProfileTest, RowLaneKernelsCountExactFlops) {
 }
 
 // Silhouette's tally is the kernel's over every row block: each of the n
-// rows (noise included) against every non-noise row.
+// rows (noise included) against every row, one distance and root per
+// pair, and one add per non-noise row. A second labelling in the same
+// Silhouettes pass adds only its own adds.
 TEST(ResourceProfileTest, SilhouetteFlopsCoverEveryPair) {
   const Matrix data = TestData(14);  // 120 rows: two 64-row blocks
   ASSERT_EQ(data.rows(), 120u);
-  std::vector<int> labels(data.rows());
+  std::vector<int> labels(data.rows()), other(data.rows());
   for (size_t i = 0; i < labels.size(); ++i) {
     labels[i] = i % 10 == 0 ? -1 : static_cast<int>(i % 3);
+    other[i] = static_cast<int>(i % 4);
   }
-  telemetry::ResourceScope scope;
-  ASSERT_TRUE(Silhouette(data, labels).ok());
-  EXPECT_EQ(scope.Snapshot().flops, 120u * 108u * (3 * data.cols() + 2));
+  const size_t pair = 3 * data.cols() + 1;
+  {
+    telemetry::ResourceScope scope;
+    ASSERT_TRUE(Silhouette(data, labels).ok());
+    EXPECT_EQ(scope.Snapshot().flops, 120u * (120u * pair + 108u));
+  }
+  {
+    telemetry::ResourceScope scope;
+    ASSERT_TRUE(Silhouettes(data, {labels, other}).ok());
+    EXPECT_EQ(scope.Snapshot().flops, 120u * (120u * pair + 108u + 120u));
+  }
 }
 
 // The eigensolver's work is counted: every TopKEigen iteration multiplies

@@ -336,9 +336,9 @@ TEST(TraceTest, PipelineStagesAppearInTrace) {
   EXPECT_TRUE(test::IsValidJson(json));
 }
 
-// Every Silhouette call of an auto-k run is one metrics.silhouette span,
-// nested directly under the stage that scored: one per candidate k in
-// select_k, one per solution in the objective.
+// Every Silhouettes pass of an auto-k run is one metrics.silhouette span,
+// nested directly under the stage that scored: one for all of select_k's
+// candidates, one per solution in the objective.
 TEST(TraceTest, SilhouetteSpansNestUnderScoringStages) {
   TraceSession session;
   const Matrix data = TestData(44);
@@ -353,7 +353,7 @@ TEST(TraceTest, SilhouetteSpansNestUnderScoringStages) {
   for (const trace::SpanStats& s : trace::Summary()) {
     if (s.name == "metrics.silhouette") spans = s.count;
   }
-  EXPECT_EQ(spans, (opts.max_k - 1) + report->solutions.size());
+  EXPECT_EQ(spans, 1 + report->solutions.size());
   const std::string stacks = trace::CollapsedStacks();
   size_t lines = 0;
   for (size_t at = 0; (at = stacks.find("metrics.silhouette", at)) !=
