@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels underneath the
 // algorithms: pairwise distances, Jacobi eigendecomposition, one-sided
 // Jacobi SVD, a Lloyd iteration, dense-unit mining, kernel matrices, the
-// exact silhouette and the nearest-centre assignment.
+// HSIC dependence matrix, the exact silhouette and the nearest-centre
+// assignment.
 //
 // The harness flags (--json=PATH, --quick) are consumed before
 // benchmark::Initialize, so the usual --benchmark_* flags still work.
@@ -104,6 +105,17 @@ void BM_GaussianKernelMatrix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GaussianKernelMatrix)->Range(64, 512);
+
+// mSC's pairwise dependence matrix over n rows in 6 dimensions (median
+// bandwidth): six packed Gram builds and fifteen traces, the HSIC phase
+// of a spectral-views job.
+void BM_HsicMatrix(benchmark::State& state) {
+  const Matrix data = RandomMatrix(state.range(0), 6, 7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(HsicMatrix(data));
+  }
+}
+BENCHMARK(BM_HsicMatrix)->Arg(250)->Unit(benchmark::kMillisecond);
 
 // n rows in 6 dimensions under a fixed 3-cluster labelling: the shape of
 // every Silhouette call of an auto-k dec-kmeans job.
@@ -461,12 +473,12 @@ int main(int argc, char** argv) {
   RecordSilhouette(&h);
   RecordAssignToNearest(&h);
 
-  // 2+3+3+1+3+2+2+1+1 registered (name, size) combinations — a
+  // 2+3+3+1+3+2+1+2+1+1 registered (name, size) combinations — a
   // registration that silently disappears should fail the diff, not just
   // shrink it.
   h.Scalar("benchmarks_recorded", static_cast<double>(reporter.recorded()));
   h.Check("all_microbenchmarks_ran",
-          reporter.recorded() == 18 && reporter.errors() == 0,
-          "all 18 registered micro-benchmark cases must run without error");
+          reporter.recorded() == 19 && reporter.errors() == 0,
+          "all 19 registered micro-benchmark cases must run without error");
   return h.Finish();
 }

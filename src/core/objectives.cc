@@ -24,10 +24,10 @@ QualityFn SilhouetteQuality(const CancelToken* cancel) {
   };
 }
 
-QualityFn DunnQuality() {
-  return [](const Matrix& data,
-            const std::vector<int>& labels) -> Result<double> {
-    return DunnIndex(data, labels);
+QualityFn DunnQuality(const CancelToken* cancel) {
+  return [cancel](const Matrix& data,
+                  const std::vector<int>& labels) -> Result<double> {
+    return DunnIndex(data, labels, cancel);
   };
 }
 

@@ -37,8 +37,9 @@ QualityFn NegativeSseQuality();
 /// Silhouette call, which then returns kCancelled.
 QualityFn SilhouetteQuality(const CancelToken* cancel = nullptr);
 
-/// Q = Dunn index.
-QualityFn DunnQuality();
+/// Q = Dunn index. `cancel` (optional, not owned) reaches every DunnIndex
+/// call, which then returns kCancelled.
+QualityFn DunnQuality(const CancelToken* cancel = nullptr);
 
 /// Diss = 1 - NMI_sqrt (the library default).
 DissimilarityFn NmiDissimilarity();

@@ -149,7 +149,8 @@ Result<double> Silhouette(const Matrix& data, const std::vector<int>& labels,
   return scores[0];
 }
 
-Result<double> DunnIndex(const Matrix& data, const std::vector<int>& labels) {
+Result<double> DunnIndex(const Matrix& data, const std::vector<int>& labels,
+                         const CancelToken* cancel) {
   if (data.rows() != labels.size()) {
     return Status::InvalidArgument("DunnIndex: size mismatch");
   }
@@ -162,6 +163,9 @@ Result<double> DunnIndex(const Matrix& data, const std::vector<int>& labels) {
   double min_inter = std::numeric_limits<double>::infinity();
   double max_diam = 0.0;
   for (size_t i = 0; i < n; ++i) {
+    if (i % 64 == 0 && cancel != nullptr && cancel->cancelled()) {
+      return Status::Cancelled("DunnIndex: cancelled by caller");
+    }
     if (dense[i] < 0) continue;
     for (size_t j = i + 1; j < n; ++j) {
       if (dense[j] < 0) continue;

@@ -37,8 +37,10 @@ Result<std::vector<Result<double>>> Silhouettes(
     const CancelToken* cancel = nullptr);
 
 /// Dunn index: min inter-cluster distance / max intra-cluster diameter
-/// (higher is better). O(n^2).
-Result<double> DunnIndex(const Matrix& data, const std::vector<int>& labels);
+/// (higher is better). O(n^2). `cancel` (optional, not owned) is polled
+/// once per 64-row block; once set the call returns kCancelled.
+Result<double> DunnIndex(const Matrix& data, const std::vector<int>& labels,
+                         const CancelToken* cancel = nullptr);
 
 /// Cluster means for a labeling (rows = dense-relabeled clusters).
 Result<Matrix> ClusterMeans(const Matrix& data,

@@ -2,6 +2,7 @@
 #define MULTICLUST_STATS_HSIC_H_
 
 #include "common/result.h"
+#include "common/runguard.h"
 #include "linalg/matrix.h"
 
 namespace multiclust {
@@ -17,6 +18,15 @@ Matrix GaussianKernelMatrix(const Matrix& data, double gamma = 0.0);
 /// ~0 for independent views and grows with dependence.
 Result<double> Hsic(const Matrix& x, const Matrix& y, double gamma_x = 0.0,
                     double gamma_y = 0.0);
+
+/// HSIC between every pair of columns of `data` (n >= 2, d >= 2): entry
+/// (a, b), a != b, has the bits of Hsic(column a, column b, gamma, gamma);
+/// the diagonal is zero. Each column's Gram is built once and held packed,
+/// d * n(n+1)/2 doubles in all. `budget` (optional, not owned) is polled
+/// per Gram row and trace row; once cancelled the call returns its
+/// CancelledStatus().
+Result<Matrix> HsicMatrix(const Matrix& data, double gamma = 0.0,
+                          const BudgetTracker* budget = nullptr);
 
 }  // namespace multiclust
 

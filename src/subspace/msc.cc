@@ -27,15 +27,14 @@ Result<MscResult> RunMultipleSpectralViews(const Matrix& data,
   MscResult result;
   // Pairwise dependence between single dimensions.
   result.dim_dependence = Matrix(d, d);
+  if (d >= 2) {
+    MC_ASSIGN_OR_RETURN(result.dim_dependence,
+                        HsicMatrix(data, options.gamma, &guard));
+  }
   double max_dep = 0.0;
   for (size_t a = 0; a < d; ++a) {
     for (size_t b = a + 1; b < d; ++b) {
-      if (guard.Cancelled()) return guard.CancelledStatus();
-      const Matrix xa = data.SelectColumns({a});
-      const Matrix xb = data.SelectColumns({b});
-      MC_ASSIGN_OR_RETURN(double dep, Hsic(xa, xb, options.gamma,
-                                           options.gamma));
-      dep = std::max(dep, 0.0);
+      const double dep = std::max(result.dim_dependence.at(a, b), 0.0);
       result.dim_dependence.at(a, b) = dep;
       result.dim_dependence.at(b, a) = dep;
       max_dep = std::max(max_dep, dep);

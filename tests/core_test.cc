@@ -71,6 +71,11 @@ TEST(ObjectivesTest, StockQualityFunctions) {
   EXPECT_LT(NegativeSseQuality()(ds->data(), truth).value(), 0.0);
   EXPECT_GT(SilhouetteQuality()(ds->data(), truth).value(), 0.8);
   EXPECT_GT(DunnQuality()(ds->data(), truth).value(), 1.0);
+  // A tripped token reaches the Dunn index through the quality function.
+  CancelToken cancel;
+  cancel.Cancel();
+  EXPECT_EQ(DunnQuality(&cancel)(ds->data(), truth).status().code(),
+            StatusCode::kCancelled);
 }
 
 TEST(ObjectivesTest, StockDissimilarityFunctions) {

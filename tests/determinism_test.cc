@@ -461,6 +461,32 @@ TEST(ThreadInvarianceTest, AffinityAndHsic) {
     EXPECT_EQ(k1.MaxAbsDiff(WithThreads(threads, kernel)), 0.0);
     EXPECT_EQ(h1, WithThreads(threads, hsic));
   }
+  // HsicMatrix over 600 rows (three 256-row trace chunks): every entry
+  // has the bits of the serial per-pair Hsic loop at every thread count.
+  std::vector<ViewSpec> views(2);
+  views[0] = {2, 3, 6.0, 1.0, ""};
+  views[1] = {2, 2, 6.0, 1.0, ""};
+  const Matrix wide = MakeMultiView(600, views, 1, 33)->data();
+  const size_t d = wide.cols();
+  const auto matrix = [&] { return HsicMatrix(wide).value(); };
+  const Matrix pairwise = WithThreads(1, [&] {
+    Matrix m(d, d);
+    for (size_t a = 0; a < d; ++a) {
+      for (size_t b = a + 1; b < d; ++b) {
+        m.at(a, b) = Hsic(wide.SelectColumns({a}), wide.SelectColumns({b}))
+                         .value();
+        m.at(b, a) = m.at(a, b);
+      }
+    }
+    return m;
+  });
+  for (const size_t threads : {1u, 2u, 4u}) {
+    const Matrix m = WithThreads(threads, matrix);
+    EXPECT_EQ(std::memcmp(m.row_data(0), pairwise.row_data(0),
+                          d * d * sizeof(double)),
+              0)
+        << "threads=" << threads;
+  }
 }
 
 TEST(ThreadInvarianceTest, Silhouette) {

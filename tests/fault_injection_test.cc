@@ -264,9 +264,9 @@ TEST_F(FaultInjectionTest, SpectralDeadlineDuringEigensolveReturnsPromptly) {
 }
 
 TEST_F(FaultInjectionTest, MscCancelDuringHsicPhaseSkipsRemainingPairs) {
-  // Six dimensions make 15 Hsic calls, two kernel spans each. Cancelled
-  // once the first kernel span opens, mSC must stop at the next pair
-  // instead of finishing the phase and failing at the view loop.
+  // Six dimensions make six Gram builds, one kernel span each. Cancelled
+  // once the first kernel span opens, mSC must stop inside the phase
+  // instead of finishing it and failing at the view loop.
   auto ds = MakeBlobs({{{0, 0, 0, 0, 0, 0}, 1.0, 400},
                        {{5, 5, 5, 5, 5, 5}, 1.0, 400}},
                       29);
@@ -292,7 +292,39 @@ TEST_F(FaultInjectionTest, MscCancelDuringHsicPhaseSkipsRemainingPairs) {
   ASSERT_TRUE(cancel.cancelled()) << "the kernel span was never observed";
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
-  EXPECT_LT(kernel_spans, 2u * 15u);
+  EXPECT_LT(kernel_spans, 6u);
+}
+
+TEST_F(FaultInjectionTest, MscCancelDuringGramBuildReturnsPromptly) {
+  // n = 2000 in six dimensions: one Gram build (a median pass over 2M
+  // distances, then 2M exponentials) takes about 0.1 s at two threads and
+  // the HSIC phase about 1 s. Both passes poll the token once per row, so
+  // a token tripped when the first kernel span opens ends the call well
+  // inside one build.
+  constexpr double kBoundMs = 250.0;
+  auto ds = MakeBlobs({{{0, 0, 0, 0, 0, 0}, 1.0, 1000},
+                       {{5, 5, 5, 5, 5, 5}, 1.0, 1000}},
+                      31);
+  CancelToken cancel;
+  MscOptions opts;
+  opts.k = 2;
+  opts.budget.cancel = &cancel;
+  Result<MscResult> result = Status::Internal("not run");
+  SteadyClock::time_point tripped, returned;
+  bool seen = false;
+  {
+    SpanWatcher watcher("stats.hsic.kernel", [&] {
+      tripped = SteadyClock::now();
+      cancel.Cancel();
+      seen = true;
+    });
+    result = RunMultipleSpectralViews(ds->data(), opts);
+    returned = SteadyClock::now();
+  }
+  ASSERT_TRUE(seen) << "the kernel span was never observed open";
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  EXPECT_LE(MsBetween(tripped, returned), kBoundMs);
 }
 
 // ---- Silhouette cancel points ---------------------------------------------

@@ -374,6 +374,19 @@ TEST(DunnTest, SeparationRaisesDunn) {
             DunnIndex(loose, labels).value());
 }
 
+TEST(DunnTest, TrippedTokenReturnsCancelled) {
+  const Matrix data = Matrix::FromRows({{0, 0}, {1, 0}, {10, 0}, {11, 0}});
+  const std::vector<int> labels = {0, 0, 1, 1};
+  CancelToken cancel;
+  // An unset token leaves the value's bits alone.
+  const double plain = DunnIndex(data, labels).value();
+  const double polled = DunnIndex(data, labels, &cancel).value();
+  EXPECT_EQ(std::memcmp(&plain, &polled, sizeof(double)), 0);
+  cancel.Cancel();
+  EXPECT_EQ(DunnIndex(data, labels, &cancel).status().code(),
+            StatusCode::kCancelled);
+}
+
 TEST(ClusterMeansTest, ComputesMeans) {
   const Matrix data = Matrix::FromRows({{0, 0}, {2, 2}, {10, 10}});
   auto means = ClusterMeans(data, {0, 0, 1});

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "data/generators.h"
@@ -10,6 +11,7 @@
 #include "stats/hsic.h"
 #include "stats/kde.h"
 #include "stats/tails.h"
+#include "support/hsic_oracle.h"
 
 namespace multiclust {
 namespace {
@@ -257,6 +259,88 @@ TEST(HsicTest, DependentBeatsIndependent) {
 TEST(HsicTest, RejectsUnpairedRows) {
   EXPECT_FALSE(Hsic(Matrix(3, 1), Matrix(4, 1)).ok());
   EXPECT_FALSE(Hsic(Matrix(1, 1), Matrix(1, 1)).ok());
+}
+
+// d columns sharing one latent draw (even columns linear in it, odd ones
+// quadratic) with per-column noise; with `constant_last` the last column
+// is constant, which sends the median heuristic to its 1.0 fallback.
+Matrix DependentColumns(size_t n, size_t d, bool constant_last, uint64_t seed) {
+  Rng rng(seed);
+  Matrix m(n, d);
+  for (size_t i = 0; i < n; ++i) {
+    const double z = rng.Gaussian(0, 1);
+    for (size_t c = 0; c < d; ++c) {
+      const double signal = c % 2 == 0 ? z : z * z;
+      m.at(i, c) = signal + rng.Gaussian(0, 0.25 * static_cast<double>(c + 1));
+    }
+    if (constant_last) m.at(i, d - 1) = 3.25;
+  }
+  return m;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(HsicMatrixTest, BitIdenticalToPairwiseHsic) {
+  // n = 600 spans three 256-row trace chunks, the others one.
+  for (const size_t n : {2u, 97u, 250u, 600u}) {
+    for (const size_t d : {2u, 7u}) {
+      for (const double gamma : {0.0, 0.7}) {
+        const Matrix data = DependentColumns(n, d, d == 7, 64 + n);
+        const Matrix m = HsicMatrix(data, gamma).value();
+        ASSERT_EQ(m.rows(), d);
+        ASSERT_EQ(m.cols(), d);
+        for (size_t a = 0; a < d; ++a) {
+          EXPECT_EQ(m.at(a, a), 0.0);
+          for (size_t b = a + 1; b < d; ++b) {
+            const Matrix xa = data.SelectColumns({a});
+            const Matrix xb = data.SelectColumns({b});
+            const double pair = Hsic(xa, xb, gamma, gamma).value();
+            const double dense = test::DenseHsic(xa, xb, gamma, gamma).value();
+            EXPECT_TRUE(SameBits(m.at(a, b), pair))
+                << "n=" << n << " d=" << d << " gamma=" << gamma << " (" << a
+                << "," << b << ")";
+            EXPECT_TRUE(SameBits(m.at(b, a), pair));
+            EXPECT_TRUE(SameBits(pair, dense))
+                << "n=" << n << " d=" << d << " gamma=" << gamma << " (" << a
+                << "," << b << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(HsicMatrixTest, MultiColumnHsicMatchesDenseOracle) {
+  // Hsic stays general: 3-column views, as bench_enclus passes them.
+  const Matrix data = DependentColumns(300, 6, false, 65);
+  const Matrix x = data.SelectColumns({0, 1, 2});
+  const Matrix y = data.SelectColumns({3, 4, 5});
+  EXPECT_TRUE(SameBits(Hsic(x, y).value(), test::DenseHsic(x, y).value()));
+  EXPECT_TRUE(SameBits(Hsic(x, y, 0.3, 1.5).value(),
+                       test::DenseHsic(x, y, 0.3, 1.5).value()));
+}
+
+TEST(HsicMatrixTest, RejectsTooFewRowsOrColumns) {
+  EXPECT_EQ(HsicMatrix(Matrix(1, 3)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(HsicMatrix(Matrix(0, 3)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(HsicMatrix(Matrix(5, 1)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(HsicMatrix(Matrix(2, 2)).ok());
+}
+
+TEST(HsicMatrixTest, CancelledBudgetReturnsCancelled) {
+  CancelToken cancel;
+  cancel.Cancel();
+  RunBudget budget;
+  budget.cancel = &cancel;
+  const BudgetTracker guard(budget, "hsic");
+  const Result<Matrix> m =
+      HsicMatrix(DependentColumns(50, 3, false, 66), 0.0, &guard);
+  EXPECT_EQ(m.status().code(), StatusCode::kCancelled);
 }
 
 TEST(KernelMatrixTest, DiagonalOnesSymmetric) {

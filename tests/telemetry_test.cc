@@ -351,6 +351,30 @@ TEST(ResourceProfileTest, SpectralFlopsCoverTheEigensolver) {
   EXPECT_GE(scope.Snapshot().flops, 2 * n * n * b * eig.iterations);
 }
 
+// HsicMatrix counts its work exactly: each of the d Gram builds is n - 1
+// GaussianRow calls over the tails (4 flops per pair in one column,
+// 2 count + 1 doubles each), then one tally for the trace phase: 3 flops
+// per centred entry (n^2 per Gram) and 2 per trace product (n^2 per
+// pair), one double each. An explicit gamma skips the median pass, which
+// is not counted either way.
+TEST(ResourceProfileTest, HsicMatrixCountsExactFlops) {
+  const size_t n = 10, d = 3, pairs = 3;
+  Matrix data(n, d);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t c = 0; c < d; ++c) {
+      data.at(i, c) = std::sin(static_cast<double>(i * (c + 2)));
+    }
+  }
+  const size_t tail_pairs = n * (n - 1) / 2;  // 45
+  telemetry::ResourceScope scope;
+  ASSERT_TRUE(HsicMatrix(data, 0.5).ok());
+  const telemetry::ResourceProfile p = scope.Snapshot();
+  EXPECT_EQ(p.flops, d * 4 * tail_pairs + n * n * (3 * d + 2 * pairs));
+  EXPECT_EQ(p.kernel_bytes, (d * (2 * tail_pairs + (n - 1)) +
+                             n * n * (3 * d + 2 * pairs)) *
+                                sizeof(double));
+}
+
 // EigenSymmetric counts its rotations: at least one sweep of n(n-1)/2
 // rotations, 18n flops each, on a dense matrix.
 TEST(ResourceProfileTest, JacobiFlopsCoverTheRotations) {
