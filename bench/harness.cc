@@ -136,8 +136,6 @@ std::string Harness::DocumentJson() const {
     w.Bool(simd.compiled_simd);
     w.Key("double_lanes");
     w.Int(simd.double_lanes);
-    w.Key("float_lanes");
-    w.Int(simd.float_lanes);
     w.EndObject();
   }
 
@@ -708,7 +706,7 @@ void DiffHost(DiffContext* ctx, const json::Value& base,
   };
   for (const char* key :
        {"logical_cores", "threads", "isa", "simd_backend", "simd_compiled",
-        "double_lanes", "float_lanes"}) {
+        "double_lanes"}) {
     const std::string bs = render(bh->Find(key));
     const std::string cs = render(ch->Find(key));
     if (bs != cs) {

@@ -33,7 +33,7 @@ namespace bench {
 ///    "title":"...","quick":false,
 ///    "host":{"logical_cores":..,"threads":..,"isa":"avx512f",
 ///            "simd_backend":"avx2","simd_compiled":true,
-///            "double_lanes":4,"float_lanes":8},   // optional (v1 docs)
+///            "double_lanes":4},   // optional (v1 docs)
 ///    "resource":{"wall_ms":..,"user_cpu_ms":..,"system_cpu_ms":..,
 ///                "peak_rss_kb":..,"minor_faults":..,"major_faults":..,
 ///                "alloc_count":..,"alloc_bytes":..,"flops":..,

@@ -8,7 +8,6 @@
 #include "common/checkpoint.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
-#include "common/profile.h"
 #include "common/rng.h"
 #include "common/trace.h"
 #include "linalg/kernels.h"
@@ -26,14 +25,6 @@ std::vector<double> RowSquaredNorms(const Matrix& m) {
     }
   });
   return norms;
-}
-
-// Row-major float32 copy of a matrix (the opt-in low-precision path).
-std::vector<float> ToFloat32(const Matrix& m) {
-  std::vector<float> out(m.rows() * m.cols());
-  const double* src = m.row_data(0);
-  for (size_t i = 0; i < out.size(); ++i) out[i] = static_cast<float>(src[i]);
-  return out;
 }
 
 // Exact-form SSE via deterministic chunked reduction (fixed grain), so the
@@ -57,12 +48,7 @@ double SseOf(const Matrix& data, const Matrix& centers,
       [](double a, double b) { return a + b; });
 }
 
-// `data_f32` is non-null on the opt-in float32 path: the D^2 scans then
-// run in f32 against an f32 copy of the latest centre (the sampled
-// sequence depends on the precision, but stays deterministic for a fixed
-// setting).
-Matrix InitCenters(const Matrix& data, size_t k, bool plus_plus, Rng* rng,
-                   const std::vector<float>* data_f32) {
+Matrix InitCenters(const Matrix& data, size_t k, bool plus_plus, Rng* rng) {
   MULTICLUST_TRACE_SPAN("cluster.kmeans.init");
   const size_t n = data.rows();
   const size_t d = data.cols();
@@ -77,20 +63,11 @@ Matrix InitCenters(const Matrix& data, size_t k, bool plus_plus, Rng* rng,
   // parallelize without affecting the sampled sequence.
   centers.CopyRowFrom(data, rng->NextIndex(n), 0);
   std::vector<double> d2(n, std::numeric_limits<double>::infinity());
-  std::vector<float> ctr_f32(data_f32 != nullptr ? d : 0);
   for (size_t c = 1; c < k; ++c) {
-    if (data_f32 != nullptr) {
-      const double* ctr = centers.row_data(c - 1);
-      for (size_t j = 0; j < d; ++j) ctr_f32[j] = static_cast<float>(ctr[j]);
-    }
     ParallelFor(0, n, 512, [&](size_t lo, size_t hi) {
       for (size_t i = lo; i < hi; ++i) {
-        const double dist =
-            data_f32 != nullptr
-                ? static_cast<double>(kernels::SquaredDistanceF(
-                      data_f32->data() + i * d, ctr_f32.data(), d))
-                : kernels::SquaredDistance(data.row_data(i),
-                                           centers.row_data(c - 1), d);
+        const double dist = kernels::SquaredDistance(
+            data.row_data(i), centers.row_data(c - 1), d);
         d2[i] = std::min(d2[i], dist);
       }
     });
@@ -121,8 +98,7 @@ Result<LloydResult> RunLloyd(const Matrix& data, size_t k, size_t max_iters,
                              double tol, bool plus_plus, Rng* rng,
                              BudgetTracker* guard, size_t restart,
                              ConvergenceRecorder* recorder, LloydSeed* mid,
-                             bool resuming, ckpt::RestartPersistFn persist,
-                             const std::vector<float>* data_f32) {
+                             bool resuming, ckpt::RestartPersistFn persist) {
   const size_t n = data.rows();
   const size_t d = data.cols();
   LloydResult r;
@@ -133,11 +109,10 @@ Result<LloydResult> RunLloyd(const Matrix& data, size_t k, size_t max_iters,
     start_iter = mid->start_iter;
     r.iterations = start_iter;
   } else {
-    r.centers = InitCenters(data, k, plus_plus, rng, data_f32);
+    r.centers = InitCenters(data, k, plus_plus, rng);
     r.labels.assign(n, 0);
   }
-  const std::vector<double> x_norms =
-      data_f32 != nullptr ? std::vector<double>() : RowSquaredNorms(data);
+  const std::vector<double> x_norms = RowSquaredNorms(data);
   // Persistence point before iteration `next_iter`.
   const auto checkpoint = [&](size_t next_iter, bool flush) {
     return persist(flush, [&] {
@@ -154,23 +129,7 @@ Result<LloydResult> RunLloyd(const Matrix& data, size_t k, size_t max_iters,
     }
     if (guard->ShouldStop(iter)) break;
     MC_METRIC_COUNT("cluster.kmeans.iterations", 1);
-    if (data_f32 != nullptr) {
-      MULTICLUST_TRACE_SPAN("cluster.kmeans.assign");
-      // Opt-in float32 assignment: plain squared-distance form (the norm
-      // form cancels catastrophically in f32). Labels are written per
-      // point, so the step is bit-identical for any thread count.
-      const std::vector<float> centers_f32 = ToFloat32(r.centers);
-      ParallelFor(0, n, 256, [&](size_t lo, size_t hi) {
-        // Telemetry FLOP tally per chunk (never per point): 3 flops per
-        // element of the k x d distance scan over hi - lo points.
-        telemetry::CountFlops(3 * (hi - lo) * k * d,
-                              (hi - lo) * d * sizeof(float));
-        for (size_t i = lo; i < hi; ++i) {
-          r.labels[i] = kernels::NearestSquaredF(
-              data_f32->data() + i * d, centers_f32.data(), k, d);
-        }
-      });
-    } else {
+    {
       MULTICLUST_TRACE_SPAN("cluster.kmeans.assign");
       // Assignment step in the norm form ||x||^2 - 2 x.c + ||c||^2: the
       // inner loop is a plain dot product. Labels are written per point,
@@ -183,7 +142,6 @@ Result<LloydResult> RunLloyd(const Matrix& data, size_t k, size_t max_iters,
                                      r.labels.data() + lo);
       });
     }
-    // Update step (always float64, also on the float32 assignment path).
     MULTICLUST_TRACE_SPAN("cluster.kmeans.update");
     Matrix next(k, d);
     std::vector<size_t> counts(k, 0);
@@ -284,9 +242,8 @@ uint64_t KMeansFingerprint(const Matrix& data, const KMeansOptions& options) {
   fp.Mix(static_cast<uint64_t>(options.max_iters));
   fp.MixDouble(options.tol);
   fp.Mix(static_cast<uint64_t>(options.plus_plus_init ? 1 : 0));
-  // The float32 assignment path changes labels/centre trajectories, so a
-  // checkpoint from one precision must not resume a run of the other.
-  fp.Mix(static_cast<uint64_t>(options.assign_float32 ? 1 : 0));
+  // The slot of a removed precision option: fingerprints must not move.
+  fp.Mix(uint64_t{0});
   fp.Mix(static_cast<uint64_t>(options.restarts));
   fp.Mix(options.seed);
   fp.Mix(static_cast<uint64_t>(options.budget.max_iterations));
@@ -315,13 +272,6 @@ Result<Clustering> RunKMeans(const Matrix& data,
       ck, "kmeans", ck != nullptr ? KMeansFingerprint(data, options) : 0,
       options.diagnostics};
 
-  // Materialize the f32 copy once for all restarts on the opt-in path.
-  std::vector<float> data_f32_storage;
-  const std::vector<float>* data_f32 = nullptr;
-  if (options.assign_float32) {
-    data_f32_storage = ToFloat32(data);
-    data_f32 = &data_f32_storage;
-  }
   KMeansCkptState state;
   state.outer_rng = Rng(options.seed);
   // A restart's child stream is split from the outer stream in restart
@@ -332,7 +282,7 @@ Result<Clustering> RunKMeans(const Matrix& data,
     if (!resuming) state.child_rng = state.outer_rng.Split();
     return RunLloyd(data, options.k, options.max_iters, options.tol,
                     options.plus_plus_init, &state.child_rng, &guard, r,
-                    &recorder, &state.seed, resuming, persist, data_f32);
+                    &recorder, &state.seed, resuming, persist);
   };
   MC_RETURN_IF_ERROR(ckpt::RunRestarts(
       slot, &state, options.restarts, &guard, &recorder, run_one,

@@ -21,14 +21,6 @@ struct KMeansOptions {
   /// Convergence threshold on centre movement (max abs coordinate change).
   double tol = 1e-6;
   uint64_t seed = 1;
-  /// Opt-in low-precision distance path: the assignment step and the
-  /// k-means++ D² scans run in float32 (plain squared-distance form — the
-  /// norm form cancels catastrophically in f32), roughly doubling SIMD
-  /// throughput; centre updates, SSE and the reported objective stay
-  /// float64. Labels may differ from the float64 path when distances are
-  /// within f32 rounding of each other; results remain deterministic
-  /// across thread counts and SIMD backends for a fixed setting.
-  bool assign_float32 = false;
   /// Wall-clock / iteration / cancellation limits (see common/runguard.h).
   /// Unlimited by default. On deadline or iteration-cap expiry the best
   /// result so far is returned with `converged = false`.

@@ -23,11 +23,9 @@ bool Fires(const AtomicWriteOptions& options, FaultKind kind) {
 
 std::string Prefix(const char* what) { return std::string(what) + ": "; }
 
-}  // namespace
-
-Status FsyncPath(const std::string& path, bool directory, const char* what) {
-  const int flags = directory ? O_RDONLY | O_DIRECTORY : O_RDONLY;
-  const int fd = open(path.c_str(), flags);
+// fsyncs directory `path` so a rename into it is durable.
+Status FsyncDir(const std::string& path, const char* what) {
+  const int fd = open(path.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) {
     return Status::IoError(Prefix(what) + "cannot open " + path +
                            " for fsync: " + std::strerror(errno));
@@ -40,6 +38,8 @@ Status FsyncPath(const std::string& path, bool directory, const char* what) {
   }
   return Status::OK();
 }
+
+}  // namespace
 
 Status AtomicWriteFile(const std::string& dir, const std::string& name,
                        const std::string& content,
@@ -123,7 +123,7 @@ Status AtomicWriteFile(const std::string& dir, const std::string& name,
                            " failed: " + err);
   }
   if (options.fsync_dir) {
-    return FsyncPath(dir, /*directory=*/true, what);
+    return FsyncDir(dir, what);
   }
   return Status::OK();
 }

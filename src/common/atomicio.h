@@ -52,11 +52,6 @@ Status AtomicWriteFile(const std::string& dir, const std::string& name,
 Status AtomicWritePath(const std::string& path, const std::string& content,
                        const AtomicWriteOptions& options = {});
 
-/// fsyncs `path` (a file, or a directory when `directory` is true).
-/// `what` prefixes error messages.
-Status FsyncPath(const std::string& path, bool directory,
-                 const char* what = "atomicio");
-
 }  // namespace atomicio
 }  // namespace multiclust
 

@@ -169,13 +169,6 @@ Value Value::MakeNumber(double v) {
   return out;
 }
 
-Value Value::MakeString(std::string v) {
-  Value out;
-  out.type_ = Type::kString;
-  out.string_ = std::move(v);
-  return out;
-}
-
 Value Value::MakeArray(std::vector<Value> items) {
   Value out;
   out.type_ = Type::kArray;

@@ -133,7 +133,6 @@ class Value {
   static Value MakeNull() { return Value(); }
   static Value MakeBool(bool v);
   static Value MakeNumber(double v);
-  static Value MakeString(std::string v);
   static Value MakeArray(std::vector<Value> items);
   static Value MakeObject(std::vector<std::pair<std::string, Value>> members);
 

@@ -38,6 +38,39 @@ Shard& ShardFor(const std::string& name) {
   return Shards()[std::hash<std::string>{}(name) % kShards];
 }
 
+// One registered metric with its typed value, read under its shard lock.
+struct Entry {
+  std::string name;
+  enum Kind { kCounter, kGauge, kHistogram } kind;
+  uint64_t count = 0;
+  double gauge = 0.0;
+  std::vector<double> bounds;
+  std::vector<uint64_t> bucket_counts;
+};
+
+// Every registered metric, sorted by name so each rendering is
+// deterministic regardless of shard hashing.
+std::vector<Entry> CollectEntries() {
+  std::vector<Entry> entries;
+  Shard* shards = Shards();
+  for (size_t s = 0; s < kShards; ++s) {
+    std::lock_guard<std::mutex> lock(shards[s].mu);
+    for (const auto& [name, c] : shards[s].counters) {
+      entries.push_back({name, Entry::kCounter, c->value(), 0.0, {}, {}});
+    }
+    for (const auto& [name, g] : shards[s].gauges) {
+      entries.push_back({name, Entry::kGauge, 0, g->value(), {}, {}});
+    }
+    for (const auto& [name, h] : shards[s].histograms) {
+      entries.push_back({name, Entry::kHistogram, 0, 0.0, h->bounds(),
+                         h->bucket_counts()});
+    }
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) { return a.name < b.name; });
+  return entries;
+}
+
 }  // namespace
 
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
@@ -144,79 +177,36 @@ void Reset() {
 std::vector<MetricRow> Snapshot() {
   std::vector<MetricRow> rows;
   char buf[64];
-  Shard* shards = Shards();
-  for (size_t s = 0; s < kShards; ++s) {
-    std::lock_guard<std::mutex> lock(shards[s].mu);
-    for (const auto& [name, c] : shards[s].counters) {
-      rows.push_back({name, "counter", std::to_string(c->value())});
-    }
-    for (const auto& [name, g] : shards[s].gauges) {
-      std::snprintf(buf, sizeof(buf), "%g", g->value());
-      rows.push_back({name, "gauge", buf});
-    }
-    for (const auto& [name, h] : shards[s].histograms) {
-      std::string value = std::to_string(h->total_count()) + " obs [";
-      const std::vector<uint64_t> counts = h->bucket_counts();
-      for (size_t b = 0; b < counts.size(); ++b) {
-        if (b > 0) value += ' ';
-        value += std::to_string(counts[b]);
+  for (const Entry& e : CollectEntries()) {
+    switch (e.kind) {
+      case Entry::kCounter:
+        rows.push_back({e.name, "counter", std::to_string(e.count)});
+        break;
+      case Entry::kGauge:
+        std::snprintf(buf, sizeof(buf), "%g", e.gauge);
+        rows.push_back({e.name, "gauge", buf});
+        break;
+      case Entry::kHistogram: {
+        uint64_t total = 0;
+        std::string counts;
+        for (size_t b = 0; b < e.bucket_counts.size(); ++b) {
+          if (b > 0) counts += ' ';
+          counts += std::to_string(e.bucket_counts[b]);
+          total += e.bucket_counts[b];
+        }
+        rows.push_back({e.name, "histogram",
+                        std::to_string(total) + " obs [" + counts + "]"});
+        break;
       }
-      value += ']';
-      rows.push_back({name, "histogram", std::move(value)});
     }
   }
-  std::sort(rows.begin(), rows.end(),
-            [](const MetricRow& a, const MetricRow& b) {
-              return a.name < b.name;
-            });
   return rows;
 }
 
 std::string MetricsJson() {
-  // Collect name-sorted entries first so the document is deterministic
-  // regardless of shard hashing; serialize typed values (Snapshot() only
-  // carries pre-rendered strings).
-  struct Entry {
-    std::string name;
-    enum { kCounter, kGauge, kHistogram } kind;
-    uint64_t count = 0;
-    double gauge = 0.0;
-    std::vector<double> bounds;
-    std::vector<uint64_t> bucket_counts;
-  };
-  std::vector<Entry> entries;
-  Shard* shards = Shards();
-  for (size_t s = 0; s < kShards; ++s) {
-    std::lock_guard<std::mutex> lock(shards[s].mu);
-    for (const auto& [name, c] : shards[s].counters) {
-      Entry e;
-      e.name = name;
-      e.kind = Entry::kCounter;
-      e.count = c->value();
-      entries.push_back(std::move(e));
-    }
-    for (const auto& [name, g] : shards[s].gauges) {
-      Entry e;
-      e.name = name;
-      e.kind = Entry::kGauge;
-      e.gauge = g->value();
-      entries.push_back(std::move(e));
-    }
-    for (const auto& [name, h] : shards[s].histograms) {
-      Entry e;
-      e.name = name;
-      e.kind = Entry::kHistogram;
-      e.bounds = h->bounds();
-      e.bucket_counts = h->bucket_counts();
-      entries.push_back(std::move(e));
-    }
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.name < b.name; });
-
   json::Writer w;
   w.BeginArray();
-  for (const Entry& e : entries) {
+  for (const Entry& e : CollectEntries()) {
     w.BeginObject();
     w.Key("name");
     w.String(e.name);
@@ -296,49 +286,9 @@ void AppendOpenMetricsDouble(double v, std::string* out) {
 }  // namespace
 
 std::string OpenMetricsText() {
-  // Reuse MetricsJson's collection shape: gather name-sorted typed entries
-  // under the shard locks, then render.
-  struct Entry {
-    std::string name;
-    enum { kCounter, kGauge, kHistogram } kind;
-    uint64_t count = 0;
-    double gauge = 0.0;
-    std::vector<double> bounds;
-    std::vector<uint64_t> bucket_counts;
-  };
-  std::vector<Entry> entries;
-  Shard* shards = Shards();
-  for (size_t s = 0; s < kShards; ++s) {
-    std::lock_guard<std::mutex> lock(shards[s].mu);
-    for (const auto& [name, c] : shards[s].counters) {
-      Entry e;
-      e.name = name;
-      e.kind = Entry::kCounter;
-      e.count = c->value();
-      entries.push_back(std::move(e));
-    }
-    for (const auto& [name, g] : shards[s].gauges) {
-      Entry e;
-      e.name = name;
-      e.kind = Entry::kGauge;
-      e.gauge = g->value();
-      entries.push_back(std::move(e));
-    }
-    for (const auto& [name, h] : shards[s].histograms) {
-      Entry e;
-      e.name = name;
-      e.kind = Entry::kHistogram;
-      e.bounds = h->bounds();
-      e.bucket_counts = h->bucket_counts();
-      entries.push_back(std::move(e));
-    }
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.name < b.name; });
-
   std::string out;
   char buf[96];
-  for (const Entry& e : entries) {
+  for (const Entry& e : CollectEntries()) {
     const std::string name = OpenMetricsName(e.name);
     switch (e.kind) {
       case Entry::kCounter:

@@ -218,13 +218,6 @@ Status ValidateMatrix(const char* context, const Matrix& m) {
   return Status::OK();
 }
 
-Status ValidateNonEmptyMatrix(const char* context, const Matrix& m) {
-  if (m.rows() == 0 || m.cols() == 0) {
-    return Status::InvalidArgument(std::string(context) + ": empty data");
-  }
-  return ValidateMatrix(context, m);
-}
-
 uint64_t RetrySeed(uint64_t base_seed, size_t attempt) {
   if (attempt == 0) return base_seed;
   return SplitMix64(base_seed +

@@ -69,11 +69,6 @@ struct RunBudget {
     b.deadline_ms = ms;
     return b;
   }
-  static RunBudget MaxIterations(size_t n) {
-    RunBudget b;
-    b.max_iterations = n;
-    return b;
-  }
 };
 
 /// Why an iterative run stopped.
@@ -269,9 +264,6 @@ class ConvergenceRecorder {
 /// Called at every public `Run*` entry point so numerical poison is caught
 /// at the boundary instead of surfacing as a hung loop or garbage labels.
 Status ValidateMatrix(const char* context, const Matrix& m);
-
-/// ValidateMatrix plus rejection of empty (0x0 / 0-row / 0-col) matrices.
-Status ValidateNonEmptyMatrix(const char* context, const Matrix& m);
 
 /// Deterministic retry policy: a run that fails with
 /// StatusCode::kComputationError (numerical degeneracy, no convergence,

@@ -565,67 +565,6 @@ void ClusterDistanceSumsMulti(const double* x, size_t count,
   }
 }
 
-// --- f32 kernels (8-lane model); the opt-in low-precision distance path.
-
-template <typename V8>
-float DotF(const float* a, const float* b, size_t n) {
-  V8 acc = V8::Zero();
-  const size_t main = n & ~static_cast<size_t>(7);
-  size_t i = 0;
-  for (; i < main; i += 8) {
-    acc = V8::MulAdd(V8::Load(a + i), V8::Load(b + i), acc);
-  }
-  if (i < n) {
-    float ta[8] = {0, 0, 0, 0, 0, 0, 0, 0}, tb[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    for (size_t j = 0; i + j < n; ++j) {
-      ta[j] = a[i + j];
-      tb[j] = b[i + j];
-    }
-    acc = V8::MulAdd(V8::Load(ta), V8::Load(tb), acc);
-  }
-  return acc.ReduceSum();
-}
-
-template <typename V8>
-float SquaredNormF(const float* x, size_t n) {
-  return DotF<V8>(x, x, n);
-}
-
-template <typename V8>
-float SquaredDistanceF(const float* a, const float* b, size_t n) {
-  V8 acc = V8::Zero();
-  const size_t main = n & ~static_cast<size_t>(7);
-  size_t i = 0;
-  for (; i < main; i += 8) {
-    const V8 d = V8::Load(a + i) - V8::Load(b + i);
-    acc = V8::MulAdd(d, d, acc);
-  }
-  if (i < n) {
-    float ta[8] = {0, 0, 0, 0, 0, 0, 0, 0}, tb[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    for (size_t j = 0; i + j < n; ++j) {
-      ta[j] = a[i + j];
-      tb[j] = b[i + j];
-    }
-    const V8 d = V8::Load(ta) - V8::Load(tb);
-    acc = V8::MulAdd(d, d, acc);
-  }
-  return acc.ReduceSum();
-}
-
-template <typename V8>
-int NearestSquaredF(const float* x, const float* centers, size_t k, size_t d) {
-  float best = 0.f;
-  int best_c = 0;
-  for (size_t c = 0; c < k; ++c) {
-    const float s = SquaredDistanceF<V8>(x, centers + c * d, d);
-    if (c == 0 || s < best) {
-      best = s;
-      best_c = static_cast<int>(c);
-    }
-  }
-  return best_c;
-}
-
 }  // namespace impl
 }  // namespace kernels
 }  // namespace multiclust

@@ -13,7 +13,6 @@ namespace multiclust {
 namespace kernels {
 
 using simd::Double4;
-using simd::Float8;
 
 SimdInfo Info() {
   SimdInfo info;
@@ -24,7 +23,6 @@ SimdInfo Info() {
   info.compiled_simd = false;
 #endif
   info.double_lanes = Double4::kLanes;
-  info.float_lanes = Float8::kLanes;
   return info;
 }
 
@@ -148,19 +146,6 @@ void ClusterDistanceSumsMulti(const double* x, size_t count,
                             num_labellings * n * sizeof(int));
   impl::ClusterDistanceSumsMulti<Double4>(x, count, data, n, d, labels, ks,
                                           num_labellings, out);
-}
-
-float DotF(const float* a, const float* b, size_t n) {
-  return impl::DotF<Float8>(a, b, n);
-}
-float SquaredNormF(const float* x, size_t n) {
-  return impl::SquaredNormF<Float8>(x, n);
-}
-float SquaredDistanceF(const float* a, const float* b, size_t n) {
-  return impl::SquaredDistanceF<Float8>(a, b, n);
-}
-int NearestSquaredF(const float* x, const float* centers, size_t k, size_t d) {
-  return impl::NearestSquaredF<Float8>(x, centers, k, d);
 }
 
 }  // namespace kernels

@@ -29,7 +29,6 @@ struct SimdInfo {
   std::string backend;   ///< "avx2" | "neon" | "scalar"
   bool compiled_simd;    ///< MULTICLUST_SIMD was ON at build time
   int double_lanes;      ///< always 4 (lane model, not hardware width)
-  int float_lanes;       ///< always 8
 };
 
 /// Backend the fast instantiation was compiled with.
@@ -108,12 +107,6 @@ void ClusterDistanceSumsMulti(const double* x, size_t count,
                               const int* const* labels, const size_t* ks,
                               size_t num_labellings, double* const* out);
 
-// --- f32 kernels (fixed 8-lane model; opt-in distance path). ---
-float DotF(const float* a, const float* b, size_t n);
-float SquaredNormF(const float* x, size_t n);
-float SquaredDistanceF(const float* a, const float* b, size_t n);
-int NearestSquaredF(const float* x, const float* centers, size_t k, size_t d);
-
 /// Always-scalar reference instantiation of every kernel above
 /// (identical signatures, forced scalar backend, no autovectorization).
 namespace ref {
@@ -150,10 +143,6 @@ void ClusterDistanceSumsMulti(const double* x, size_t count,
                               const double* data, size_t n, size_t d,
                               const int* const* labels, const size_t* ks,
                               size_t num_labellings, double* const* out);
-float DotF(const float* a, const float* b, size_t n);
-float SquaredNormF(const float* x, size_t n);
-float SquaredDistanceF(const float* x, const float* b, size_t n);
-int NearestSquaredF(const float* x, const float* centers, size_t k, size_t d);
 }  // namespace ref
 
 }  // namespace kernels

@@ -15,7 +15,6 @@ namespace kernels {
 namespace ref {
 
 using simd::Double4;
-using simd::Float8;
 
 #if !defined(MULTICLUST_SIMD_BACKEND_SCALAR)
 #error "ref TU must see the scalar backend"
@@ -91,19 +90,6 @@ void ClusterDistanceSumsMulti(const double* x, size_t count,
                               size_t num_labellings, double* const* out) {
   impl::ClusterDistanceSumsMulti<Double4>(x, count, data, n, d, labels, ks,
                                           num_labellings, out);
-}
-
-float DotF(const float* a, const float* b, size_t n) {
-  return impl::DotF<Float8>(a, b, n);
-}
-float SquaredNormF(const float* x, size_t n) {
-  return impl::SquaredNormF<Float8>(x, n);
-}
-float SquaredDistanceF(const float* a, const float* b, size_t n) {
-  return impl::SquaredDistanceF<Float8>(a, b, n);
-}
-int NearestSquaredF(const float* x, const float* centers, size_t k, size_t d) {
-  return impl::NearestSquaredF<Float8>(x, centers, k, d);
 }
 
 }  // namespace ref

@@ -1,13 +1,12 @@
 #ifndef MULTICLUST_LINALG_SIMD_H_
 #define MULTICLUST_LINALG_SIMD_H_
 
-/// Portable fixed-width SIMD value types: `Double4` (4 x f64) and
-/// `Float8` (8 x f32).
+/// Portable fixed-width SIMD value type: `Double4` (4 x f64).
 ///
 /// Lane model / determinism contract
 /// ---------------------------------
 /// Every kernel in kernel_impl.h is written against a FIXED lane count (4
-/// doubles / 8 floats) regardless of what the hardware offers, and every
+/// doubles) regardless of what the hardware offers, and every
 /// reduction combines its lanes in one fixed scalar order. The backend is
 /// chosen at compile time:
 ///
@@ -93,32 +92,6 @@ struct Double4 {
   }
 };
 
-struct Float8 {
-  __m256 v;
-  static constexpr int kLanes = 8;
-
-  static Float8 Zero() { return {_mm256_setzero_ps()}; }
-  static Float8 Broadcast(float x) { return {_mm256_set1_ps(x)}; }
-  static Float8 Load(const float* p) { return {_mm256_loadu_ps(p)}; }
-  void Store(float* p) const { _mm256_storeu_ps(p, v); }
-
-  Float8 operator+(Float8 o) const { return {_mm256_add_ps(v, o.v)}; }
-  Float8 operator-(Float8 o) const { return {_mm256_sub_ps(v, o.v)}; }
-  Float8 operator*(Float8 o) const { return {_mm256_mul_ps(v, o.v)}; }
-
-  static Float8 MulAdd(Float8 a, Float8 b, Float8 acc) {
-    return {_mm256_add_ps(acc.v, _mm256_mul_ps(a.v, b.v))};
-  }
-
-  /// Lane sum in the fixed order ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)).
-  float ReduceSum() const {
-    alignas(32) float lane[8];
-    _mm256_store_ps(lane, v);
-    return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-           ((lane[4] + lane[5]) + (lane[6] + lane[7]));
-  }
-};
-
 }  // inline namespace backend_avx2
 
 #elif defined(MULTICLUST_SIMD_BACKEND_NEON)
@@ -164,43 +137,6 @@ struct Double4 {
   double ReduceSum() const {
     return (vgetq_lane_f64(lo, 0) + vgetq_lane_f64(lo, 1)) +
            (vgetq_lane_f64(hi, 0) + vgetq_lane_f64(hi, 1));
-  }
-};
-
-struct Float8 {
-  float32x4_t lo, hi;
-  static constexpr int kLanes = 8;
-
-  static Float8 Zero() { return {vdupq_n_f32(0.f), vdupq_n_f32(0.f)}; }
-  static Float8 Broadcast(float x) { return {vdupq_n_f32(x), vdupq_n_f32(x)}; }
-  static Float8 Load(const float* p) {
-    return {vld1q_f32(p), vld1q_f32(p + 4)};
-  }
-  void Store(float* p) const {
-    vst1q_f32(p, lo);
-    vst1q_f32(p + 4, hi);
-  }
-
-  Float8 operator+(Float8 o) const {
-    return {vaddq_f32(lo, o.lo), vaddq_f32(hi, o.hi)};
-  }
-  Float8 operator-(Float8 o) const {
-    return {vsubq_f32(lo, o.lo), vsubq_f32(hi, o.hi)};
-  }
-  Float8 operator*(Float8 o) const {
-    return {vmulq_f32(lo, o.lo), vmulq_f32(hi, o.hi)};
-  }
-
-  static Float8 MulAdd(Float8 a, Float8 b, Float8 acc) {
-    return {vaddq_f32(acc.lo, vmulq_f32(a.lo, b.lo)),
-            vaddq_f32(acc.hi, vmulq_f32(a.hi, b.hi))};
-  }
-
-  float ReduceSum() const {
-    return ((vgetq_lane_f32(lo, 0) + vgetq_lane_f32(lo, 1)) +
-            (vgetq_lane_f32(lo, 2) + vgetq_lane_f32(lo, 3))) +
-           ((vgetq_lane_f32(hi, 0) + vgetq_lane_f32(hi, 1)) +
-            (vgetq_lane_f32(hi, 2) + vgetq_lane_f32(hi, 3)));
   }
 };
 
@@ -257,48 +193,6 @@ struct Double4 {
   }
 
   double ReduceSum() const { return (v[0] + v[1]) + (v[2] + v[3]); }
-};
-
-struct Float8 {
-  float v[8];
-  static constexpr int kLanes = 8;
-
-  static Float8 Zero() {
-    return {{0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f}};
-  }
-  static Float8 Broadcast(float x) { return {{x, x, x, x, x, x, x, x}}; }
-  static Float8 Load(const float* p) {
-    return {{p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7]}};
-  }
-  void Store(float* p) const {
-    for (int i = 0; i < 8; ++i) p[i] = v[i];
-  }
-
-  Float8 operator+(Float8 o) const {
-    Float8 r;
-    for (int i = 0; i < 8; ++i) r.v[i] = v[i] + o.v[i];
-    return r;
-  }
-  Float8 operator-(Float8 o) const {
-    Float8 r;
-    for (int i = 0; i < 8; ++i) r.v[i] = v[i] - o.v[i];
-    return r;
-  }
-  Float8 operator*(Float8 o) const {
-    Float8 r;
-    for (int i = 0; i < 8; ++i) r.v[i] = v[i] * o.v[i];
-    return r;
-  }
-
-  static Float8 MulAdd(Float8 a, Float8 b, Float8 acc) {
-    Float8 r;
-    for (int i = 0; i < 8; ++i) r.v[i] = acc.v[i] + (a.v[i] * b.v[i]);
-    return r;
-  }
-
-  float ReduceSum() const {
-    return ((v[0] + v[1]) + (v[2] + v[3])) + ((v[4] + v[5]) + (v[6] + v[7]));
-  }
 };
 
 }  // inline namespace backend_scalar

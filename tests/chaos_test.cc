@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "common/chaos.h"
+#include "chaos/chaos.h"
 #include "common/checkpoint.h"
 #include "common/fault.h"
 

@@ -783,45 +783,6 @@ TEST(SimdInvarianceTest, GaussianKernelMatchesScalarBackend) {
   }
 }
 
-// --- Float32 assignment path. -------------------------------------------
-
-TEST(DeterminismTest, KMeansFloat32) {
-  const Matrix data = TestData(43);
-  KMeansOptions opts;
-  opts.k = 3;
-  opts.restarts = 3;
-  opts.seed = 99;
-  opts.assign_float32 = true;
-  const auto a = RunKMeans(data, opts).value();
-  const auto b = RunKMeans(data, opts).value();
-  EXPECT_EQ(a.labels, b.labels);
-  EXPECT_EQ(a.quality, b.quality);
-  EXPECT_EQ(a.centroids.MaxAbsDiff(b.centroids), 0.0);
-}
-
-TEST(ThreadInvarianceTest, KMeansFloat32LabelsAndObjective) {
-  // The f32 assignment sweep and D^2 scans use the same fixed-boundary
-  // chunking as the f64 path; updates/objective stay f64. Labels and the
-  // objective must be bit-identical at any thread count.
-  std::vector<ViewSpec> views(2);
-  views[0] = {3, 4, 10.0, 1.0, ""};
-  views[1] = {3, 4, 10.0, 1.0, ""};
-  const Matrix data = MakeMultiView(3000, views, 0, 44)->data();
-  KMeansOptions opts;
-  opts.k = 4;
-  opts.restarts = 2;
-  opts.seed = 7;
-  opts.assign_float32 = true;
-  const auto run = [&] { return RunKMeans(data, opts).value(); };
-  const Clustering serial = WithThreads(1, run);
-  for (const size_t threads : {2u, 4u}) {
-    const Clustering parallel = WithThreads(threads, run);
-    EXPECT_EQ(serial.labels, parallel.labels) << "threads=" << threads;
-    EXPECT_EQ(serial.quality, parallel.quality) << "threads=" << threads;
-    EXPECT_EQ(serial.centroids.MaxAbsDiff(parallel.centroids), 0.0);
-  }
-}
-
 TEST(DeterminismTest, SeedsActuallyMatter) {
   // Sanity counterpart: different seeds should (generically) change the
   // random restarts' trajectory. Use meta clustering, whose output is

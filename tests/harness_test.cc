@@ -66,7 +66,6 @@ TEST(HarnessTest, DocumentCarriesHostContext) {
   EXPECT_FALSE(host->GetString("isa", "").empty());
   EXPECT_FALSE(host->GetString("simd_backend", "").empty());
   EXPECT_EQ(host->GetNumber("double_lanes", 0.0), 4.0);
-  EXPECT_EQ(host->GetNumber("float_lanes", 0.0), 8.0);
 }
 
 TEST(HarnessTest, HostMismatchWarnsButNeverFails) {

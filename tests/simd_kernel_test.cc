@@ -29,13 +29,6 @@ std::vector<double> RandVec(size_t n, uint64_t seed) {
   return v;
 }
 
-std::vector<float> RandVecF(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<float> v(n);
-  for (auto& x : v) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  return v;
-}
-
 bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
          (a.empty() ||
@@ -476,30 +469,9 @@ TEST(SimdKernelTest, ClusterDistanceSumsMultiSqrtExactAcrossMagnitudes) {
   }
 }
 
-TEST(SimdKernelTest, Float32KernelsBitIdenticalToRef) {
-  for (size_t n : kLens) {
-    const auto a = RandVecF(n, 103 + n);
-    const auto b = RandVecF(n, 107 + n);
-    EXPECT_EQ(k::DotF(a.data(), b.data(), n),
-              k::ref::DotF(a.data(), b.data(), n))
-        << "n=" << n;
-    EXPECT_EQ(k::SquaredNormF(a.data(), n), k::ref::SquaredNormF(a.data(), n))
-        << "n=" << n;
-    EXPECT_EQ(k::SquaredDistanceF(a.data(), b.data(), n),
-              k::ref::SquaredDistanceF(a.data(), b.data(), n))
-        << "n=" << n;
-  }
-  const size_t d = 11, kcount = 4;
-  const auto x = RandVecF(d, 109);
-  const auto centers = RandVecF(kcount * d, 113);
-  EXPECT_EQ(k::NearestSquaredF(x.data(), centers.data(), kcount, d),
-            k::ref::NearestSquaredF(x.data(), centers.data(), kcount, d));
-}
-
 TEST(SimdKernelTest, InfoReportsLaneModelAndBackend) {
   const k::SimdInfo info = k::Info();
   EXPECT_EQ(info.double_lanes, 4);
-  EXPECT_EQ(info.float_lanes, 8);
   EXPECT_TRUE(info.backend == "avx2" || info.backend == "neon" ||
               info.backend == "scalar")
       << info.backend;

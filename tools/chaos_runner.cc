@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "common/chaos.h"
+#include "chaos/chaos.h"
 #include "common/fault.h"
 #include "common/runledger.h"
 #include "common/status.h"
