@@ -47,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "common/atomicio.h"
 #include "common/json.h"
 #include "common/report.h"
 #include "common/result.h"
@@ -498,7 +499,7 @@ int RunMerge(const std::string& out_path,
     docs.push_back(std::move(*doc));
   }
   const std::string merged = multiclust::bench::MergeSuiteJson(docs);
-  const Status st = multiclust::WriteStringToFile(out_path, merged);
+  const Status st = multiclust::atomicio::AtomicWritePath(out_path, merged);
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;

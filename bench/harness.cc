@@ -6,6 +6,7 @@
 #include <cstring>
 #include <thread>
 
+#include "common/atomicio.h"
 #include "common/parallel.h"
 #include "common/report.h"
 #include "linalg/kernels.h"
@@ -278,7 +279,7 @@ int Harness::Finish() {
     }
   }
   if (!json_path_.empty()) {
-    const Status st = WriteStringToFile(json_path_, DocumentJson());
+    const Status st = atomicio::AtomicWritePath(json_path_, DocumentJson());
     if (!st.ok()) {
       std::fprintf(stderr, "[harness] %s\n", st.ToString().c_str());
       return 1;

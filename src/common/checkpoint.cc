@@ -539,264 +539,48 @@ Result<uint64_t> ReadU64(const json::Value& v) {
   return parsed;
 }
 
-namespace {
-
-// Member lookup helpers for the leaf codecs (missing field ->
-// kComputationError naming it).
-Result<const json::Value*> Field(const json::Value& v, const char* key) {
-  const json::Value* f = v.Find(key);
-  if (f == nullptr) {
-    return Status::ComputationError(std::string("checkpoint: missing field '") +
-                                    key + "'");
-  }
-  return f;
-}
-
-Result<double> NumberField(const json::Value& v, const char* key) {
-  MC_ASSIGN_OR_RETURN(const json::Value* f, Field(v, key));
-  if (!f->is_number()) {
-    return Status::ComputationError(std::string("checkpoint: field '") + key +
-                                    "' is not a number");
-  }
-  return f->number_value();
-}
-
-Result<bool> BoolField(const json::Value& v, const char* key) {
-  MC_ASSIGN_OR_RETURN(const json::Value* f, Field(v, key));
-  if (!f->is_bool()) {
-    return Status::ComputationError(std::string("checkpoint: field '") + key +
-                                    "' is not a bool");
-  }
-  return f->bool_value();
-}
-
-Result<size_t> SizeField(const json::Value& v, const char* key) {
-  MC_ASSIGN_OR_RETURN(double n, NumberField(v, key));
-  if (n < 0) {
-    return Status::ComputationError(std::string("checkpoint: field '") + key +
-                                    "' is negative");
-  }
-  return static_cast<size_t>(n);
-}
-
-// Moves a leaf codec's parse result into `out` (the archive's leaf Gets).
-template <class T>
-Status Assign(Result<T> parsed, T& out) {
-  if (!parsed.ok()) return parsed.status();
-  out = std::move(*parsed);
-  return Status::OK();
-}
-
-}  // namespace
-
-void WriteMatrix(json::Writer* w, const Matrix& m) {
-  w->BeginObject();
-  w->Key("r");
-  w->Uint(m.rows());
-  w->Key("c");
-  w->Uint(m.cols());
-  w->Key("v");
-  w->BeginArray();
+void WriteArchive::Put(const Matrix& m) {
+  w_->BeginObject();
+  (*this)("r", m.rows());
+  (*this)("c", m.cols());
+  w_->Key("v");
+  w_->BeginArray();
   for (size_t i = 0; i < m.rows(); ++i) {
     const double* row = m.row_data(i);
-    for (size_t j = 0; j < m.cols(); ++j) w->Double(row[j]);
+    for (size_t j = 0; j < m.cols(); ++j) w_->Double(row[j]);
   }
-  w->EndArray();
-  w->EndObject();
+  w_->EndArray();
+  w_->EndObject();
 }
 
-Result<Matrix> ReadMatrix(const json::Value& v) {
-  MC_ASSIGN_OR_RETURN(size_t rows, SizeField(v, "r"));
-  MC_ASSIGN_OR_RETURN(size_t cols, SizeField(v, "c"));
-  MC_ASSIGN_OR_RETURN(const json::Value* data, Field(v, "v"));
-  if (!data->is_array() || data->array_items().size() != rows * cols) {
-    return Status::ComputationError("checkpoint: matrix payload shape "
-                                    "mismatch");
-  }
-  Matrix m(rows, cols);
-  size_t idx = 0;
-  for (size_t i = 0; i < rows; ++i) {
-    double* row = m.row_data(i);
-    for (size_t j = 0; j < cols; ++j, ++idx) {
-      const json::Value& cell = data->array_items()[idx];
-      if (!cell.is_number()) {
-        return Status::ComputationError("checkpoint: non-numeric matrix cell");
-      }
-      row[j] = cell.number_value();
-    }
-  }
-  return m;
-}
-
-void WriteIntVector(json::Writer* w, const std::vector<int>& v) {
-  w->BeginArray();
-  for (int x : v) w->Int(x);
-  w->EndArray();
-}
-
-Result<std::vector<int>> ReadIntVector(const json::Value& v) {
-  if (!v.is_array()) {
-    return Status::ComputationError("checkpoint: expected int array");
-  }
-  std::vector<int> out;
-  out.reserve(v.array_items().size());
-  for (const json::Value& x : v.array_items()) {
-    if (!x.is_number()) {
-      return Status::ComputationError("checkpoint: non-numeric int entry");
-    }
-    out.push_back(static_cast<int>(x.number_value()));
-  }
-  return out;
-}
-
-void WriteDoubleVector(json::Writer* w, const std::vector<double>& v) {
-  w->BeginArray();
-  for (double x : v) w->Double(x);
-  w->EndArray();
-}
-
-Result<std::vector<double>> ReadDoubleVector(const json::Value& v) {
-  if (!v.is_array()) {
-    return Status::ComputationError("checkpoint: expected double array");
-  }
-  std::vector<double> out;
-  out.reserve(v.array_items().size());
-  for (const json::Value& x : v.array_items()) {
-    if (!x.is_number() && !x.is_null()) {
-      return Status::ComputationError("checkpoint: non-numeric double entry");
-    }
-    // null encodes NaN/Inf (JSON cannot represent them); algorithms never
-    // checkpoint non-finite state, but stay lossless-by-construction here.
-    out.push_back(x.is_null() ? std::numeric_limits<double>::quiet_NaN()
-                              : x.number_value());
-  }
-  return out;
-}
-
-void WriteSizeVector(json::Writer* w, const std::vector<size_t>& v) {
-  w->BeginArray();
-  for (size_t x : v) w->Uint(x);
-  w->EndArray();
-}
-
-Result<std::vector<size_t>> ReadSizeVector(const json::Value& v) {
-  if (!v.is_array()) {
-    return Status::ComputationError("checkpoint: expected size array");
-  }
-  std::vector<size_t> out;
-  out.reserve(v.array_items().size());
-  for (const json::Value& x : v.array_items()) {
-    if (!x.is_number() || x.number_value() < 0) {
-      return Status::ComputationError("checkpoint: bad size entry");
-    }
-    out.push_back(static_cast<size_t>(x.number_value()));
-  }
-  return out;
-}
-
-void WriteRng(json::Writer* w, const Rng& rng) {
+void WriteArchive::Put(const Rng& rng) {
   const RngState s = rng.SaveState();
-  w->BeginObject();
-  w->Key("s");
-  w->BeginArray();
-  for (uint64_t word : s.words) WriteU64(w, word);
-  w->EndArray();
-  w->Key("g");
-  w->Bool(s.has_cached_gaussian);
-  w->Key("gv");
-  w->Double(s.cached_gaussian);
-  w->EndObject();
+  w_->BeginObject();
+  w_->Key("s");
+  w_->BeginArray();
+  for (uint64_t word : s.words) WriteU64(w_, word);
+  w_->EndArray();
+  (*this)("g", s.has_cached_gaussian);
+  (*this)("gv", s.cached_gaussian);
+  w_->EndObject();
 }
 
-Result<Rng> ReadRng(const json::Value& v) {
-  MC_ASSIGN_OR_RETURN(const json::Value* words, Field(v, "s"));
-  if (!words->is_array() || words->array_items().size() != 4) {
-    return Status::ComputationError("checkpoint: RNG state must have 4 words");
-  }
-  RngState s;
-  for (size_t i = 0; i < 4; ++i) {
-    MC_ASSIGN_OR_RETURN(s.words[i], ReadU64(words->array_items()[i]));
-  }
-  MC_ASSIGN_OR_RETURN(s.has_cached_gaussian, BoolField(v, "g"));
-  MC_ASSIGN_OR_RETURN(double cached, NumberField(v, "gv"));
-  s.cached_gaussian = cached;
-  Rng rng;
-  rng.RestoreState(s);
-  return rng;
+void WriteArchive::Put(const Status& status) {
+  w_->BeginObject();
+  (*this)("code", status.code());
+  (*this)("msg", status.message());
+  w_->EndObject();
 }
 
-void WriteTrace(json::Writer* w, const ConvergenceTrace& trace) {
-  w->BeginObject();
-  w->Key("winner");
-  w->Uint(trace.winning_restart);
-  w->Key("points");
-  w->BeginArray();
-  for (const ConvergencePoint& p : trace.points) {
-    w->BeginArray();
-    w->Uint(p.restart);
-    w->Uint(p.iteration);
-    w->Double(p.objective);
-    w->Double(p.delta);
-    w->Uint(p.reseeds);
-    w->Double(p.budget_remaining_ms);
-    w->EndArray();
-  }
-  w->EndArray();
-  w->EndObject();
-}
-
-Result<ConvergenceTrace> ReadTrace(const json::Value& v) {
-  ConvergenceTrace trace;
-  MC_ASSIGN_OR_RETURN(trace.winning_restart, SizeField(v, "winner"));
-  MC_ASSIGN_OR_RETURN(const json::Value* points, Field(v, "points"));
-  if (!points->is_array()) {
-    return Status::ComputationError("checkpoint: trace points not an array");
-  }
-  for (const json::Value& p : points->array_items()) {
-    if (!p.is_array() || p.array_items().size() != 6) {
-      return Status::ComputationError("checkpoint: malformed trace point");
-    }
-    const auto& cells = p.array_items();
-    for (size_t i = 0; i < 6; ++i) {
-      if (!cells[i].is_number() && !cells[i].is_null()) {
-        return Status::ComputationError("checkpoint: malformed trace point");
-      }
-    }
-    ConvergencePoint point;
-    point.restart = static_cast<size_t>(cells[0].number_value());
-    point.iteration = static_cast<size_t>(cells[1].number_value());
-    point.objective = cells[2].is_null()
-                          ? std::numeric_limits<double>::quiet_NaN()
-                          : cells[2].number_value();
-    point.delta = cells[3].is_null()
-                      ? std::numeric_limits<double>::quiet_NaN()
-                      : cells[3].number_value();
-    point.reseeds = static_cast<size_t>(cells[4].number_value());
-    point.budget_remaining_ms =
-        cells[5].is_null() ? -1.0 : cells[5].number_value();
-    trace.points.push_back(point);
-  }
-  return trace;
-}
-
-void WriteStatus(json::Writer* w, const Status& status) {
-  w->BeginObject();
-  w->Key("code");
-  w->Int(static_cast<int>(status.code()));
-  w->Key("msg");
-  w->String(status.message());
-  w->EndObject();
-}
-
-Status ReadStatus(const json::Value& v, Status* out) {
-  MC_ASSIGN_OR_RETURN(double code, NumberField(v, "code"));
-  MC_ASSIGN_OR_RETURN(const json::Value* msg, Field(v, "msg"));
-  if (!msg->is_string()) {
-    return Status::ComputationError("checkpoint: status message not a string");
-  }
-  *out = Status(static_cast<StatusCode>(static_cast<int>(code)),
-                msg->string_value());
-  return Status::OK();
+void WriteArchive::Put(const ConvergencePoint& p) {
+  w_->BeginArray();
+  Put(p.restart);
+  Put(p.iteration);
+  Put(p.objective);
+  Put(p.delta);
+  Put(p.reseeds);
+  Put(p.budget_remaining_ms);
+  w_->EndArray();
 }
 
 Status ReadArchive::Get(const json::Value& v, size_t& out) {
@@ -828,29 +612,94 @@ Status ReadArchive::Get(const json::Value& v, std::string& out) {
   return Status::OK();
 }
 
+Status ReadArchive::Get(const json::Value& v, int& out) {
+  if (!v.is_number()) return Status::ComputationError("not a number");
+  out = static_cast<int>(v.number_value());
+  return Status::OK();
+}
+
 Status ReadArchive::Get(const json::Value& v, Hex out) {
-  return Assign(ReadU64(v), out.value);
+  MC_ASSIGN_OR_RETURN(out.value, ReadU64(v));
+  return Status::OK();
 }
+
 Status ReadArchive::Get(const json::Value& v, Matrix& out) {
-  return Assign(ReadMatrix(v), out);
+  if (!v.is_object()) return Status::ComputationError("not an object");
+  ReadArchive ar(v);
+  size_t rows = 0;
+  size_t cols = 0;
+  ar("r", rows);
+  ar("c", cols);
+  ar.Field("v", [&](const json::Value& cells) {
+    // Divide rather than multiply: both counts come from the file, and
+    // rows * cols could wrap to the cell count.
+    const size_t n = cells.array_items().size();
+    if (!cells.is_array() ||
+        (rows == 0 ? n != 0 : n % rows != 0 || n / rows != cols)) {
+      return Status::ComputationError("shape mismatch");
+    }
+    Matrix m(rows, cols);
+    for (size_t i = 0; i < rows; ++i) {
+      double* row = m.row_data(i);
+      for (size_t j = 0; j < cols; ++j) {
+        const json::Value& cell = cells.array_items()[i * cols + j];
+        // null is the writer's NaN/Inf, which no checkpointed matrix holds.
+        if (!cell.is_number()) {
+          return Status::ComputationError("non-numeric cell");
+        }
+        row[j] = cell.number_value();
+      }
+    }
+    out = std::move(m);
+    return Status::OK();
+  });
+  return ar.status_;
 }
+
 Status ReadArchive::Get(const json::Value& v, Rng& out) {
-  return Assign(ReadRng(v), out);
+  if (!v.is_object()) return Status::ComputationError("not an object");
+  ReadArchive ar(v);
+  RngState s;
+  ar.Field("s", [&](const json::Value& words) {
+    if (!words.is_array() || words.array_items().size() != 4) {
+      return Status::ComputationError("RNG state must have 4 words");
+    }
+    for (size_t i = 0; i < 4; ++i) {
+      MC_RETURN_IF_ERROR(Get(words.array_items()[i], Hex{s.words[i]}));
+    }
+    return Status::OK();
+  });
+  ar("g", s.has_cached_gaussian);
+  ar("gv", s.cached_gaussian);
+  if (ar.status_.ok()) out.RestoreState(s);
+  return ar.status_;
 }
-Status ReadArchive::Get(const json::Value& v, ConvergenceTrace& out) {
-  return Assign(ReadTrace(v), out);
-}
+
 Status ReadArchive::Get(const json::Value& v, Status& out) {
-  return ReadStatus(v, &out);
+  if (!v.is_object()) return Status::ComputationError("not an object");
+  ReadArchive ar(v);
+  StatusCode code = StatusCode::kOk;
+  std::string message;
+  ar("code", code);
+  ar("msg", message);
+  if (ar.status_.ok()) out = Status(code, std::move(message));
+  return ar.status_;
 }
-Status ReadArchive::Get(const json::Value& v, std::vector<int>& out) {
-  return Assign(ReadIntVector(v), out);
-}
-Status ReadArchive::Get(const json::Value& v, std::vector<double>& out) {
-  return Assign(ReadDoubleVector(v), out);
-}
-Status ReadArchive::Get(const json::Value& v, std::vector<size_t>& out) {
-  return Assign(ReadSizeVector(v), out);
+
+Status ReadArchive::Get(const json::Value& v, ConvergencePoint& out) {
+  if (!v.is_array() || v.array_items().size() != 6) {
+    return Status::ComputationError("trace point must have 6 cells");
+  }
+  const std::vector<json::Value>& cells = v.array_items();
+  MC_RETURN_IF_ERROR(Get(cells[0], out.restart));
+  MC_RETURN_IF_ERROR(Get(cells[1], out.iteration));
+  MC_RETURN_IF_ERROR(Get(cells[2], out.objective));
+  MC_RETURN_IF_ERROR(Get(cells[3], out.delta));
+  MC_RETURN_IF_ERROR(Get(cells[4], out.reseeds));
+  MC_RETURN_IF_ERROR(Get(cells[5], out.budget_remaining_ms));
+  // null is the writer's non-finite budget; -1 is the no-deadline value.
+  if (cells[5].is_null()) out.budget_remaining_ms = -1.0;
+  return Status::OK();
 }
 
 }  // namespace ckpt

@@ -200,8 +200,8 @@ class Checkpointer {
   size_t write_attempts_ = 0;
 };
 
-/// --- Payload schema and leaf codecs. Each checkpointed state declares
-/// its payload once, as a visitor over its members:
+/// --- Payload schema. Each checkpointed state declares its payload once,
+/// as a visitor over its members:
 ///
 ///   template <class Ar> void Fields(Ar& ar) {
 ///     ar("step", step);
@@ -209,9 +209,11 @@ class Checkpointer {
 ///   }
 ///
 /// WriteArchive drives it to serialize and ReadArchive to parse, so the two
-/// directions cannot disagree on key names, order or encoding. Readers
-/// reject a missing or mistyped field with kComputationError naming it, so
-/// the caller can fall back to a cold start. ---
+/// directions cannot disagree on key names, order or encoding. The leaf
+/// types (scalars, Matrix, Rng, Status, ConvergencePoint) are the archives'
+/// own Put/Get overloads. Readers reject a missing or mistyped field with
+/// kComputationError naming it, so the caller can fall back to a cold
+/// start. ---
 namespace ckpt {
 
 /// Test-only: toggles the Checkpointer's read-back verification of every
@@ -226,32 +228,6 @@ bool SetVerifyAfterWriteForTest(bool enabled);
 /// and would silently round above 2^53.
 void WriteU64(json::Writer* w, uint64_t v);
 Result<uint64_t> ReadU64(const json::Value& v);
-
-void WriteMatrix(json::Writer* w, const Matrix& m);
-Result<Matrix> ReadMatrix(const json::Value& v);
-
-void WriteIntVector(json::Writer* w, const std::vector<int>& v);
-Result<std::vector<int>> ReadIntVector(const json::Value& v);
-
-void WriteDoubleVector(json::Writer* w, const std::vector<double>& v);
-Result<std::vector<double>> ReadDoubleVector(const json::Value& v);
-
-void WriteSizeVector(json::Writer* w, const std::vector<size_t>& v);
-Result<std::vector<size_t>> ReadSizeVector(const json::Value& v);
-
-/// Full generator state (xoshiro words + Box-Muller cache).
-void WriteRng(json::Writer* w, const Rng& rng);
-Result<Rng> ReadRng(const json::Value& v);
-
-/// Accumulated convergence telemetry, so a resumed run's trace equals the
-/// uninterrupted run's.
-void WriteTrace(json::Writer* w, const ConvergenceTrace& trace);
-Result<ConvergenceTrace> ReadTrace(const json::Value& v);
-
-void WriteStatus(json::Writer* w, const Status& status);
-/// Parses a status written by WriteStatus into *out; the return value is
-/// the parse outcome (Result<Status> would be ill-formed).
-Status ReadStatus(const json::Value& v, Status* out);
 
 /// Marks a 64-bit member that is encoded as a hex string (WriteU64) rather
 /// than as a JSON number like the size_t counters: `ar("seed", Hex{seed})`.
@@ -300,17 +276,15 @@ class WriteArchive {
   explicit WriteArchive(json::Writer* w) : w_(w) {}
 
   void Put(size_t v) { w_->Uint(v); }
+  void Put(int v) { w_->Int(v); }
   void Put(bool v) { w_->Bool(v); }
   void Put(double v) { w_->Double(v); }  // NaN/Inf serialize as null
   void Put(const std::string& v) { w_->String(v); }
   void Put(Hex v) { WriteU64(w_, v.value); }
-  void Put(const Matrix& m) { WriteMatrix(w_, m); }
-  void Put(const Rng& rng) { WriteRng(w_, rng); }
-  void Put(const ConvergenceTrace& trace) { WriteTrace(w_, trace); }
-  void Put(const Status& status) { WriteStatus(w_, status); }
-  void Put(const std::vector<int>& v) { WriteIntVector(w_, v); }
-  void Put(const std::vector<double>& v) { WriteDoubleVector(w_, v); }
-  void Put(const std::vector<size_t>& v) { WriteSizeVector(w_, v); }
+  void Put(const Matrix& m);            // {"r":rows,"c":cols,"v":[cells]}
+  void Put(const Rng& rng);             // {"s":[4 hex words],"g":..,"gv":..}
+  void Put(const Status& status);       // {"code":code,"msg":message}
+  void Put(const ConvergencePoint& p);  // one positional 6-cell array
   template <class E>
     requires std::is_enum_v<E>
   void Put(E v) {
@@ -352,18 +326,7 @@ class ReadArchive {
 
   template <class T>
   void operator()(const char* key, T&& value) {
-    if (!status_.ok()) return;
-    const json::Value* field = object_.Find(key);
-    if (field == nullptr) {
-      status_ = Status::ComputationError(
-          std::string("checkpoint: missing field '") + key + "'");
-      return;
-    }
-    const Status got = Get(*field, value);
-    if (!got.ok()) {
-      status_ = Status::ComputationError(std::string("checkpoint: field '") +
-                                         key + "': " + got.message());
-    }
+    Field(key, [&](const json::Value& field) { return Get(field, value); });
   }
   /// Reads the flag that guards a conditional group; true when it parsed
   /// and is set.
@@ -375,18 +338,34 @@ class ReadArchive {
  private:
   explicit ReadArchive(const json::Value& object) : object_(object) {}
 
-  static Status Get(const json::Value& v, size_t& out);
+  /// Parses member `key` with `parse(const json::Value&) -> Status`; a
+  /// missing or rejected member latches a kComputationError naming it.
+  template <class Parse>
+  void Field(const char* key, const Parse& parse) {
+    if (!status_.ok()) return;
+    const json::Value* field = object_.Find(key);
+    if (field == nullptr) {
+      status_ = Status::ComputationError(
+          std::string("checkpoint: missing field '") + key + "'");
+      return;
+    }
+    const Status got = parse(*field);
+    if (!got.ok()) {
+      status_ = Status::ComputationError(std::string("checkpoint: field '") +
+                                         key + "': " + got.message());
+    }
+  }
+
+  static Status Get(const json::Value& v, size_t& out);  // rejects < 0
+  static Status Get(const json::Value& v, int& out);
   static Status Get(const json::Value& v, bool& out);
   static Status Get(const json::Value& v, double& out);  // null -> NaN
   static Status Get(const json::Value& v, std::string& out);
   static Status Get(const json::Value& v, Hex out);
-  static Status Get(const json::Value& v, Matrix& out);
-  static Status Get(const json::Value& v, Rng& out);
-  static Status Get(const json::Value& v, ConvergenceTrace& out);
+  static Status Get(const json::Value& v, Matrix& out);  // rejects null cells
+  static Status Get(const json::Value& v, Rng& out);     // exactly 4 words
   static Status Get(const json::Value& v, Status& out);
-  static Status Get(const json::Value& v, std::vector<int>& out);
-  static Status Get(const json::Value& v, std::vector<double>& out);
-  static Status Get(const json::Value& v, std::vector<size_t>& out);
+  static Status Get(const json::Value& v, ConvergencePoint& out);  // 6 cells
   template <class E>
     requires std::is_enum_v<E>
   static Status Get(const json::Value& v, E& out) {
@@ -398,6 +377,7 @@ class ReadArchive {
   static Status Get(const json::Value& v, std::vector<T>& out) {
     if (!v.is_array()) return Status::ComputationError("not an array");
     out.clear();
+    out.reserve(v.array_items().size());
     for (const json::Value& item : v.array_items()) {
       T element;
       MC_RETURN_IF_ERROR(Get(item, element));

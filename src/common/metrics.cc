@@ -95,14 +95,6 @@ std::vector<uint64_t> Histogram::bucket_counts() const {
   return out;
 }
 
-uint64_t Histogram::total_count() const {
-  uint64_t total = 0;
-  for (size_t b = 0; b <= bounds_.size(); ++b) {
-    total += counts_[b].load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 double Histogram::Quantile(double q) const {
   return HistogramQuantile(bounds_, bucket_counts(), q);
 }

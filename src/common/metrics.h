@@ -70,7 +70,6 @@ class Histogram {
   const std::vector<double>& bounds() const { return bounds_; }
   /// Bucket counts, length bounds().size() + 1 (last = overflow).
   std::vector<uint64_t> bucket_counts() const;
-  uint64_t total_count() const;
   /// HistogramQuantile() over the current bucket counts.
   double Quantile(double q) const;
   void Reset();

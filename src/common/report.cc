@@ -1,8 +1,8 @@
 #include "common/report.h"
 
-#include <cstdio>
 #include <limits>
 
+#include "common/atomicio.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "core/pipeline.h"
@@ -218,23 +218,15 @@ std::string DiscoveryReportJson(const DiscoveryReport& report,
   return out;
 }
 
-Status WriteStringToFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open '" + path + "' for writing");
-  }
-  const size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  const int close_err = std::fclose(f);
-  if (written != content.size() || close_err != 0) {
-    return Status::IoError("short write to '" + path + "'");
-  }
-  return Status::OK();
-}
-
 Status WriteDiscoveryReport(const std::string& path,
                             const DiscoveryReport& report,
                             const ReportJsonOptions& options) {
-  return WriteStringToFile(path, DiscoveryReportJson(report, options));
+  atomicio::AtomicWriteOptions wopts;
+  wopts.what = "report";
+  wopts.fault_site = "report";
+  wopts.fsync_dir = true;
+  return atomicio::AtomicWritePath(path, DiscoveryReportJson(report, options),
+                                   wopts);
 }
 
 namespace {

@@ -103,14 +103,12 @@ std::string DiscoveryReportJson(const DiscoveryReport& report,
 /// was written with `include_labels`.
 Result<DiscoveryReport> ReadDiscoveryReportJson(const std::string& text);
 
-/// Writes DiscoveryReportJson(report, options) to `path`.
+/// Publishes DiscoveryReportJson(report, options) at `path` atomically
+/// and durably (atomicio, directory fsynced; I/O fault site "report"): a
+/// reader sees the previous file or the complete new one, never a torn one.
 Status WriteDiscoveryReport(const std::string& path,
                             const DiscoveryReport& report,
                             const ReportJsonOptions& options = {});
-
-/// Writes a whole string to a file (shared by the report and harness
-/// writers; replaces the file atomically enough for single-writer use).
-Status WriteStringToFile(const std::string& path, const std::string& content);
 
 }  // namespace multiclust
 

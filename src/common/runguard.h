@@ -113,6 +113,14 @@ struct ConvergenceTrace {
 
   bool empty() const { return points.empty(); }
   std::string ToString() const;
+
+  /// Checkpoint schema (see common/checkpoint.h), so a resumed run's trace
+  /// equals the uninterrupted run's.
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar("winner", winning_restart);
+    ar("points", points);
+  }
 };
 
 /// Per-run execution diagnostics: what happened, how long it took, and how

@@ -12,6 +12,7 @@
 
 #include "common/atomicio.h"
 #include "common/blackbox.h"
+#include "common/json.h"
 
 namespace multiclust {
 namespace trace {
@@ -130,22 +131,6 @@ std::vector<Placed> PlaceEvents(const std::vector<Event>& events) {
     open.push_back(i);
   }
   return placed;
-}
-
-void AppendJsonEscaped(const char* s, std::string* out) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out->append(buf);
-    } else {
-      out->push_back(c);
-    }
-  }
 }
 
 }  // namespace
@@ -284,7 +269,7 @@ std::string ChromeTraceJson() {
     if (!first) out += ',';
     first = false;
     out += "\n{\"name\":\"";
-    AppendJsonEscaped(e.name, &out);
+    out += json::Escape(e.name);
     out += "\",\"cat\":\"multiclust\",\"ph\":\"X\",\"pid\":1,";
     std::snprintf(buf, sizeof(buf), "\"tid\":%u,\"ts\":%.3f,\"dur\":%.3f}",
                   e.tid, e.ts_us, e.dur_us);

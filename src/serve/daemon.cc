@@ -15,7 +15,6 @@
 #include <fstream>
 
 #include "common/atomicio.h"
-#include "common/metrics.h"
 #include "common/report.h"
 #include "common/rng.h"
 #include "common/runledger.h"
@@ -220,7 +219,6 @@ Status Daemon::RecoverJobs() {
     job->resume = true;
     queue_.EnqueueRecovered(job);
     (void)AppendLedger(job, "resumed", 0, "recovered after restart");
-    MC_METRIC_COUNT("serve.jobs_recovered", 1);
     ++recovered_;
   }
   return Status::OK();
@@ -368,19 +366,10 @@ void Daemon::WatchdogLoop() {
   while (!watchdog_stop_.load(std::memory_order_relaxed)) {
     SleepWithCancel(options_.watchdog_period_ms, nullptr);
     std::vector<std::shared_ptr<Job>> evicted;
-    const std::vector<std::string> cancelled =
-        queue_.Sweep(options_.watchdog_grace_ms, &evicted);
+    queue_.Sweep(options_.watchdog_grace_ms, &evicted);
     for (const std::shared_ptr<Job>& job : evicted) {
       (void)AppendLedger(job, "evicted", 1, "queue ttl expired");
-      MC_METRIC_COUNT("serve.jobs_evicted", 1);
     }
-    if (!cancelled.empty()) {
-      MC_METRIC_COUNT("serve.watchdog_cancels", cancelled.size());
-    }
-    const QueueStats stats = queue_.stats();
-    MC_METRIC_GAUGE_SET("serve.queue_depth", static_cast<double>(stats.queued));
-    MC_METRIC_GAUGE_SET("serve.jobs_running",
-                        static_cast<double>(stats.running));
   }
 }
 
@@ -430,14 +419,12 @@ void Daemon::ExecuteJob(const std::shared_ptr<Job>& job) {
       mux_.FinishJob("complete");
       queue_.Finish(job, JobState::kDone, result);
       (void)AppendLedger(job, "ok", 0, "");
-      MC_METRIC_COUNT("serve.jobs_done", 1);
       return;
     }
     result.error = wrote.ToString();
     mux_.FinishJob("error");
     queue_.Finish(job, JobState::kError, result);
     (void)AppendLedger(job, "error", 1, result.error);
-    MC_METRIC_COUNT("serve.jobs_error", 1);
     return;
   }
 
@@ -450,7 +437,6 @@ void Daemon::ExecuteJob(const std::shared_ptr<Job>& job) {
     mux_.AbandonJob();
     result.error = "suspended by drain";
     queue_.Finish(job, JobState::kCancelled, result);
-    MC_METRIC_COUNT("serve.jobs_suspended", 1);
     return;
   }
   if (code == StatusCode::kAborted && job->resumes < options_.max_resumes) {
@@ -461,7 +447,6 @@ void Daemon::ExecuteJob(const std::shared_ptr<Job>& job) {
     queue_.MarkResumed(job, out.fingerprint);
     (void)AppendLedger(job, "resumed", 0, "in-daemon resume after fault");
     queue_.EnqueueRecovered(job);
-    MC_METRIC_COUNT("serve.jobs_fault_resumed", 1);
     return;
   }
   result.error = out.status.ToString();
@@ -471,12 +456,10 @@ void Daemon::ExecuteJob(const std::shared_ptr<Job>& job) {
     (void)AppendLedger(job, "cancelled", 130,
                        job->cancel_cause.empty() ? "cancelled"
                                                  : job->cancel_cause);
-    MC_METRIC_COUNT("serve.jobs_cancelled", 1);
     return;
   }
   queue_.Finish(job, JobState::kError, result);
   (void)AppendLedger(job, "error", 1, result.error);
-  MC_METRIC_COUNT("serve.jobs_error", 1);
 }
 
 void Daemon::HandleConnection(int fd) {
@@ -560,7 +543,6 @@ void Daemon::HandleSubmit(const Request& request, int fd) {
   job->published = false;
   const AdmissionDecision decision = queue_.Offer(job);
   if (!decision.admitted) {
-    MC_METRIC_COUNT("serve.jobs_rejected", 1);
     json::Writer w = ResponseWriter("submit", /*ok=*/true);
     w.Key("state");
     w.String("rejected");
@@ -581,7 +563,6 @@ void Daemon::HandleSubmit(const Request& request, int fd) {
     return;
   }
   queue_.MarkPublished(job);
-  MC_METRIC_COUNT("serve.jobs_accepted", 1);
   json::Writer w = ResponseWriter("submit", /*ok=*/true);
   w.Key("job_id");
   w.String(job->id);

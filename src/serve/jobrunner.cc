@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/checkpoint.h"
-#include "common/metrics.h"
 #include "data/csv.h"
 #include "data/generators.h"
 
@@ -40,7 +39,6 @@ Result<std::shared_ptr<const Dataset>> DatasetCache::Resolve(
         lru_.splice(lru_.begin(), lru_, it);
         ++hits_;
         if (hit != nullptr) *hit = true;
-        MC_METRIC_COUNT("serve.dataset_cache.hits", 1);
         return lru_.front().dataset;
       }
     }
@@ -52,7 +50,6 @@ Result<std::shared_ptr<const Dataset>> DatasetCache::Resolve(
   auto dataset = std::make_shared<const Dataset>(std::move(loaded));
   std::lock_guard<std::mutex> lock(mu_);
   ++misses_;
-  MC_METRIC_COUNT("serve.dataset_cache.misses", 1);
   lru_.push_front(Entry{std::move(key), dataset});
   while (lru_.size() > capacity_) lru_.pop_back();
   return dataset;
@@ -176,7 +173,6 @@ RunOutcome JobRunner::Run(const RunRequest& request) const {
       break;
     }
     const double delay_ms = backoff.NextDelayMs();
-    MC_METRIC_COUNT("serve.job_retries", 1);
     if (!SleepWithCancel(delay_ms, request.cancel)) {
       report = Status::Cancelled("jobrunner: cancelled during retry backoff");
       break;

@@ -190,7 +190,7 @@ class JobQueue {
 
   /// Watchdog sweep: trips the cancel token of running jobs past
   /// spec.deadline_ms + grace, and evicts jobs queued longer than the
-  /// policy's TTL. Returns the ids it cancelled (for ledger/metrics);
+  /// policy's TTL. Returns the ids it cancelled;
   /// evicted jobs are appended to `evicted`.
   std::vector<std::string> Sweep(double grace_ms,
                                  std::vector<std::shared_ptr<Job>>* evicted);

@@ -312,44 +312,121 @@ TEST_F(CorruptionTest, OlderValidCheckpointStillRestores) {
   EXPECT_EQ(diag.warnings.size(), 1u);
 }
 
-// ---- serialization helpers ----------------------------------------------
+// ---- payload leaves ------------------------------------------------------
+
+// A one-field payload record: the smallest state the archives can carry, so
+// one leaf can be round-tripped or fed a malformed encoding in isolation.
+template <class T>
+struct Leaf {
+  T value;
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar("value", value);
+  }
+};
+
+struct HexLeaf {
+  uint64_t value = 0;
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar("value", ckpt::Hex{value});
+  }
+};
+
+template <class T>
+T RoundTrip(const T& record) {
+  json::Writer w;
+  ckpt::WriteArchive::Write(&w, record);
+  auto parsed = json::Parse(w.str());
+  EXPECT_TRUE(parsed.ok());
+  T back;
+  const Status read = ckpt::ReadArchive::Read(*parsed, &back);
+  EXPECT_TRUE(read.ok()) << read.ToString();
+  return back;
+}
 
 TEST(CheckpointSerdeTest, RngRoundTripContinuesStream) {
-  Rng a(12345);
-  for (int i = 0; i < 17; ++i) a.NextU64();
-  a.NextGaussian();  // prime the Box-Muller cache
+  Leaf<Rng> a{Rng(12345)};
+  for (int i = 0; i < 17; ++i) a.value.NextU64();
+  a.value.NextGaussian();  // prime the Box-Muller cache
 
-  json::Writer w;
-  ckpt::WriteRng(&w, a);
-  auto parsed = json::Parse(w.str());
-  ASSERT_TRUE(parsed.ok());
-  auto b = ckpt::ReadRng(*parsed);
-  ASSERT_TRUE(b.ok());
+  Leaf<Rng> b = RoundTrip(a);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(a.NextU64(), b->NextU64());
+    EXPECT_EQ(a.value.NextU64(), b.value.NextU64());
   }
-  EXPECT_EQ(a.NextGaussian(), b->NextGaussian());
+  EXPECT_EQ(a.value.NextGaussian(), b.value.NextGaussian());
 }
 
 TEST(CheckpointSerdeTest, MatrixRoundTripBitIdentical) {
-  Matrix m(3, 2);
+  Leaf<Matrix> m{Matrix(3, 2)};
   Rng rng(7);
   for (size_t i = 0; i < 3; ++i) {
-    for (size_t j = 0; j < 2; ++j) m.at(i, j) = rng.NextGaussian() * 1e-7;
-  }
-  json::Writer w;
-  ckpt::WriteMatrix(&w, m);
-  auto parsed = json::Parse(w.str());
-  ASSERT_TRUE(parsed.ok());
-  auto back = ckpt::ReadMatrix(*parsed);
-  ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back->rows(), 3u);
-  ASSERT_EQ(back->cols(), 2u);
-  for (size_t i = 0; i < 3; ++i) {
     for (size_t j = 0; j < 2; ++j) {
-      EXPECT_EQ(m.at(i, j), back->at(i, j));  // bitwise, not approx
+      m.value.at(i, j) = rng.NextGaussian() * 1e-7;
     }
   }
+  const Leaf<Matrix> back = RoundTrip(m);
+  ASSERT_EQ(back.value.rows(), 3u);
+  ASSERT_EQ(back.value.cols(), 2u);
+  for (size_t i = 0; i < 3; ++i) {
+    for (size_t j = 0; j < 2; ++j) {
+      EXPECT_EQ(m.value.at(i, j), back.value.at(i, j));  // bitwise
+    }
+  }
+}
+
+// Each leaf keeps its reader's own rule: a malformed encoding is rejected
+// as kComputationError naming the field, which the slot turns into a
+// cold start.
+template <class Record>
+Status ReadLeaf(const std::string& payload) {
+  auto parsed = json::Parse(payload);
+  EXPECT_TRUE(parsed.ok()) << payload;
+  Record record;
+  return ckpt::ReadArchive::Read(*parsed, &record);
+}
+
+TEST(CheckpointSerdeTest, MalformedLeavesAreRejectedNamingTheField) {
+  struct Case {
+    const char* name;
+    Status status;
+    const char* inner_field;  // the leaf's own member, when it has one
+  };
+  const std::vector<Case> cases = {
+      {"null matrix cell",
+       ReadLeaf<Leaf<Matrix>>(R"({"value":{"r":1,"c":2,"v":[1,null]}})"),
+       "'v'"},
+      {"matrix shape whose cell count wraps",
+       ReadLeaf<Leaf<Matrix>>(
+           R"({"value":{"r":4294967296,"c":4294967296,"v":[]}})"),
+       "'v'"},
+      {"3-word RNG state",
+       ReadLeaf<Leaf<Rng>>(
+           R"({"value":{"s":["0x1","0x2","0x3"],"g":false,"gv":0}})"),
+       "'s'"},
+      {"5-cell trace point",
+       ReadLeaf<Leaf<ConvergenceTrace>>(
+           R"({"value":{"winner":0,"points":[[0,1,2.5,0.1,0]]}})"),
+       "'points'"},
+      {"u64 without 0x", ReadLeaf<HexLeaf>(R"({"value":"12"})"), "'value'"},
+      {"negative size", ReadLeaf<Leaf<size_t>>(R"({"value":-1})"), "'value'"},
+      {"string int label",
+       ReadLeaf<Leaf<std::vector<int>>>(R"({"value":[0,"1"]})"), "'value'"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(c.status.code(), StatusCode::kComputationError);
+    const std::string& message = c.status.message();
+    EXPECT_NE(message.find("'value'"), std::string::npos) << message;
+    EXPECT_NE(message.find(c.inner_field), std::string::npos) << message;
+  }
+  // The same encodings, well formed, are accepted.
+  EXPECT_TRUE(ReadLeaf<Leaf<Matrix>>(R"({"value":{"r":1,"c":2,"v":[1,2]}})")
+                  .ok());
+  EXPECT_TRUE(ReadLeaf<HexLeaf>(R"({"value":"0x12"})").ok());
+  EXPECT_TRUE(ReadLeaf<Leaf<ConvergenceTrace>>(
+                  R"({"value":{"winner":0,"points":[[0,1,2.5,0.1,0,null]]}})")
+                  .ok());
 }
 
 TEST(CheckpointSerdeTest, FingerprintSensitivity) {

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fault.h"
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/report.h"
@@ -196,6 +197,33 @@ TEST(ReportTest, WriteDiscoveryReportProducesParseableFile) {
   EXPECT_EQ(content, DiscoveryReportJson(report));
   EXPECT_TRUE(test::IsValidJson(content));
 }
+
+#if defined(MULTICLUST_FAULT_INJECTION)
+// The report is published atomically: a write that fails part-way leaves
+// the previous file byte-for-byte and no temp file behind.
+TEST(ReportTest, FailedReportWriteKeepsThePreviousFile) {
+  const std::string path = ::testing::TempDir() + "report_test_atomic.json";
+  const std::string previous = "{\"previous\":true}\n";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << previous;
+  }
+  fault::Reset();
+  FaultSpec spec;
+  spec.site = "report";
+  spec.kind = FaultKind::kIoShortWrite;
+  fault::Arm(spec);
+  const Status st = WriteDiscoveryReport(path, MakeReport());
+  fault::Reset();
+  EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
+  std::ifstream in(path, std::ios::binary);
+  const std::string content((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(content, previous);
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  std::remove(path.c_str());
+}
+#endif  // MULTICLUST_FAULT_INJECTION
 
 TEST(ReportTest, MetricsJsonIsValid) {
   metrics::Reset();
