@@ -27,6 +27,7 @@
 #include "metrics/clustering_quality.h"
 #include "stats/grid.h"
 #include "stats/hsic.h"
+#include "support/nearest_oracle.h"
 #include "support/silhouette_oracle.h"
 
 using namespace multiclust;
@@ -437,7 +438,7 @@ void RecordAssignToNearest(bench::Harness* h) {
       OnceMs([&] { fast = AssignToNearest(in.data, in.centers); });
   const double per_pair_ms = OnceMs([&] {
     for (size_t i = 0; i < n; ++i) {
-      per_pair[i] = kernels::NearestSquared(
+      per_pair[i] = test::NearestSquared(
           in.data.row_data(i), in.centers.row_data(0), k, in.data.cols());
     }
   });

@@ -380,7 +380,6 @@ int main(int argc, char** argv) {
   }
 
   if (crash_armed || die_armed) {
-#if defined(MULTICLUST_FAULT_INJECTION)
     FaultSpec spec;
     spec.site = crash_site;
     // --crash-at exits cleanly with code 3 at a persistence point;
@@ -390,12 +389,6 @@ int main(int argc, char** argv) {
     spec.at_iteration = crash_armed ? crash_at : die_at;
     spec.max_fires = 1;
     fault::Arm(spec);
-#else
-    std::fprintf(stderr,
-                 "--crash-at/--die-at require a build with fault injection "
-                 "(-DMULTICLUST_FAULT_INJECTION=ON)\n");
-    return 2;
-#endif
   }
 
   // The run itself goes through the shared serving-path executor

@@ -11,7 +11,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "common/atomicio.h"
 #include "common/fault.h"
 #include "common/profile.h"
 
@@ -283,13 +282,10 @@ void WriteThread(Sink* s, const ThreadRing* ring) {
       s->Raw(",\"b\":");
       s->Uint(b);
     }
-#if defined(MULTICLUST_FAULT_INJECTION)
-    // FaultKindName is only linked into fault-injection builds.
     if (type == static_cast<uint32_t>(EventType::kFault)) {
       s->Raw(",\"fault_kind\":");
       s->Quoted(FaultKindName(static_cast<FaultKind>(b)));
     }
-#endif
     s->Char('}');
   }
   s->Raw("]}");
@@ -623,12 +619,6 @@ std::string FlightRecordJson(int signal) {
   Sink sink(&out);
   WriteReportBody(&sink, signal, nullptr);
   return out;
-}
-
-Status WriteFlightRecord(const std::string& path) {
-  atomicio::AtomicWriteOptions options;
-  options.what = "blackbox";
-  return atomicio::AtomicWritePath(path, FlightRecordJson(), options);
 }
 
 }  // namespace blackbox

@@ -159,10 +159,6 @@ void SetCrashLedger(const std::string& ledger_path,
 /// alive, not a crash".
 std::string FlightRecordJson(int signal = 0);
 
-/// Publishes FlightRecordJson() at `path` through the shared atomic
-/// writer (atomicio.h); for the signal path use InstallCrashHandler.
-Status WriteFlightRecord(const std::string& path);
-
 }  // namespace blackbox
 }  // namespace multiclust
 

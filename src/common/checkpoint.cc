@@ -145,7 +145,6 @@ std::optional<std::string> SlurpFile(const std::string& path) {
   return std::move(buf).str();
 }
 
-#if defined(MULTICLUST_FAULT_INJECTION)
 // kCheckpointCorrupt: deterministic post-write bit rot — the byte at `pos`
 // in the (already verified) final file gets a bit flipped. The caller aims
 // `pos` into the payload region: envelope bytes outside the validated
@@ -167,7 +166,6 @@ void FlipByteInFile(const std::string& path, off_t pos) {
   }
   close(fd);
 }
-#endif  // MULTICLUST_FAULT_INJECTION
 
 }  // namespace
 
@@ -425,7 +423,6 @@ Status Checkpointer::WriteSnapshot(
   have_last_save_ = true;
   last_save_ = std::chrono::steady_clock::now();
 
-#if defined(MULTICLUST_FAULT_INJECTION)
   // Post-verification bit rot (models corruption that happens after a
   // correct write): exercised against the restore-time CRC, never against
   // the write path above.
@@ -436,7 +433,6 @@ Status Checkpointer::WriteSnapshot(
     FlipByteInFile(dir_ + "/" + file_name,
                    static_cast<off_t>(body + (doc_text.size() - body) / 2));
   }
-#endif
 
   // Rotation: keep the newest keep_last files of this slot.
   if (policy_.keep_last > 0) {

@@ -1,7 +1,5 @@
 #include "common/fault.h"
 
-#if defined(MULTICLUST_FAULT_INJECTION)
-
 #include <atomic>
 #include <cstring>
 #include <mutex>
@@ -136,5 +134,3 @@ size_t TotalFires(const char* site) {
 
 }  // namespace fault
 }  // namespace multiclust
-
-#endif  // MULTICLUST_FAULT_INJECTION

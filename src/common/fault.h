@@ -69,12 +69,9 @@ struct FaultSpec {
   uint64_t seed = 0;         ///< SplitMix64 stream seed for the coin flips
 };
 
-/// Deterministic fault injector. The hooks are compiled into the library
-/// only when MULTICLUST_FAULT_INJECTION is defined (a CMake option, ON by
-/// default so the test suite can exercise recovery paths); without it every
-/// call site reduces to a constant `false` and the whole subsystem costs
-/// nothing. With injection compiled in but nothing armed, the per-iteration
-/// cost is one relaxed atomic load.
+/// Deterministic fault injector. The hooks are always compiled into the
+/// library, so every build can exercise its recovery paths; with nothing
+/// armed, the per-iteration cost is one acquire atomic load.
 ///
 /// Concurrency contract (see fault_injection_test.cc, ArmRaceHygiene):
 /// Arm(), Reset(), ShouldFire() and TotalFires() are individually
@@ -87,8 +84,6 @@ struct FaultSpec {
 /// There is no ordering between two hook checks on different threads: a
 /// fault with max_fires = 1 fires on exactly one of them.
 namespace fault {
-
-#if defined(MULTICLUST_FAULT_INJECTION)
 
 /// Arms `spec` (appends to the active set). Thread-safe.
 void Arm(const FaultSpec& spec);
@@ -107,30 +102,12 @@ size_t TotalFires();
 /// Reset() — lets campaign assertions pinpoint the firing site.
 size_t TotalFires(const char* site);
 
-#else
-
-inline void Arm(const FaultSpec&) {}
-inline void Reset() {}
-inline constexpr bool ShouldFire(const char*, FaultKind, size_t) {
-  return false;
-}
-inline constexpr size_t TotalFires() { return 0; }
-inline constexpr size_t TotalFires(const char*) { return 0; }
-
-#endif  // MULTICLUST_FAULT_INJECTION
-
 }  // namespace fault
 }  // namespace multiclust
 
 /// Hot-loop hook. Usage:
 ///   if (MC_FAULT_FIRES("kmeans", FaultKind::kInjectNaN, iter)) { ... }
-/// Expands to a compile-time `false` when fault injection is disabled, so
-/// the branch (and anything guarded by it) is eliminated entirely.
-#if defined(MULTICLUST_FAULT_INJECTION)
 #define MC_FAULT_FIRES(site, kind, iter) \
   (::multiclust::fault::ShouldFire((site), (kind), (iter)))
-#else
-#define MC_FAULT_FIRES(site, kind, iter) (false)
-#endif
 
 #endif  // MULTICLUST_COMMON_FAULT_H_

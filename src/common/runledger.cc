@@ -93,12 +93,8 @@ std::string RunRecordJson(const RunRecord& record) {
   w.String(MULTICLUST_GIT_REV);
   w.Key("tracing");  // every build carries the tracer; kept for readers
   w.Bool(true);
-  w.Key("fault_injection");
-#if defined(MULTICLUST_FAULT_INJECTION)
+  w.Key("fault_injection");  // every build carries the hooks; kept for readers
   w.Bool(true);
-#else
-  w.Bool(false);
-#endif
   w.Key("simd");
 #if defined(MULTICLUST_SIMD)
   w.Bool(true);

@@ -211,50 +211,18 @@ void GaussianRow(const double* x, const double* rows, size_t count, size_t d,
   }
 }
 
-// argmin_c ||x - centers_c||^2 with strict-< tie-breaking (lowest index).
-template <typename V>
-int NearestSquared(const double* x, const double* centers, size_t k,
-                   size_t d) {
-  double best = 0.0;
-  int best_c = 0;
-  for (size_t c = 0; c < k; ++c) {
-    const double s = SquaredDistance<V>(x, centers + c * d, d);
-    if (c == 0 || s < best) {
-      best = s;
-      best_c = static_cast<int>(c);
-    }
-  }
-  return best_c;
-}
-
-// argmin_c ||x||^2 - 2 x.c + ||c||^2 given precomputed norms.
-template <typename V>
-int NearestNormForm(const double* x, const double* centers, size_t k, size_t d,
-                    double x_norm, const double* center_norms) {
-  double best = 0.0;
-  int best_c = 0;
-  for (size_t c = 0; c < k; ++c) {
-    const double dot = Dot<V>(x, centers + c * d, d);
-    const double dist = x_norm - 2.0 * dot + center_norms[c];
-    if (c == 0 || dist < best) {
-      best = dist;
-      best_c = static_cast<int>(c);
-    }
-  }
-  return best_c;
-}
-
 // --- row-lane distance kernels (four rows ride the four lanes). ---
 //
 // Each group of four rows is transposed to lane-major order and each
 // centre coordinate is broadcast, so one vector op advances four
 // (row, centre) pairs. Eight slot accumulators s[j % 8] replay the
-// per-pair kernels lane for lane: slot l < 4 is lane l of acc0, slot l + 4
-// is lane l of acc1, and the combine ((s0+s4)+(s1+s5)) + ((s2+s6)+(s3+s7))
-// is acc0 + acc1 followed by ReduceSum's fixed order. The per-pair
-// kernels' zero-padded tail slots only add +0 to an accumulator that
-// started at +0 and so is never -0 (+0 + -0 = +0); adding +0 leaves it
-// unchanged, so the row-lane kernels skip those slots. Every distance or
+// per-pair SquaredDistance / Dot kernels lane for lane: slot l < 4 is
+// lane l of acc0, slot l + 4 is lane l of acc1, and the combine
+// ((s0+s4)+(s1+s5)) + ((s2+s6)+(s3+s7)) is acc0 + acc1 followed by
+// ReduceSum's fixed order. The per-pair kernels' zero-padded tail slots
+// only add +0 to an accumulator that started at +0 and so is never -0
+// (+0 + -0 = +0); adding +0 leaves it unchanged, so the row-lane kernels
+// skip those slots. Every distance or
 // dot product is therefore bit-identical to SquaredDistance / Dot on the
 // same backend, and with them identical across backends.
 
@@ -299,8 +267,8 @@ V SlotReduce(size_t d, const Term& term) {
   return ((s0 + s4) + (s1 + s5)) + ((s2 + s6) + (s3 + s7));
 }
 
-// out[r] = NearestSquared(x_r, centers, k, d) for the `count` rows
-// x_r = x + r*d.
+// out[r] = argmin_c ||x_r - centers_c||^2 for the `count` rows
+// x_r = x + r*d, strict-< tie-breaking (lowest index).
 template <typename V>
 void NearestSquaredRows(const double* x, size_t count, const double* centers,
                         size_t k, size_t d, int* out) {
@@ -329,8 +297,8 @@ void NearestSquaredRows(const double* x, size_t count, const double* centers,
   }
 }
 
-// out[r] = NearestNormForm(x_r, centers, k, d, x_norms[r], center_norms)
-// for the `count` rows x_r = x + r*d.
+// out[r] = argmin_c x_norms[r] - 2 x_r.c + center_norms[c] for the
+// `count` rows x_r = x + r*d, strict-< tie-breaking (lowest index).
 template <typename V>
 void NearestNormFormRows(const double* x, size_t count, const double* centers,
                          size_t k, size_t d, const double* x_norms,

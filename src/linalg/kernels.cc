@@ -81,15 +81,6 @@ void GaussianRow(const double* x, const double* rows, size_t count, size_t d,
                         (count * d + d + count) * sizeof(double));
   impl::GaussianRow<Double4>(x, rows, count, d, gamma, out);
 }
-int NearestSquared(const double* x, const double* centers, size_t k,
-                   size_t d) {
-  return impl::NearestSquared<Double4>(x, centers, k, d);
-}
-int NearestNormForm(const double* x, const double* centers, size_t k, size_t d,
-                    double x_norm, const double* center_norms) {
-  return impl::NearestNormForm<Double4>(x, centers, k, d, x_norm,
-                                        center_norms);
-}
 // The row-lane kernels tally at call granularity (one row block per
 // call). Per (row, centre) pair: d subs, d muls and d adds for a squared
 // distance; d muls and d adds for a dot product plus the norm form's

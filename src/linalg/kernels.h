@@ -64,20 +64,15 @@ void CenterRow(const double* row, double rm_i, const double* rm, double total,
 /// out[j] = exp(-gamma * ||x - rows_j||^2), rows_j = rows + j*d.
 void GaussianRow(const double* x, const double* rows, size_t count, size_t d,
                  double gamma, double* out);
-/// argmin_c ||x - centers_c||^2, ties -> lowest index.
-int NearestSquared(const double* x, const double* centers, size_t k, size_t d);
-/// argmin_c x_norm - 2*x.center_c + center_norms[c], ties -> lowest index.
-int NearestNormForm(const double* x, const double* centers, size_t k, size_t d,
-                    double x_norm, const double* center_norms);
 /// Row-lane batches of the nearest-centre and own-centre distance scans,
 /// for the `count` rows x_r = x + r*d. Every distance (or dot product) is
 /// bit-identical to SquaredDistance (or Dot) of the same pair, so the
-/// labels equal the per-pair kernels' on every backend (kernel_impl.h has
-/// the argument).
-/// out[r] = NearestSquared(x_r, centers, k, d).
+/// labels equal a per-pair scan's on every backend (kernel_impl.h has the
+/// argument). Ties, and NaN distances, keep the lowest index.
+/// out[r] = argmin_c ||x_r - centers_c||^2.
 void NearestSquaredRows(const double* x, size_t count, const double* centers,
                         size_t k, size_t d, int* out);
-/// out[r] = NearestNormForm(x_r, centers, k, d, x_norms[r], center_norms).
+/// out[r] = argmin_c x_norms[r] - 2*x_r.centers_c + center_norms[c].
 void NearestNormFormRows(const double* x, size_t count, const double* centers,
                          size_t k, size_t d, const double* x_norms,
                          const double* center_norms, int* out);
@@ -126,9 +121,6 @@ void CenterRow(const double* row, double rm_i, const double* rm, double total,
                double* out, size_t n);
 void GaussianRow(const double* x, const double* rows, size_t count, size_t d,
                  double gamma, double* out);
-int NearestSquared(const double* x, const double* centers, size_t k, size_t d);
-int NearestNormForm(const double* x, const double* centers, size_t k, size_t d,
-                    double x_norm, const double* center_norms);
 void NearestSquaredRows(const double* x, size_t count, const double* centers,
                         size_t k, size_t d, int* out);
 void NearestNormFormRows(const double* x, size_t count, const double* centers,

@@ -56,15 +56,6 @@ void GaussianRow(const double* x, const double* rows, size_t count, size_t d,
                  double gamma, double* out) {
   impl::GaussianRow<Double4>(x, rows, count, d, gamma, out);
 }
-int NearestSquared(const double* x, const double* centers, size_t k,
-                   size_t d) {
-  return impl::NearestSquared<Double4>(x, centers, k, d);
-}
-int NearestNormForm(const double* x, const double* centers, size_t k, size_t d,
-                    double x_norm, const double* center_norms) {
-  return impl::NearestNormForm<Double4>(x, centers, k, d, x_norm,
-                                        center_norms);
-}
 void NearestSquaredRows(const double* x, size_t count, const double* centers,
                         size_t k, size_t d, int* out) {
   impl::NearestSquaredRows<Double4>(x, count, centers, k, d, out);

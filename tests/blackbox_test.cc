@@ -181,13 +181,11 @@ TEST(BlackboxTest, FlightRecordCapturesOpenSpans) {
   EXPECT_TRUE(saw_stack);
 }
 
-TEST(BlackboxTest, WriteFlightRecordValidatesAgainstSchema) {
-  const std::string dir = TempDir();
-  const std::string path = dir + "/flight.json";
+TEST(BlackboxTest, FlightRecordValidatesAgainstSchema) {
   blackbox::Reset();
   blackbox::Mark("blackbox_test.write");
-  ASSERT_TRUE(blackbox::WriteFlightRecord(path).ok());
-  const json::Value doc = test::ParseJsonOrFail(ReadAll(path));
+  const json::Value doc =
+      test::ParseJsonOrFail(blackbox::FlightRecordJson());
   EXPECT_EQ(doc.GetString("kind", ""), blackbox::kCrashReportKind);
 }
 
@@ -270,9 +268,6 @@ void ExpectValidCrashReport(const std::string& text, int signal,
 // the active site and iteration, the open-span stack the workload span,
 // and the pre-registered ledger line must land in the ledger.
 TEST(CrashHandlerKillMatrix, SigsegvAtArmedIterationPoint) {
-#if !defined(MULTICLUST_FAULT_INJECTION)
-  GTEST_SKIP() << "fault injection compiled out";
-#else
   const std::string dir = TempDir();
   const std::string report_path = dir + "/crash.json";
   const std::string ledger_path = dir + "/runs.jsonl";
@@ -343,7 +338,6 @@ TEST(CrashHandlerKillMatrix, SigsegvAtArmedIterationPoint) {
   EXPECT_EQ(records[0].run_id, "run-killmatrix");
   EXPECT_EQ(records[0].status, "crashed");
   EXPECT_EQ(records[0].crash_report, report_path);
-#endif
 }
 
 TEST(CrashHandlerKillMatrix, SigbusSigabrtSigfpe) {
@@ -461,8 +455,6 @@ TEST(RunLedgerTest, ReaderSkipsForeignAndTornLines) {
   EXPECT_EQ(records[0].run_id, "run-good");
   EXPECT_EQ(skipped, 2u);
 }
-
-#if defined(MULTICLUST_FAULT_INJECTION)
 
 TEST(RunLedgerTest, InjectedWriteFailLeavesLedgerUntouched) {
   const std::string path = TempDir() + "/runs.jsonl";
@@ -603,8 +595,6 @@ TEST(TelemetryExportFaultTest, FaultedRewriteKeepsPreviousSnapshot) {
   EXPECT_EQ(ReadAll(path), before);
   EXPECT_FALSE(FileExists(path + ".tmp"));
 }
-
-#endif  // MULTICLUST_FAULT_INJECTION
 
 }  // namespace
 }  // namespace multiclust

@@ -16,8 +16,6 @@
 namespace multiclust {
 namespace {
 
-#if defined(MULTICLUST_FAULT_INJECTION)
-
 class ChaosTest : public ::testing::Test {
  protected:
   void SetUp() override { fault::Reset(); }
@@ -272,17 +270,6 @@ TEST_F(ChaosTest, ProbabilisticSchedulesReplayIdentically) {
   EXPECT_EQ(first->status.code(), second->status.code());
   EXPECT_TRUE(first->violations.empty());
 }
-
-#else  // !MULTICLUST_FAULT_INJECTION
-
-TEST(ChaosTest, StubbedWithoutFaultInjection) {
-  chaos::RunConfig config;
-  auto outcome = chaos::RunSchedule(config);
-  ASSERT_FALSE(outcome.ok());
-  EXPECT_EQ(outcome.status().code(), StatusCode::kUnimplemented);
-}
-
-#endif  // MULTICLUST_FAULT_INJECTION
 
 }  // namespace
 }  // namespace multiclust

@@ -442,8 +442,6 @@ TEST(CheckpointSerdeTest, FingerprintSensitivity) {
 
 // ---- crash/resume oracle -------------------------------------------------
 
-#if defined(MULTICLUST_FAULT_INJECTION)
-
 // Runs `run()` killing it at persistence point `crash_step` (snapshot-then-
 // abort), then resumes from the checkpoint directory. Returns the number of
 // crash points exercised before the run completes without the fault firing.
@@ -1257,8 +1255,6 @@ TEST(CheckpointFormatTest, EveryMissingPayloadFieldIsAColdStart) {
     }
   }
 }
-
-#endif  // MULTICLUST_FAULT_INJECTION
 
 }  // namespace
 }  // namespace multiclust

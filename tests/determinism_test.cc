@@ -36,6 +36,7 @@
 #include "subspace/msc.h"
 #include "subspace/orclus.h"
 #include "subspace/proclus.h"
+#include "support/nearest_oracle.h"
 #include "support/restart_algorithms.h"
 #include "support/silhouette_oracle.h"
 
@@ -335,8 +336,8 @@ TEST(ThreadInvarianceTest, AssignToNearest) {
   const std::vector<int> serial = WithThreads(1, run);
   for (size_t i = 0; i < data.rows(); ++i) {
     ASSERT_EQ(serial[i],
-              kernels::NearestSquared(data.row_data(i), centers.row_data(0),
-                                      centers.rows(), data.cols()))
+              test::NearestSquared(data.row_data(i), centers.row_data(0),
+                                   centers.rows(), data.cols()))
         << "row " << i;
   }
   for (const size_t threads : {2u, 4u}) {
@@ -650,9 +651,9 @@ TEST(SimdInvarianceTest, KMeansAssignmentMatchesScalarBackend) {
     const double xn = kernels::SquaredNorm(row, d);
     ASSERT_EQ(xn, kernels::ref::SquaredNorm(row, d)) << "point " << i;
     const size_t fast =
-        kernels::NearestNormForm(row, centers_flat, k, d, xn, cn.data());
-    const size_t ref = kernels::ref::NearestNormForm(row, centers_flat, k, d,
-                                                     xn, cn_ref.data());
+        test::NearestNormForm(row, centers_flat, k, d, xn, cn.data());
+    const size_t ref = test::NearestNormForm(row, centers_flat, k, d, xn,
+                                             cn_ref.data(), kernels::ref::Dot);
     ASSERT_EQ(fast, ref) << "point " << i;
     ASSERT_EQ(kernels::SquaredDistance(row, centers.row_data(fast), d),
               kernels::ref::SquaredDistance(row, centers.row_data(fast), d))

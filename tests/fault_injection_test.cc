@@ -428,8 +428,6 @@ TEST_F(FaultInjectionTest, CleanPipelineRunIsNotDegraded) {
 
 // ---- Injected faults -----------------------------------------------------
 
-#if defined(MULTICLUST_FAULT_INJECTION)
-
 TEST_F(FaultInjectionTest, InjectedDeadlineStopsRunEarly) {
   fault::Arm({"kmeans", FaultKind::kExpireDeadline, 1, 0});
   KMeansOptions opts;
@@ -747,8 +745,6 @@ TEST_F(FaultInjectionTest, InjectedAllocFailureDegradesToComputationError) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GT(report->solutions.size(), 0u);
 }
-
-#endif  // MULTICLUST_FAULT_INJECTION
 
 }  // namespace
 }  // namespace multiclust

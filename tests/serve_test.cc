@@ -1057,7 +1057,6 @@ TEST(DaemonKillTest, SigkillWithInflightJobsLosesNothingBitIdentically) {
 
 // ---- chaos against a live daemon -----------------------------------------
 
-#if defined(MULTICLUST_FAULT_INJECTION)
 TEST(DaemonFaultTest, CrashFaultSuspendsThenResumesInDaemon) {
   fault::Reset();
   FaultSpec spec;
@@ -1168,7 +1167,6 @@ TEST(DaemonFaultTest, StatusPollsDuringFaultResumeSeeConsistentJob) {
   }
   EXPECT_EQ(resumed, 2u);
 }
-#endif  // MULTICLUST_FAULT_INJECTION
 
 }  // namespace
 }  // namespace multiclust

@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "linalg/kernels.h"
+#include "support/nearest_oracle.h"
 
 namespace multiclust {
 namespace {
@@ -198,8 +199,9 @@ TEST(SimdKernelTest, NearestKernelsAgreeWithRefAndBreakTiesLow) {
   // Duplicate center 1 into center 3: argmin must pick index 1.
   std::copy(centers.begin() + 1 * d, centers.begin() + 2 * d,
             centers.begin() + 3 * d);
-  const int fast = k::NearestSquared(x.data(), centers.data(), kcount, d);
-  const int ref = k::ref::NearestSquared(x.data(), centers.data(), kcount, d);
+  const int fast = test::NearestSquared(x.data(), centers.data(), kcount, d);
+  const int ref = test::NearestSquared(x.data(), centers.data(), kcount, d,
+                                       k::ref::SquaredDistance);
   EXPECT_EQ(fast, ref);
 
   std::vector<double> norms(kcount);
@@ -207,26 +209,28 @@ TEST(SimdKernelTest, NearestKernelsAgreeWithRefAndBreakTiesLow) {
     norms[c] = k::SquaredNorm(centers.data() + c * d, d);
   }
   const double xn = k::SquaredNorm(x.data(), d);
-  EXPECT_EQ(
-      k::NearestNormForm(x.data(), centers.data(), kcount, d, xn, norms.data()),
-      k::ref::NearestNormForm(x.data(), centers.data(), kcount, d, xn,
-                              norms.data()));
+  EXPECT_EQ(test::NearestNormForm(x.data(), centers.data(), kcount, d, xn,
+                                  norms.data()),
+            test::NearestNormForm(x.data(), centers.data(), kcount, d, xn,
+                                  norms.data(), k::ref::Dot));
 
   // Exact-tie construction: all-identical centers -> index 0 wins.
   std::vector<double> same(kcount * d);
   for (size_t c = 0; c < kcount; ++c) {
     std::copy(x.begin(), x.end(), same.begin() + c * d);
   }
-  EXPECT_EQ(k::NearestSquared(x.data(), same.data(), kcount, d), 0);
-  EXPECT_EQ(k::ref::NearestSquared(x.data(), same.data(), kcount, d), 0);
+  EXPECT_EQ(test::NearestSquared(x.data(), same.data(), kcount, d), 0);
+  EXPECT_EQ(test::NearestSquared(x.data(), same.data(), kcount, d,
+                                 k::ref::SquaredDistance),
+            0);
 }
 
 // The row-lane kernels promise the per-pair kernels' result for every
 // row, on both builds: d 1-21 (every slot residue, one and two 8-blocks),
 // k 1-9, counts that are not a multiple of 4, exact ties (a duplicated
 // centre, a row equal to a centre) and infinite coordinates (inf - inf is
-// NaN, whose comparisons are all false). The per-pair NearestSquared /
-// NearestNormForm / SquaredDistance are the oracle.
+// NaN, whose comparisons are all false). The per-pair scans of
+// support/nearest_oracle.h and SquaredDistance are the oracle.
 TEST(SimdKernelTest, RowLaneKernelsMatchPerPairKernelsAndRef) {
   const double inf = std::numeric_limits<double>::infinity();
   size_t cases = 0;
@@ -265,13 +269,14 @@ TEST(SimdKernelTest, RowLaneKernelsMatchPerPairKernelsAndRef) {
         std::vector<int> labels(count);
         for (size_t r = 0; r < count; ++r) {
           const double* row = x.data() + r * d;
-          const int want_sq = k::NearestSquared(row, centers.data(), kc, d);
-          ASSERT_EQ(want_sq,
-                    k::ref::NearestSquared(row, centers.data(), kc, d));
-          const int want_nf = k::NearestNormForm(row, centers.data(), kc, d,
-                                                 xn[r], cn.data());
-          ASSERT_EQ(want_nf, k::ref::NearestNormForm(row, centers.data(), kc,
-                                                     d, xn[r], cn.data()));
+          const int want_sq = test::NearestSquared(row, centers.data(), kc, d);
+          ASSERT_EQ(want_sq, test::NearestSquared(row, centers.data(), kc, d,
+                                                  k::ref::SquaredDistance));
+          const int want_nf = test::NearestNormForm(row, centers.data(), kc,
+                                                    d, xn[r], cn.data());
+          ASSERT_EQ(want_nf,
+                    test::NearestNormForm(row, centers.data(), kc, d, xn[r],
+                                          cn.data(), k::ref::Dot));
           ASSERT_EQ(sq[r], want_sq) << "d=" << d << " k=" << kc << " r=" << r;
           ASSERT_EQ(sq_ref[r], want_sq) << "d=" << d << " k=" << kc;
           ASSERT_EQ(nf[r], want_nf) << "d=" << d << " k=" << kc << " r=" << r;

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -148,36 +147,18 @@ TEST(TraceTest, WriteChromeTraceIntoMissingDirectoryFailsCleanly) {
   EXPECT_NE(stat(dir.c_str(), &st), 0) << "no directory created";
 }
 
-TEST(MetricsTest2, CounterGaugeHistogramBasics) {
+TEST(MetricsTest2, CounterBasics) {
   metrics::Reset();
   MC_METRIC_COUNT("test.trace.counter", 2);
   MC_METRIC_COUNT("test.trace.counter", 3);
   EXPECT_EQ(metrics::GetCounter("test.trace.counter").value(), 5u);
 
-  MC_METRIC_GAUGE_SET("test.trace.gauge", 1.5);
-  MC_METRIC_GAUGE_SET("test.trace.gauge", 2.5);
-  EXPECT_DOUBLE_EQ(metrics::GetGauge("test.trace.gauge").value(), 2.5);
-
-  const std::vector<double> bounds = {1.0, 10.0, 100.0};
-  MC_METRIC_OBSERVE("test.trace.histo", bounds, 0.5);    // bucket 0
-  MC_METRIC_OBSERVE("test.trace.histo", bounds, 1.0);    // bucket 0 (incl.)
-  MC_METRIC_OBSERVE("test.trace.histo", bounds, 7.0);    // bucket 1
-  MC_METRIC_OBSERVE("test.trace.histo", bounds, 1e6);    // overflow
-  metrics::Histogram& h = metrics::GetHistogram("test.trace.histo", bounds);
-  const std::vector<uint64_t> counts = h.bucket_counts();
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0], 2u);
-  EXPECT_EQ(counts[1], 1u);
-  EXPECT_EQ(counts[2], 0u);
-  EXPECT_EQ(counts[3], 1u);
-
   const std::string table = metrics::SummaryString();
-  EXPECT_NE(table.find("test.trace.counter"), std::string::npos);
-  EXPECT_NE(table.find("test.trace.histo"), std::string::npos);
+  EXPECT_NE(table.find("test.trace.counter"), std::string::npos) << table;
+  EXPECT_NE(table.find("counter    5\n"), std::string::npos) << table;
 
   metrics::Reset();
   EXPECT_EQ(metrics::GetCounter("test.trace.counter").value(), 0u);
-  EXPECT_EQ(h.bucket_counts(), std::vector<uint64_t>(4, 0));
 }
 
 TEST(TraceTest, DroppedEventsAreCountedAndSurfaced) {
@@ -208,57 +189,9 @@ TEST(TraceTest, DroppedEventsAreCountedAndSurfaced) {
   EXPECT_EQ(trace::DroppedEvents(), 0u);
 }
 
-TEST(MetricsTest2, HistogramQuantilePinsInterpolation) {
-  // Hand-checkable fixture: bounds [1, 10], counts [2 in (0,1], 6 in
-  // (1,10], 2 overflow], total 10.
-  const std::vector<double> bounds = {1.0, 10.0};
-  const std::vector<uint64_t> counts = {2, 6, 2};
-  // p50: target rank 5 lands in bucket 1 at position (5-2)/6 of (1,10]:
-  // 1 + 0.5*9 = 5.5.
-  EXPECT_DOUBLE_EQ(metrics::HistogramQuantile(bounds, counts, 0.5), 5.5);
-  // p10: rank 1 in bucket 0, interpolated from min(0, bounds[0]) = 0:
-  // 0 + (1/2)*1 = 0.5.
-  EXPECT_DOUBLE_EQ(metrics::HistogramQuantile(bounds, counts, 0.1), 0.5);
-  // p95: rank 9.5 falls in the overflow bucket, which clamps to the last
-  // finite bound.
-  EXPECT_DOUBLE_EQ(metrics::HistogramQuantile(bounds, counts, 0.95), 10.0);
-  // Extremes.
-  EXPECT_DOUBLE_EQ(metrics::HistogramQuantile(bounds, counts, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(metrics::HistogramQuantile(bounds, counts, 1.0), 10.0);
-  // Empty histogram and mismatched shapes have no quantiles.
-  EXPECT_TRUE(std::isnan(metrics::HistogramQuantile(bounds, {0, 0, 0}, 0.5)));
-  EXPECT_TRUE(std::isnan(metrics::HistogramQuantile(bounds, {1, 2}, 0.5)));
-
-  // The member form reads the live bucket counts.
-  metrics::Reset();
-  metrics::Histogram& h = metrics::GetHistogram("test.trace.quantile", bounds);
-  for (int i = 0; i < 2; ++i) h.Observe(0.5);
-  for (int i = 0; i < 6; ++i) h.Observe(5.0);
-  for (int i = 0; i < 2; ++i) h.Observe(100.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 5.5);
-  metrics::Reset();
-}
-
-TEST(MetricsTest2, MetricsJsonCarriesQuantiles) {
-  metrics::Reset();
-  const std::vector<double> bounds = {1.0, 10.0};
-  metrics::Histogram& h = metrics::GetHistogram("test.trace.jsonq", bounds);
-  for (int i = 0; i < 10; ++i) h.Observe(5.0);
-  const std::string json = metrics::MetricsJson();
-  EXPECT_TRUE(test::IsValidJson(json)) << json;
-  EXPECT_NE(json.find("\"p50\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"p95\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"p99\""), std::string::npos) << json;
-  metrics::Reset();
-}
-
 TEST(MetricsTest2, OpenMetricsTextWellFormed) {
   metrics::Reset();
   metrics::GetCounter("test.trace.om_counter").Add(7);
-  metrics::GetGauge("test.trace.om_gauge").Set(1.25);
-  const std::vector<double> bounds = {1.0, 10.0};
-  metrics::Histogram& h = metrics::GetHistogram("test.trace.om_histo", bounds);
-  for (int i = 0; i < 4; ++i) h.Observe(5.0);
   const std::string text = metrics::OpenMetricsText();
   // Exposition envelope: ends with the OpenMetrics terminator.
   ASSERT_GE(text.size(), 6u);
@@ -268,19 +201,6 @@ TEST(MetricsTest2, OpenMetricsTextWellFormed) {
             std::string::npos)
       << text;
   EXPECT_NE(text.find("multiclust_test_trace_om_counter_total 7"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("multiclust_test_trace_om_gauge 1.25"),
-            std::string::npos)
-      << text;
-  // Histograms expose cumulative buckets, a count, and quantile gauges.
-  EXPECT_NE(text.find("multiclust_test_trace_om_histo_bucket{le=\"+Inf\"} 4"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("multiclust_test_trace_om_histo_count 4"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("multiclust_test_trace_om_histo_p50"),
             std::string::npos)
       << text;
   metrics::Reset();

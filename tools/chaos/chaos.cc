@@ -1,35 +1,19 @@
 #include "chaos/chaos.h"
 
-#include <algorithm>
-#include <cstring>
-#include <string>
-#include <utility>
-#include <vector>
-
-namespace multiclust {
-namespace chaos {
-
-const std::vector<std::string>& WorkloadNames() {
-  static const std::vector<std::string> kNames = {
-      "kmeans", "gmm",   "spectral", "dec-kmeans", "coala",
-      "co-em",  "orclus", "proclus",  "pipeline"};
-  return kNames;
-}
-
-}  // namespace chaos
-}  // namespace multiclust
-
-#if defined(MULTICLUST_FAULT_INJECTION)
-
 #include <dirent.h>
 #include <stdlib.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "altspace/coala.h"
 #include "altspace/dec_kmeans.h"
@@ -49,6 +33,14 @@ const std::vector<std::string>& WorkloadNames() {
 
 namespace multiclust {
 namespace chaos {
+
+const std::vector<std::string>& WorkloadNames() {
+  static const std::vector<std::string> kNames = {
+      "kmeans", "gmm",   "spectral", "dec-kmeans", "coala",
+      "co-em",  "orclus", "proclus",  "pipeline"};
+  return kNames;
+}
+
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -900,58 +892,3 @@ CampaignResult RunCampaign(const CampaignOptions& options,
 
 }  // namespace chaos
 }  // namespace multiclust
-
-#else  // !MULTICLUST_FAULT_INJECTION
-
-namespace multiclust {
-namespace chaos {
-
-namespace {
-Status Unimplemented() {
-  return Status::Unimplemented(
-      "chaos: rebuild with -DMULTICLUST_FAULT_INJECTION=ON");
-}
-}  // namespace
-
-Result<RunOutcome> RunSchedule(const RunConfig&) { return Unimplemented(); }
-
-std::string RunConfigToJson(const RunConfig&) { return "{}"; }
-
-Result<RunConfig> ParseRunConfigJson(std::string_view) {
-  return Unimplemented();
-}
-
-std::vector<FaultSpec> ShrinkSchedule(
-    const RunConfig& config,
-    const std::function<bool(const RunConfig&)>&) {
-  return config.schedule;
-}
-
-std::vector<FaultSpec> ShrinkSchedule(const RunConfig& config) {
-  return config.schedule;
-}
-
-RunConfig GenerateConfig(uint64_t seed, bool quick,
-                         const std::vector<std::string>& workloads) {
-  const std::vector<std::string>& pool =
-      workloads.empty() ? WorkloadNames() : workloads;
-  RunConfig config;
-  config.quick = quick;
-  config.workload = pool[seed % pool.size()];
-  return config;
-}
-
-CampaignResult RunCampaign(const CampaignOptions& options,
-                           const std::function<void(size_t, size_t)>&) {
-  CampaignResult result;
-  ViolationReport report;
-  report.violations.push_back({"infrastructure", Unimplemented().ToString()});
-  (void)options;
-  result.failures.push_back(std::move(report));
-  return result;
-}
-
-}  // namespace chaos
-}  // namespace multiclust
-
-#endif  // MULTICLUST_FAULT_INJECTION

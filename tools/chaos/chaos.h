@@ -26,9 +26,7 @@ namespace multiclust {
 /// for `tools/chaos_runner`.
 ///
 /// Everything here is deterministic: the same seed always produces the same
-/// schedule, the same execution and the same verdict. With
-/// MULTICLUST_FAULT_INJECTION compiled out the engine is stubbed —
-/// RunSchedule/RunCampaign report kUnimplemented.
+/// schedule, the same execution and the same verdict.
 namespace chaos {
 
 inline constexpr int kScheduleSchemaVersion = 1;

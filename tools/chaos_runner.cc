@@ -15,8 +15,7 @@
 //                                            durable run ledger
 //
 // Exit codes: 0 = all invariants held, 1 = violations (repros printed as
-// re-runnable schedule JSON), 2 = usage error or fault injection compiled
-// out.
+// re-runnable schedule JSON), 2 = usage error.
 
 #include <cstdio>
 #include <cstdlib>
@@ -35,7 +34,6 @@
 namespace {
 
 using multiclust::Status;
-using multiclust::StatusCode;
 namespace chaos = multiclust::chaos;
 namespace ledger = multiclust::ledger;
 
@@ -102,10 +100,8 @@ int RunOne(const chaos::RunConfig& config, const std::string& ledger_path,
   if (!outcome.ok()) {
     std::fprintf(stderr, "chaos_runner: %s\n",
                  outcome.status().ToString().c_str());
-    const int rc =
-        outcome.status().code() == StatusCode::kUnimplemented ? 2 : 1;
-    AppendLedger(ledger_path, config.seed, config.workload, note, rc);
-    return rc;
+    AppendLedger(ledger_path, config.seed, config.workload, note, 1);
+    return 1;
   }
   std::printf("workload=%s status=%s fires=%zu resumes=%zu snapshots=%zu\n",
               config.workload.c_str(), outcome->status.ToString().c_str(),
@@ -185,13 +181,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "chaos_runner: unknown flag %s\n", arg);
     return Usage(argv[0]);
   }
-
-#if !defined(MULTICLUST_FAULT_INJECTION)
-  std::fprintf(stderr,
-               "chaos_runner: fault injection compiled out; rebuild with "
-               "-DMULTICLUST_FAULT_INJECTION=ON\n");
-  return 2;
-#endif
 
   if (!schedule_json.empty()) {
     auto config = chaos::ParseRunConfigJson(schedule_json);

@@ -23,8 +23,7 @@
 //     --fault=SITE:KIND:AT[:MAXFIRES]
 //                                 (chaos: arm the in-process fault injector
 //                                  before serving, e.g.
-//                                  dec-kmeans:crash:3:1 — repeatable;
-//                                  requires -DMULTICLUST_FAULT_INJECTION=ON)
+//                                  dec-kmeans:crash:3:1 — repeatable)
 //
 // Signal contract: SIGTERM / SIGINT request a graceful drain — stop
 // accepting (new submits are rejected with the stable "draining" error
@@ -180,14 +179,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-#if !defined(MULTICLUST_FAULT_INJECTION)
-  if (!fault_flags.empty()) {
-    std::fprintf(stderr,
-                 "--fault requires a build with fault injection "
-                 "(-DMULTICLUST_FAULT_INJECTION=ON)\n");
-    return 2;
-  }
-#endif
   fault::Reset();
   for (const std::string& flag : fault_flags) {
     if (!ArmFault(flag)) return 2;
