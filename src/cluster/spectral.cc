@@ -70,7 +70,7 @@ Result<Clustering> RunSpectral(const Matrix& data,
 
   Matrix w = [&] {
     MULTICLUST_TRACE_SPAN("cluster.spectral.affinity");
-    return GaussianKernelMatrix(data, options.gamma);
+    return GaussianKernelMatrix(data, options.gamma, &guard);
   }();
   if (guard.Cancelled()) return guard.CancelledStatus();
   MC_ASSIGN_OR_RETURN(Matrix embed, SpectralEmbedding(std::move(w), options.k,

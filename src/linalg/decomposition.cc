@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "common/rng.h"
 #include "common/telemetry.h"
@@ -134,6 +135,21 @@ void OrthonormalizeRows(Matrix* q, Rng* rng) {
   telemetry::CountFlops(flops, 3 * b * n * sizeof(double));
 }
 
+// Degree of TopKEigen's Chebyshev filter: one outer iteration costs this
+// many products with `a` (the filter's first term reuses the Rayleigh-Ritz
+// product).
+constexpr int kFilterDegree = 8;
+
+// A damped interval narrower than this fraction of sigma takes the plain
+// shifted step instead: the filter divides by the half-width, so rounding
+// in each product grows by about sigma / half-width.
+constexpr double kMinFilterWidth = 1e-3;
+
+// Row j of the result is a * q_j, for the b x n block `q`.
+Matrix BlockProduct(const Matrix& a, const Matrix& q) {
+  return (a * q.Transpose()).Transpose();
+}
+
 }  // namespace
 
 Result<SymmetricEigen> TopKEigen(const Matrix& a, size_t k, double tol,
@@ -178,7 +194,7 @@ Result<SymmetricEigen> TopKEigen(const Matrix& a, size_t k, double tol,
     if (guard.Cancelled()) return guard.CancelledStatus();
     // Rayleigh-Ritz on span(q): h = q a q^T (symmetric by construction),
     // then both q and a q rotate into the eigenbasis of h.
-    const Matrix aq = (a * q.Transpose()).Transpose();  // row j = a q_j
+    const Matrix aq = BlockProduct(a, q);  // row j = a q_j
     Matrix h(b, b);
     for (size_t i = 0; i < b; ++i) {
       for (size_t j = i; j < b; ++j) {
@@ -190,7 +206,7 @@ Result<SymmetricEigen> TopKEigen(const Matrix& a, size_t k, double tol,
     MC_ASSIGN_OR_RETURN(SymmetricEigen ritz, EigenSymmetric(h));
     const Matrix rot = ritz.vectors.Transpose();
     q = rot * q;
-    const Matrix ar = rot * aq;
+    Matrix ar = rot * aq;
 
     // Residuals of the wanted Ritz pairs.
     double worst = 0.0;
@@ -205,7 +221,9 @@ Result<SymmetricEigen> TopKEigen(const Matrix& a, size_t k, double tol,
     if (!std::isfinite(worst)) {
       return Status::ComputationError("TopKEigen: non-finite residual");
     }
-    if (worst <= tol * sigma || guard.DeadlineExpired()) {
+    // The wanted Ritz pairs of this step, the answer on convergence and
+    // the partial result once the deadline expires.
+    const auto ritz_pairs = [&] {
       SymmetricEigen out;
       out.values.assign(ritz.values.begin(), ritz.values.begin() + k);
       out.vectors = Matrix(n, k);
@@ -214,15 +232,45 @@ Result<SymmetricEigen> TopKEigen(const Matrix& a, size_t k, double tol,
       }
       out.iterations = iter + 1;
       return out;
-    }
+    };
+    if (worst <= tol * sigma || guard.DeadlineExpired()) return ritz_pairs();
+    if (iter + 1 == max_iters) break;
 
-    // Next block: (a + sigma I) q, orthonormalised.
-    for (size_t j = 0; j < b; ++j) {
-      double* x = q.row_data(j);
-      const double* ax = ar.row_data(j);
-      for (size_t t = 0; t < n; ++t) x[t] = ax[t] + sigma * x[t];
+    // Next block: p(a) q, orthonormalised. p is the Chebyshev polynomial
+    // of degree kFilterDegree on the unwanted interval [-sigma, theta_b]
+    // (theta_b the smallest Ritz value), centre c and half-width e: bounded
+    // by 1 there and growing fast above it. Y_1 = (a - c) Y_0 / e and
+    // Y_{i+1} = 2 (a - c) Y_i / e - Y_{i-1}, with Y_0 = q and a Y_0 = ar
+    // already at hand.
+    const double width = ritz.values[b - 1] + sigma;
+    const double* y0 = q.row_data(0);
+    double* y1 = ar.row_data(0);
+    if (width <= kMinFilterWidth * sigma) {
+      // Degenerate interval: the shifted step (a + sigma I) q.
+      for (size_t i = 0; i < b * n; ++i) y1[i] += sigma * y0[i];
+      telemetry::CountFlops(2 * b * n, 3 * b * n * sizeof(double));
+    } else {
+      const double c = (ritz.values[b - 1] - sigma) / 2.0;
+      const double inv_e = 2.0 / width;
+      for (size_t i = 0; i < b * n; ++i) y1[i] = (y1[i] - c * y0[i]) * inv_e;
+      telemetry::CountFlops(3 * b * n, 3 * b * n * sizeof(double));
+      Matrix prev = q;  // q stays the Ritz block a deadline returns
+      for (int degree = 2; degree <= kFilterDegree; ++degree) {
+        Matrix next = BlockProduct(a, ar);
+        const double* cur = ar.row_data(0);
+        const double* before = prev.row_data(0);
+        double* out = next.row_data(0);
+        for (size_t i = 0; i < b * n; ++i) {
+          out[i] = 2.0 * inv_e * (out[i] - c * cur[i]) - before[i];
+        }
+        telemetry::CountFlops(4 * b * n, 4 * b * n * sizeof(double));
+        prev = std::exchange(ar, std::move(next));
+        // One poll per product; the filtered block is not an answer yet.
+        if (guard.Cancelled()) return guard.CancelledStatus();
+        if (guard.DeadlineExpired()) return ritz_pairs();
+      }
     }
-    telemetry::CountFlops(2 * b * n, 3 * b * n * sizeof(double));
+    q = std::move(ar);
     OrthonormalizeRows(&q, &rng);
   }
   return Status::ComputationError("TopKEigen: subspace iteration did not "

@@ -15,7 +15,8 @@ namespace multiclust {
 struct SymmetricEigen {
   std::vector<double> values;
   Matrix vectors;
-  /// Block iterations TopKEigen ran; 0 for a full EigenSymmetric.
+  /// Outer iterations (Rayleigh-Ritz steps) TopKEigen ran; 0 for a full
+  /// EigenSymmetric.
   size_t iterations = 0;
 };
 
@@ -34,24 +35,34 @@ inline constexpr double kDefaultEigenTol = 1e-10;
 /// The k algebraically largest eigenpairs of symmetric n x n `a`: `values`
 /// (k, descending) and n x k `vectors`, in the SymmetricEigen layout.
 ///
-/// Shifted block subspace iteration with Rayleigh-Ritz. With the
-/// Gershgorin shift sigma = ||a||_inf, a + sigma*I is positive
-/// semidefinite, so its dominant eigenvectors are a's algebraically
-/// largest. A block of b = k + max(k, 8) orthonormal columns, started
-/// from a fixed-seed random block, is multiplied by `a` once per
-/// iteration (an O(n^2 b) product on the thread-invariant GEMM kernel);
-/// the b x b projected problem goes to EigenSymmetric. Converged when
-/// every Ritz pair j < k has ||a x_j - theta_j x_j|| <= tol * sigma.
-/// When 2b >= n the full EigenSymmetric runs instead and is truncated.
+/// Chebyshev-filtered block subspace iteration with Rayleigh-Ritz (Zhou &
+/// Saad 2007). A block of b = k + max(k, 8) orthonormal columns, started
+/// from a fixed-seed random block, is projected onto: the b x b problem
+/// q a q^T goes to EigenSymmetric. Converged when every Ritz pair j < k
+/// has ||a x_j - theta_j x_j|| <= tol * sigma, with the Gershgorin bound
+/// sigma = ||a||_inf. Otherwise the Ritz block is passed through the
+/// degree-8 Chebyshev polynomial of the unwanted interval [-sigma,
+/// theta_b] (theta_b the smallest Ritz value), which stays within [-1, 1]
+/// there and grows fast above it, and is orthonormalised again. When that
+/// interval is narrower than 1e-3 * sigma, the plain shifted step
+/// (a + sigma I) q replaces the filter. The filter's first term reuses the
+/// Rayleigh-Ritz product, so one outer iteration costs 8 products with
+/// `a` (O(n^2 b) each, on the thread-invariant GEMM kernel) and the
+/// filter's recurrence is elementwise. When 2b >= n the full
+/// EigenSymmetric runs instead and is truncated.
 ///
 /// Deterministic and bit-identical for any thread count. Eigenvectors of
 /// a repeated eigenvalue are some orthonormal basis of its eigenspace,
-/// and signs are arbitrary.
+/// and signs are arbitrary. `iterations` counts outer iterations
+/// (Rayleigh-Ritz steps).
 ///
-/// `budget` is checked once per iteration: a cancelled token returns
-/// kCancelled; an expired deadline stops early and returns the current
-/// Ritz approximation (the partial result RunBudget promises). The
-/// iteration cap is `max_iters`, not budget.max_iterations. Errors:
+/// `budget` is polled after every product inside the filter, the cancel
+/// token also before each Rayleigh-Ritz product and the deadline after
+/// each Rayleigh-Ritz step, so either is seen within one or two products:
+/// a cancelled token returns kCancelled; an expired deadline stops early
+/// and returns the Ritz pairs of the last Rayleigh-Ritz step (the partial
+/// result RunBudget promises). The iteration cap is
+/// `max_iters` outer iterations, not budget.max_iterations. Errors:
 /// InvalidArgument for non-square `a` or k outside [1, n];
 /// ComputationError when `max_iters` iterations do not converge.
 Result<SymmetricEigen> TopKEigen(const Matrix& a, size_t k,

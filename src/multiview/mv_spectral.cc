@@ -27,7 +27,7 @@ Result<Clustering> RunMvSpectral(const std::vector<Matrix>& views,
   // Fused affinity.
   Matrix w(n, n, options.fusion == AffinityFusion::kProduct ? 1.0 : 0.0);
   for (const Matrix& view : views) {
-    const Matrix kern = GaussianKernelMatrix(view, options.gamma);
+    const Matrix kern = GaussianKernelMatrix(view, options.gamma, &guard);
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = 0; j < n; ++j) {
         if (options.fusion == AffinityFusion::kProduct) {

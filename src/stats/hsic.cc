@@ -143,12 +143,15 @@ std::vector<double> PairwiseHsic(const std::vector<PackedGram>& grams,
 
 }  // namespace
 
-Matrix GaussianKernelMatrix(const Matrix& data, double gamma) {
+Matrix GaussianKernelMatrix(const Matrix& data, double gamma,
+                            const BudgetTracker* budget) {
   MULTICLUST_TRACE_SPAN("stats.hsic.kernel");
   const size_t n = data.rows();
   Matrix k(n, n);
   // Upper triangle in parallel, then a mirror pass for the lower triangle.
-  FillGaussianUpper(data, gamma, [&](size_t i) { return &k.at(i, i); });
+  FillGaussianUpper(
+      data, gamma, [&](size_t i) { return &k.at(i, i); }, budget);
+  if (Cancelled(budget)) return k;
   ParallelFor(0, n, 64, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
       for (size_t j = 0; j < i; ++j) k.at(i, j) = k.at(j, i);

@@ -9,7 +9,11 @@ namespace multiclust {
 
 /// Gaussian (RBF) kernel matrix of the rows of `data`. `gamma <= 0` selects
 /// the median-heuristic bandwidth (gamma = 1 / median squared distance).
-Matrix GaussianKernelMatrix(const Matrix& data, double gamma = 0.0);
+/// `budget` (optional, not owned) is polled once per row of the median
+/// pass and of the fill; once it is cancelled the call returns early and
+/// the matrix is meaningless, so the caller must check the budget.
+Matrix GaussianKernelMatrix(const Matrix& data, double gamma = 0.0,
+                            const BudgetTracker* budget = nullptr);
 
 /// Biased empirical Hilbert-Schmidt Independence Criterion between two
 /// multivariate samples with paired rows (Gretton et al. 2005; used by

@@ -184,9 +184,9 @@ class SpanWatcher {
   std::thread thread_;
 };
 
-// n = 1500: large enough that the eigensolve runs for hundreds of
-// milliseconds, while one of its iterations (an n x n times n x 11
-// product) takes a few milliseconds.
+// n = 1500: one eigensolver product (the n x n affinity times the n x 11
+// block) takes a few milliseconds, and the whole eigensolve, four outer
+// iterations of eight products each, about 0.2-0.3 s.
 Matrix LargeBlobData() {
   return MakeBlobs({{{0, 0}, 1.0, 500}, {{6, 0}, 1.0, 500},
                     {{3, 5}, 1.0, 500}},
@@ -194,14 +194,24 @@ Matrix LargeBlobData() {
       ->data();
 }
 
-// The promised latency is about one eigensolver iteration. At n = 1500
-// an iteration takes 5-15 ms in an optimized or ASan build, so the bound
-// is 50 ms, far below the ~0.5 s of the whole solve. Where one iteration
-// is slower than 25 ms (ThreadSanitizer makes it ~0.3 s), the bound is
-// two iterations, timed here as one TopKEigen call that an expired
-// deadline stops after its first iteration.
-double EigenLatencyBoundMs(const Matrix& data) {
-  const Matrix a = NormalizedAffinity(GaussianKernelMatrix(data, 0.0));
+// Two rings of 1000 points under a local kernel (gamma = 2, against the
+// median heuristic's 0.034): the third eigenvalue sits close under the
+// first two, so the eigensolve takes about 14 outer iterations and well
+// over a second, and a 200 ms deadline falls inside it.
+constexpr double kLocalRingGamma = 2.0;
+Matrix LocalRingData() {
+  return MakeTwoRings(1000, 2.0, 6.0, 0.1, 12)->data();
+}
+
+// The promised latency is about one eigensolver product: the solver polls
+// its budget after every product with the affinity. At n = 1500-2000 the
+// first Rayleigh-Ritz step (set-up plus one product) takes 9-16 ms in an
+// optimized build, so the bound is 50 ms, far below the whole solve. Where
+// a product is slower than 25 ms (40-70 ms under ASan and UBSan, ~0.3 s
+// under ThreadSanitizer), the bound is twice that first step, timed here
+// as one TopKEigen call that an expired deadline stops after it.
+double EigenLatencyBoundMs(const Matrix& data, double gamma = 0.0) {
+  const Matrix a = NormalizedAffinity(GaussianKernelMatrix(data, gamma));
   const SteadyClock::time_point start = SteadyClock::now();
   const auto one = TopKEigen(a, 3, kDefaultEigenTol, RunBudget::Deadline(1e-6));
   EXPECT_EQ(one.value().iterations, 1u);
@@ -236,12 +246,14 @@ TEST_F(FaultInjectionTest, SpectralCancelDuringEigensolveReturnsPromptly) {
 TEST_F(FaultInjectionTest, SpectralDeadlineDuringEigensolveReturnsPromptly) {
   // The deadline falls inside the eigensolve or, on a slow build, before
   // it (then the first iteration notices). Latency is measured from the
-  // later of the deadline and the span opening.
+  // later of the deadline and the span opening. The blobs' whole solve
+  // can end before 200 ms, so this runs on the slower local-kernel rings.
   constexpr int kDeadlineMs = 200;
-  const Matrix data = LargeBlobData();
-  const double bound_ms = EigenLatencyBoundMs(data);
+  const Matrix data = LocalRingData();
+  const double bound_ms = EigenLatencyBoundMs(data, kLocalRingGamma);
   SpectralOptions opts;
   opts.k = 3;
+  opts.gamma = kLocalRingGamma;
   opts.budget.deadline_ms = kDeadlineMs;
   Result<Clustering> result = Status::Internal("not run");
   SteadyClock::time_point opened, deadline, returned;
@@ -258,9 +270,40 @@ TEST_F(FaultInjectionTest, SpectralDeadlineDuringEigensolveReturnsPromptly) {
   ASSERT_TRUE(seen) << "the eigen span was never observed open";
   // A deadline yields the partial result RunBudget promises.
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->labels.size(), 1500u);
+  EXPECT_EQ(result->labels.size(), 2000u);
   EXPECT_FALSE(result->converged);
   EXPECT_LE(MsBetween(std::max(opened, deadline), returned), bound_ms);
+}
+
+TEST_F(FaultInjectionTest, SpectralCancelDuringAffinityReturnsPromptly) {
+  // n = 2000 in 512 dimensions: the affinity's median pass and Gram fill
+  // (2M distances of 512 terms each, then 2M exponentials) take about
+  // 0.3-0.5 s. Both poll the token once per row, so a token tripped when
+  // the affinity span opens ends the call long before the build would:
+  // 35-65 ms in optimized and ASan builds, most of it allocating the 32 MB
+  // affinity and the 16 MB distance buffer.
+  constexpr double kBoundMs = 150.0;
+  const Matrix data = MakeUniformCube(2000, 512, 41)->data();
+  CancelToken cancel;
+  SpectralOptions opts;
+  opts.k = 3;
+  opts.budget.cancel = &cancel;
+  Result<Clustering> result = Status::Internal("not run");
+  SteadyClock::time_point tripped, returned;
+  bool seen = false;
+  {
+    SpanWatcher watcher("cluster.spectral.affinity", [&] {
+      tripped = SteadyClock::now();
+      cancel.Cancel();
+      seen = true;
+    });
+    result = RunSpectral(data, opts);
+    returned = SteadyClock::now();
+  }
+  ASSERT_TRUE(seen) << "the affinity span was never observed open";
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  EXPECT_LE(MsBetween(tripped, returned), kBoundMs);
 }
 
 TEST_F(FaultInjectionTest, MscCancelDuringHsicPhaseSkipsRemainingPairs) {

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <numeric>
+#include <thread>
 
 #include "cluster/spectral.h"
+#include "common/profile.h"
 #include "common/rng.h"
 #include "data/generators.h"
 #include "linalg/decomposition.h"
@@ -337,6 +341,150 @@ TEST(TopKEigenTest, IdenticalPointsEndCleanly) {
   } else {
     EXPECT_EQ(r.status().code(), StatusCode::kComputationError);
   }
+}
+
+// -2 I: every Ritz value is -sigma, so the Chebyshev interval
+// [-sigma, theta_b] has zero width. Every vector is an eigenvector, so the
+// first Rayleigh-Ritz step converges and the solve must end there, before
+// any filter. n = 60 with k = 2 keeps the block path (2b = 20 < n); any
+// orthonormal pair is an answer.
+TEST(TopKEigenTest, DegenerateIntervalMatrixEndsCleanly) {
+  const Matrix a = Matrix::Identity(60) * -2.0;
+  const auto r = TopKEigen(a, 2);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GT(r->iterations, 0u);
+  for (double v : r->values) EXPECT_NEAR(v, -2.0, 1e-12);
+  const Matrix vtv = r->vectors.Transpose() * r->vectors;
+  EXPECT_LT(vtv.MaxAbsDiff(Matrix::Identity(2)), 1e-12);
+}
+
+// One product with the affinity of the block solves: 2 n^2 b flops.
+double ProductFlops(size_t n, size_t k) {
+  const double b = static_cast<double>(k + std::max<size_t>(k, 8));
+  return 2.0 * static_cast<double>(n) * static_cast<double>(n) * b;
+}
+
+// diag(1, 0.5, -1, ..., -1): the Gershgorin bound is tight (sigma = 1) and
+// a random 10-column block sees the -1 eigenspace in eight directions, so
+// theta_b = -sigma to rounding while the wanted pairs are far from
+// converged. Rather than divide by that near-zero width, the solver takes
+// the shifted step (a + I), one product, which keeps only the two wanted
+// directions; the next Rayleigh-Ritz step finds them exactly. That is two
+// products plus Gram-Schmidt and Rayleigh-Ritz work (about 4.5 products'
+// worth of flops at n = 60); one filter alone would add seven products.
+TEST(TopKEigenTest, DegenerateIntervalTakesTheShiftedStep) {
+  Matrix a = Matrix::Identity(60) * -1.0;
+  a.at(0, 0) = 1.0;
+  a.at(1, 1) = 0.5;
+  telemetry::ResourceScope scope;
+  const auto r = TopKEigen(a, 2);
+  const uint64_t flops = scope.Snapshot().flops;
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->iterations, 2u);
+  EXPECT_LT(static_cast<double>(flops), 6.0 * ProductFlops(60, 2));
+  EXPECT_NEAR(r->values[0], 1.0, 1e-12);
+  EXPECT_NEAR(r->values[1], 0.5, 1e-12);
+  EXPECT_NEAR(std::fabs(r->vectors.at(0, 0)), 1.0, 1e-12);
+  EXPECT_NEAR(std::fabs(r->vectors.at(1, 1)), 1.0, 1e-12);
+}
+
+// The 250-point two-view affinity of SpectralFlopsCoverTheEigensolver: the
+// plain shifted step would take about 106 products here, the filter 4-5
+// outer iterations of 8. All the solve's counted flops (the products plus
+// the Gram-Schmidt, Rayleigh-Ritz and filter work) stay under 48 products.
+TEST(TopKEigenTest, FilterKeepsTheProductCountLow) {
+  std::vector<ViewSpec> views(2);
+  views[0] = {3, 3, 8.0, 1.0, ""};
+  views[1] = {3, 3, 8.0, 1.0, ""};
+  const Matrix data = MakeMultiView(250, views, 0, 4)->data();
+  const Matrix a = NormalizedAffinity(GaussianKernelMatrix(data, 0.0));
+  telemetry::ResourceScope scope;
+  const auto r = TopKEigen(a, 3);
+  const uint64_t flops = scope.Snapshot().flops;
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GE(static_cast<double>(flops), r->iterations * ProductFlops(250, 3));
+  EXPECT_LE(static_cast<double>(flops), 48.0 * ProductFlops(250, 3));
+}
+
+// The normalised affinity of three 2-d blobs of 400 points: one product
+// takes a few milliseconds, and the first Rayleigh-Ritz step is far from
+// converged, so the first filter (seven products) always runs.
+Matrix MidSizeBlobAffinity() {
+  auto ds = MakeBlobs({{{0, 0}, 1.0, 400}, {{6, 0}, 1.0, 400},
+                       {{3, 5}, 1.0, 400}},
+                      23);
+  return NormalizedAffinity(GaussianKernelMatrix(ds->data(), 0.0));
+}
+
+// A cancel tripped once the first filter product has been counted lands
+// inside the filter; the solver polls after every product, so it returns
+// before the filter's seven products are done (a poll per outer iteration
+// would return after eight products at the earliest).
+TEST(TopKEigenTest, CancelMidFilterReturnsWithinAProduct) {
+  const Matrix a = MidSizeBlobAffinity();
+  const double product = ProductFlops(a.rows(), 3);
+  CancelToken cancel;
+  RunBudget budget;
+  budget.cancel = &cancel;
+  telemetry::ResourceScope scope;
+  std::atomic<bool> done{false};
+  std::thread watcher([&] {
+    while (!done.load() && scope.Snapshot().flops < 2.0 * product) {
+      std::this_thread::yield();
+    }
+    cancel.Cancel();
+  });
+  const auto r = TopKEigen(a, 3, kDefaultEigenTol, budget);
+  const uint64_t flops = scope.Snapshot().flops;
+  done.store(true);
+  watcher.join();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+  EXPECT_LT(static_cast<double>(flops), 8.0 * product);
+}
+
+// A deadline that expires inside the first filter returns the Ritz pairs of
+// the first Rayleigh-Ritz step, bit for bit, after part of the filter ran.
+// The first deadline, three first-step times, lands about two products
+// into the filter's seven; under heavy load it may land before or after
+// the filter, so the deadline is moved towards it and tried again. A
+// solver polling only once per outer iteration never returns
+// iterations == 1 after a filter product, so it never lands.
+TEST(TopKEigenTest, DeadlineMidFilterReturnsTheLastRitzPairs) {
+  const Matrix a = MidSizeBlobAffinity();
+  const double product = ProductFlops(a.rows(), 3);
+  // The first Rayleigh-Ritz step (set-up plus one product) and its time.
+  SymmetricEigen first;
+  double first_ms = 1e300;
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    first = TopKEigen(a, 3, kDefaultEigenTol, RunBudget::Deadline(1e-6))
+                .value();
+    first_ms = std::min(
+        first_ms, std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - start)
+                      .count());
+  }
+  ASSERT_EQ(first.iterations, 1u);
+  bool landed = false;
+  double deadline_ms = 3.0 * first_ms;
+  for (int attempt = 0; attempt < 10 && !landed; ++attempt) {
+    telemetry::ResourceScope scope;
+    const auto r =
+        TopKEigen(a, 3, kDefaultEigenTol, RunBudget::Deadline(deadline_ms));
+    const uint64_t flops = scope.Snapshot().flops;
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    if (r->iterations > 1) {
+      deadline_ms *= 0.6;  // expired after the first filter
+    } else if (static_cast<double>(flops) < 1.5 * product) {
+      deadline_ms *= 1.6;  // expired before it
+    } else {
+      landed = true;
+      EXPECT_EQ(r->values, first.values);
+      EXPECT_EQ(r->vectors.MaxAbsDiff(first.vectors), 0.0);
+    }
+  }
+  EXPECT_TRUE(landed) << "no deadline expired inside the first filter";
 }
 
 class SvdPropertyTest
