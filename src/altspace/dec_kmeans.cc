@@ -338,10 +338,7 @@ Result<DecKMeansResult> RunDecorrelatedKMeans(
   MULTICLUST_TRACE_SPAN("altspace.dec_kmeans.run");
   BudgetTracker guard(options.budget, "dec-kmeans");
   ConvergenceRecorder recorder(options.diagnostics, &guard);
-  recorder.SetExpectedIterations(
-      options.budget.max_iterations != 0
-          ? std::min(options.max_iters, options.budget.max_iterations)
-          : options.max_iters);
+  recorder.SetExpectedIterations(options.max_iters);
   Checkpointer* ck = options.budget.checkpoint;
   const ckpt::Slot slot{
       ck, "dec-kmeans", ck != nullptr ? DecFingerprint(data, options) : 0,

@@ -397,10 +397,7 @@ Result<GmmModel> FitGmm(const Matrix& data, const GmmOptions& options) {
   MULTICLUST_TRACE_SPAN("cluster.gmm.fit");
   BudgetTracker guard(options.budget, "gmm");
   ConvergenceRecorder recorder(options.diagnostics, &guard);
-  recorder.SetExpectedIterations(
-      options.budget.max_iterations != 0
-          ? std::min(options.max_iters, options.budget.max_iterations)
-          : options.max_iters);
+  recorder.SetExpectedIterations(options.max_iters);
   Checkpointer* ck = options.budget.checkpoint;
   const ckpt::Slot slot{
       ck, "gmm", ck != nullptr ? GmmFingerprint(data, options) : 0,

@@ -263,10 +263,7 @@ Result<Clustering> RunKMeans(const Matrix& data,
   MULTICLUST_TRACE_SPAN("cluster.kmeans.run");
   BudgetTracker guard(options.budget, "kmeans");
   ConvergenceRecorder recorder(options.diagnostics, &guard);
-  recorder.SetExpectedIterations(
-      options.budget.max_iterations != 0
-          ? std::min(options.max_iters, options.budget.max_iterations)
-          : options.max_iters);
+  recorder.SetExpectedIterations(options.max_iters);
   Checkpointer* ck = options.budget.checkpoint;
   const ckpt::Slot slot{
       ck, "kmeans", ck != nullptr ? KMeansFingerprint(data, options) : 0,

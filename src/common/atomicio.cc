@@ -1,6 +1,7 @@
 #include "common/atomicio.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -136,6 +137,29 @@ Status AtomicWritePath(const std::string& path, const std::string& content,
   }
   return AtomicWriteFile(path.substr(0, slash), path.substr(slash + 1),
                          content, options);
+}
+
+Status EnsureDir(const std::string& dir, const char* what) {
+  if (dir.empty()) return Status::IoError(Prefix(what) + "empty directory");
+  const auto make = [](const std::string& path) {
+    return mkdir(path.c_str(), 0755) == 0 || errno == EEXIST;
+  };
+  const auto fail = [what](const std::string& path) {
+    const int err = errno;
+    return Status::IoError(Prefix(what) + "cannot create directory " + path +
+                           ": " + std::strerror(err));
+  };
+  if (make(dir)) return Status::OK();
+  if (errno != ENOENT) return fail(dir);
+  // A parent is missing: create each component left to right. Positions
+  // start past index 0 so an absolute path's leading '/' is not a
+  // component.
+  for (size_t pos = 1; pos < dir.size(); ++pos) {
+    if (dir[pos] == '/' && !make(dir.substr(0, pos))) {
+      return fail(dir.substr(0, pos));
+    }
+  }
+  return make(dir) ? Status::OK() : fail(dir);
 }
 
 }  // namespace atomicio

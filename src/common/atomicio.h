@@ -47,6 +47,11 @@ Status AtomicWriteFile(const std::string& dir, const std::string& name,
                        const std::string& content,
                        const AtomicWriteOptions& options = {});
 
+/// Creates `dir` and every missing ancestor (mkdir -p), so nested artifact
+/// directories like "runs/today/job3" work out of the box. Errors carry the
+/// `what` prefix, e.g. "checkpoint: cannot create directory ...".
+Status EnsureDir(const std::string& dir, const char* what);
+
 /// AtomicWriteFile addressed by one path, split at its last '/' (a bare
 /// file name publishes into the current directory).
 Status AtomicWritePath(const std::string& path, const std::string& content,

@@ -2,7 +2,6 @@
 
 #include <dirent.h>
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -96,33 +95,6 @@ Status AtomicWriteFile(const std::string& dir, const std::string& name,
   options.keep_temp_on_short_write = true;
   options.fsync_dir = true;
   return atomicio::AtomicWriteFile(dir, name, content, options);
-}
-
-// Creates `dir` and every missing ancestor (mkdir -p): checkpoint
-// directories like "runs/today/job3" must work out of the box.
-Status EnsureDir(const std::string& dir) {
-  if (dir.empty()) {
-    return Status::IoError("checkpoint: empty checkpoint directory");
-  }
-  if (mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST) return Status::OK();
-  if (errno != ENOENT) {
-    return Status::IoError("checkpoint: cannot create directory " + dir +
-                           ": " + std::strerror(errno));
-  }
-  // A parent is missing: create each component left to right. Positions
-  // start past index 0 so an absolute path's leading '/' is not a
-  // component.
-  for (size_t pos = 1; pos < dir.size(); ++pos) {
-    if (dir[pos] != '/') continue;
-    const std::string prefix = dir.substr(0, pos);
-    if (mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST) {
-      return Status::IoError("checkpoint: cannot create directory " + prefix +
-                             ": " + std::strerror(errno));
-    }
-  }
-  if (mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST) return Status::OK();
-  return Status::IoError("checkpoint: cannot create directory " + dir + ": " +
-                         std::strerror(errno));
 }
 
 std::string HexU64(uint64_t v) {
@@ -363,7 +335,7 @@ std::optional<Checkpointer::Restored> Checkpointer::TryRestore(
 Status Checkpointer::WriteSnapshot(
     const char* algorithm, uint64_t fingerprint,
     FunctionRef<void(json::Writer*)> payload) {
-  MC_RETURN_IF_ERROR(EnsureDir(dir_));
+  MC_RETURN_IF_ERROR(atomicio::EnsureDir(dir_, "checkpoint"));
   std::vector<std::pair<uint64_t, std::string>> files;
   MC_RETURN_IF_ERROR(ListCheckpoints(dir_, algorithm, &files));
   const uint64_t sequence = files.empty() ? 1 : files.back().first + 1;

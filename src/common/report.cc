@@ -9,6 +9,34 @@
 
 namespace multiclust {
 
+void AppendResourceProfile(const telemetry::ResourceProfile& resource,
+                           json::Writer* w) {
+  w->BeginObject();
+  w->Key("wall_ms");
+  w->Double(resource.wall_ms);
+  w->Key("user_cpu_ms");
+  w->Double(resource.user_cpu_ms);
+  w->Key("system_cpu_ms");
+  w->Double(resource.system_cpu_ms);
+  w->Key("peak_rss_kb");
+  w->Uint(resource.peak_rss_kb);
+  w->Key("minor_faults");
+  w->Uint(resource.minor_faults);
+  w->Key("major_faults");
+  w->Uint(resource.major_faults);
+  w->Key("alloc_count");
+  w->Uint(resource.alloc_count);
+  w->Key("alloc_bytes");
+  w->Uint(resource.alloc_bytes);
+  w->Key("flops");
+  w->Uint(resource.flops);
+  w->Key("kernel_bytes");
+  w->Uint(resource.kernel_bytes);
+  w->EndObject();
+}
+
+namespace {
+
 void AppendConvergencePoint(const ConvergencePoint& point, json::Writer* w) {
   w->BeginObject();
   w->Key("restart");
@@ -41,32 +69,6 @@ void AppendConvergenceTrace(const ConvergenceTrace& trace, bool with_points,
     }
     w->EndArray();
   }
-  w->EndObject();
-}
-
-void AppendResourceProfile(const telemetry::ResourceProfile& resource,
-                           json::Writer* w) {
-  w->BeginObject();
-  w->Key("wall_ms");
-  w->Double(resource.wall_ms);
-  w->Key("user_cpu_ms");
-  w->Double(resource.user_cpu_ms);
-  w->Key("system_cpu_ms");
-  w->Double(resource.system_cpu_ms);
-  w->Key("peak_rss_kb");
-  w->Uint(resource.peak_rss_kb);
-  w->Key("minor_faults");
-  w->Uint(resource.minor_faults);
-  w->Key("major_faults");
-  w->Uint(resource.major_faults);
-  w->Key("alloc_count");
-  w->Uint(resource.alloc_count);
-  w->Key("alloc_bytes");
-  w->Uint(resource.alloc_bytes);
-  w->Key("flops");
-  w->Uint(resource.flops);
-  w->Key("kernel_bytes");
-  w->Uint(resource.kernel_bytes);
   w->EndObject();
 }
 
@@ -175,6 +177,8 @@ void AppendDiscoveryReport(const DiscoveryReport& report,
   }
   w->EndObject();
 }
+
+}  // namespace
 
 std::string DiscoveryReportJson(const DiscoveryReport& report,
                                 const ReportJsonOptions& options) {

@@ -10,8 +10,6 @@
 namespace multiclust {
 
 struct DiscoveryReport;
-struct ObjectiveReport;
-class SolutionSet;
 
 /// Versioned JSON serialization of run outcomes — the durable export layer
 /// on top of the telemetry the pipeline and run-guard subsystems already
@@ -51,41 +49,12 @@ struct ReportJsonOptions {
   bool include_spans = true;
 };
 
-/// --- Embeddable fragments: append one JSON value to `w`. ---
-
-/// {"restart":..,"iteration":..,"objective":..,"delta":..,"reseeds":..,
-///  "budget_remaining_ms":..}
-void AppendConvergencePoint(const ConvergencePoint& point, json::Writer* w);
-
-/// {"winning_restart":..,"points":[...]}
-void AppendConvergenceTrace(const ConvergenceTrace& trace, bool with_points,
-                            json::Writer* w);
-
 /// {"wall_ms":..,"user_cpu_ms":..,"system_cpu_ms":..,"peak_rss_kb":..,
 ///  "minor_faults":..,"major_faults":..,"alloc_count":..,"alloc_bytes":..,
-///  "flops":..,"kernel_bytes":..}
+///  "flops":..,"kernel_bytes":..} appended to `w` as one JSON value (the
+/// report's and each attempt's "resource" member).
 void AppendResourceProfile(const telemetry::ResourceProfile& resource,
                            json::Writer* w);
-
-/// {"algorithm":..,"iterations":..,"converged":..,"stop_reason":..,
-///  "retries":..,"elapsed_ms":..,"note":..,"trace":{...}} plus a
-/// "resource" member when diagnostics.resource.captured (schema v2).
-void AppendRunDiagnostics(const RunDiagnostics& diagnostics, bool with_points,
-                          json::Writer* w);
-
-/// {"qualities":[...],"mean_quality":..,"mean_dissimilarity":..,
-///  "min_dissimilarity":..,"combined":..}
-void AppendObjectiveReport(const ObjectiveReport& objective, json::Writer* w);
-
-/// [{"algorithm":..,"num_clusters":..,"quality":..,"iterations":..,
-///   "converged":..,"labels":[...]}, ...]
-void AppendSolutionSet(const SolutionSet& set, bool with_labels,
-                       json::Writer* w);
-
-/// The full DiscoveryReport as one JSON object (without the top-level
-/// schema envelope — use DiscoveryReportJson for a standalone document).
-void AppendDiscoveryReport(const DiscoveryReport& report,
-                           const ReportJsonOptions& options, json::Writer* w);
 
 /// --- Standalone artifacts. ---
 

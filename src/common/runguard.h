@@ -1,6 +1,7 @@
 #ifndef MULTICLUST_COMMON_RUNGUARD_H_
 #define MULTICLUST_COMMON_RUNGUARD_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -207,6 +208,8 @@ class BudgetTracker {
   RunBudget Remaining() const;
 
   StopReason reason() const { return reason_; }
+  /// The budget's outer-iteration cap; 0 = none.
+  size_t max_iterations() const { return budget_.max_iterations; }
   double ElapsedMs() const;
   /// Wall-clock budget left, or -1 when no deadline is armed. Never
   /// negative with a deadline: an expired budget reports 0.
@@ -241,10 +244,12 @@ class ConvergenceRecorder {
               double delta, size_t reseeds);
 
   /// Tells the progress stream how many outer iterations one restart runs
-  /// at most (the algorithm's max_iters after budget capping); 0 disables
-  /// the ETA estimate. Call once at algorithm entry.
+  /// at most (the algorithm's own max_iters; the guard's budget cap is
+  /// applied here); 0 disables the ETA estimate. Call once at algorithm
+  /// entry.
   void SetExpectedIterations(size_t iterations) {
-    expected_iterations_ = iterations;
+    const size_t cap = guard_ != nullptr ? guard_->max_iterations() : 0;
+    expected_iterations_ = cap != 0 ? std::min(iterations, cap) : iterations;
   }
 
   /// Notes which restart's result the algorithm returned.

@@ -46,7 +46,7 @@ bool IsTerminalStatus(std::string_view status) {
   return !(status == "queued" || status == "resumed" || status == "crashed");
 }
 
-std::string GenerateRunId(uint64_t seed) {
+std::string GenerateRunId(uint64_t seed, const char* prefix) {
   // Process-local counter so two ids generated in the same second (same
   // pid, same seed) still differ.
   static std::atomic<uint64_t> g_sequence{0};
@@ -55,9 +55,9 @@ std::string GenerateRunId(uint64_t seed) {
                              static_cast<uint64_t>(::getpid()));
   mix = SplitMix64(mix + static_cast<uint64_t>(std::time(nullptr)));
   mix = SplitMix64(mix + g_sequence.fetch_add(1, std::memory_order_relaxed));
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "run-%016" PRIx64, mix);
-  return buf;
+  char hex[24];
+  std::snprintf(hex, sizeof(hex), "%016" PRIx64, mix);
+  return std::string(prefix) + "-" + hex;
 }
 
 std::string RunRecordJson(const RunRecord& record) {

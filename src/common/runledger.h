@@ -82,9 +82,10 @@ struct RunRecord {
 /// terminal so a future status never causes an infinite resume loop.
 bool IsTerminalStatus(std::string_view status);
 
-/// Unique-enough run identifier: "run-" + 16 hex digits mixed from the
-/// pid, the wall clock and `seed`.
-std::string GenerateRunId(uint64_t seed);
+/// Unique-enough identifier: `prefix` + "-" + 16 hex digits mixed from the
+/// pid, the wall clock, `seed` and a process-local sequence ("run-..." for
+/// ledger runs, "job-..." for daemon jobs).
+std::string GenerateRunId(uint64_t seed, const char* prefix = "run");
 
 /// The record as a single JSON line (no trailing newline). Includes the
 /// envelope (kind, schema_version) and a "build" object with the git

@@ -30,16 +30,6 @@ std::string TrimString(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-std::string JoinStrings(const std::vector<std::string>& parts,
-                        const std::string& sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 bool ParseDouble(const std::string& s, double* out) {
   const std::string t = TrimString(s);
   if (t.empty()) return false;

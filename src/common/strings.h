@@ -12,10 +12,6 @@ std::vector<std::string> SplitString(const std::string& s, char sep);
 /// Removes leading and trailing ASCII whitespace.
 std::string TrimString(const std::string& s);
 
-/// Joins `parts` with `sep` between elements.
-std::string JoinStrings(const std::vector<std::string>& parts,
-                        const std::string& sep);
-
 /// Parses a double; returns false on malformed input or trailing junk.
 bool ParseDouble(const std::string& s, double* out);
 

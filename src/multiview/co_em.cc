@@ -88,10 +88,7 @@ Result<CoEmResult> RunCoEm(const Matrix& view1, const Matrix& view2,
   MULTICLUST_TRACE_SPAN("multiview.co_em.run");
   BudgetTracker guard(options.budget, "co-em");
   ConvergenceRecorder recorder(options.diagnostics, &guard);
-  recorder.SetExpectedIterations(
-      options.budget.max_iterations != 0
-          ? std::min(options.max_iters, options.budget.max_iterations)
-          : options.max_iters);
+  recorder.SetExpectedIterations(options.max_iters);
   const size_t n = view1.rows();
 
   CoEmResult result;

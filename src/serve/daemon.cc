@@ -2,61 +2,23 @@
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <fstream>
 
 #include "common/atomicio.h"
 #include "common/report.h"
-#include "common/rng.h"
 #include "common/runledger.h"
 
 namespace multiclust {
 namespace serve {
 
 namespace {
-
-// mkdir -p (the checkpoint subsystem keeps its own copy file-local, so the
-// serve layer carries one too rather than widening that header).
-Status EnsureSpoolDir(const std::string& dir) {
-  if (dir.empty()) return Status::IoError("serve: empty spool directory");
-  if (::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST) return Status::OK();
-  if (errno != ENOENT) {
-    return Status::IoError("serve: cannot create directory " + dir + ": " +
-                           std::strerror(errno));
-  }
-  for (size_t pos = 1; pos < dir.size(); ++pos) {
-    if (dir[pos] != '/') continue;
-    const std::string prefix = dir.substr(0, pos);
-    if (::mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST) {
-      return Status::IoError("serve: cannot create directory " + prefix +
-                             ": " + std::strerror(errno));
-    }
-  }
-  if (::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST) return Status::OK();
-  return Status::IoError("serve: cannot create directory " + dir + ": " +
-                         std::strerror(errno));
-}
-
-std::string GenerateJobId(uint64_t seed) {
-  static std::atomic<uint64_t> g_sequence{0};
-  uint64_t mix = seed;
-  mix = SplitMix64(mix + 0x9E3779B97F4A7C15ULL *
-                             static_cast<uint64_t>(::getpid()));
-  mix = SplitMix64(mix + static_cast<uint64_t>(std::time(nullptr)));
-  mix = SplitMix64(mix + g_sequence.fetch_add(1, std::memory_order_relaxed));
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "job-%016" PRIx64, mix);
-  return buf;
-}
 
 // MSG_NOSIGNAL: a client that hung up must surface as EPIPE on this call,
 // not as a process-killing SIGPIPE.
@@ -148,7 +110,7 @@ Status Daemon::AppendLedger(const std::shared_ptr<Job>& job,
 
 Status Daemon::PersistAccepted(const std::shared_ptr<Job>& job) {
   const std::string dir = JobDir(job->id);
-  MC_RETURN_IF_ERROR(EnsureSpoolDir(dir));
+  MC_RETURN_IF_ERROR(atomicio::EnsureDir(dir, "serve"));
   Request req;
   req.op = "submit";
   req.tenant = job->tenant;
@@ -231,8 +193,8 @@ Status Daemon::Start() {
   if (options_.root.empty()) {
     return Status::InvalidArgument("serve: empty spool root");
   }
-  MC_RETURN_IF_ERROR(EnsureSpoolDir(options_.root));
-  MC_RETURN_IF_ERROR(EnsureSpoolDir(options_.root + "/jobs"));
+  MC_RETURN_IF_ERROR(atomicio::EnsureDir(options_.root, "serve"));
+  MC_RETURN_IF_ERROR(atomicio::EnsureDir(options_.root + "/jobs", "serve"));
   MC_RETURN_IF_ERROR(RecoverJobs());
 
   sockaddr_un addr{};
@@ -383,7 +345,7 @@ void Daemon::WorkerLoop() {
 
 void Daemon::ExecuteJob(const std::shared_ptr<Job>& job) {
   const std::string dir = JobDir(job->id);
-  Status spool = EnsureSpoolDir(dir);
+  Status spool = atomicio::EnsureDir(dir, "serve");
   if (spool.ok()) {
     Status began = mux_.BeginJob(job->id, dir + "/progress.ndjson");
     if (!began.ok()) {
@@ -537,7 +499,7 @@ void Daemon::HandleSubmit(const Request& request, int fd) {
     return;
   }
   auto job = std::make_shared<Job>();
-  job->id = GenerateJobId(request.spec.seed);
+  job->id = ledger::GenerateRunId(request.spec.seed, "job");
   job->tenant = request.tenant;
   job->spec = request.spec;
   job->published = false;

@@ -1,11 +1,11 @@
 #include "subspace/enclus.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/parallel.h"
 #include "common/trace.h"
 #include "stats/grid.h"
+#include "subspace/subspace_cluster.h"
 
 namespace multiclust {
 
@@ -47,38 +47,10 @@ Result<std::vector<ScoredSubspace>> RunEnclus(const Matrix& data,
   // Bottom-up: entropy is monotone non-decreasing in dims, so any subspace
   // with a pruned projection is pruned too (downward closure, slide 71).
   for (size_t depth = 2; depth <= max_dims && level.size() >= 2; ++depth) {
-    std::set<std::vector<size_t>> candidates;
-    for (size_t i = 0; i < level.size(); ++i) {
-      for (size_t j = i + 1; j < level.size(); ++j) {
-        bool ok = true;
-        for (size_t p = 0; p + 1 < level[i].size(); ++p) {
-          if (level[i][p] != level[j][p]) {
-            ok = false;
-            break;
-          }
-        }
-        if (!ok || level[i].back() >= level[j].back()) continue;
-        std::vector<size_t> cand = level[i];
-        cand.push_back(level[j].back());
-        // All (k-1)-projections must have survived.
-        bool all_present = true;
-        for (size_t skip = 0; skip < cand.size() && all_present; ++skip) {
-          std::vector<size_t> proj;
-          for (size_t p = 0; p < cand.size(); ++p) {
-            if (p != skip) proj.push_back(cand[p]);
-          }
-          if (std::find(level.begin(), level.end(), proj) == level.end()) {
-            all_present = false;
-          }
-        }
-        if (all_present) candidates.insert(std::move(cand));
-      }
-    }
     // The entropy scan per candidate subspace is the expensive part of a
     // level; precompute all of them in parallel, then filter serially so
     // the result order matches the serial algorithm.
-    const std::vector<std::vector<size_t>> cands(candidates.begin(),
-                                                 candidates.end());
+    const std::vector<std::vector<size_t>> cands = AprioriCandidates(level);
     std::vector<double> cand_entropy(cands.size());
     {
       MULTICLUST_TRACE_SPAN("subspace.enclus.entropy_scan");

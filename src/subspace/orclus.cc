@@ -476,10 +476,7 @@ Result<OrclusResult> RunOrclus(const Matrix& data,
   MULTICLUST_TRACE_SPAN("subspace.orclus.run");
   BudgetTracker guard(options.budget, "orclus");
   ConvergenceRecorder recorder(options.diagnostics, &guard);
-  recorder.SetExpectedIterations(
-      options.budget.max_iterations != 0
-          ? std::min(options.max_iters, options.budget.max_iterations)
-          : options.max_iters);
+  recorder.SetExpectedIterations(options.max_iters);
   Checkpointer* ck = options.budget.checkpoint;
   const ckpt::Slot slot{
       ck, "orclus", ck != nullptr ? OrclusFingerprint(data, options) : 0,

@@ -120,10 +120,7 @@ Result<ProclusResult> RunProclus(const Matrix& data,
   MULTICLUST_TRACE_SPAN("subspace.proclus.run");
   BudgetTracker guard(options.budget, "proclus");
   ConvergenceRecorder recorder(options.diagnostics, &guard);
-  recorder.SetExpectedIterations(
-      options.budget.max_iterations != 0
-          ? std::min(options.max_iters, options.budget.max_iterations)
-          : options.max_iters);
+  recorder.SetExpectedIterations(options.max_iters);
   Rng rng(options.seed);
   const size_t k = options.k;
 

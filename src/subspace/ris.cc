@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+
+#include "subspace/subspace_cluster.h"
 
 namespace multiclust {
 
@@ -91,34 +92,8 @@ Result<std::vector<RankedSubspace>> RunRis(const Matrix& data,
   }
 
   for (size_t depth = 2; depth <= max_dims && level.size() >= 2; ++depth) {
-    std::set<std::vector<size_t>> candidates;
-    for (size_t i = 0; i < level.size(); ++i) {
-      for (size_t j = i + 1; j < level.size(); ++j) {
-        bool ok = true;
-        for (size_t p = 0; p + 1 < level[i].size(); ++p) {
-          if (level[i][p] != level[j][p]) {
-            ok = false;
-            break;
-          }
-        }
-        if (!ok || level[i].back() >= level[j].back()) continue;
-        std::vector<size_t> cand = level[i];
-        cand.push_back(level[j].back());
-        bool all_present = true;
-        for (size_t skip = 0; skip < cand.size() && all_present; ++skip) {
-          std::vector<size_t> proj;
-          for (size_t p = 0; p < cand.size(); ++p) {
-            if (p != skip) proj.push_back(cand[p]);
-          }
-          if (std::find(level.begin(), level.end(), proj) == level.end()) {
-            all_present = false;
-          }
-        }
-        if (all_present) candidates.insert(std::move(cand));
-      }
-    }
     std::vector<std::vector<size_t>> next;
-    for (const std::vector<size_t>& cand : candidates) {
+    for (const std::vector<size_t>& cand : AprioriCandidates(level)) {
       const double frac = CoreFraction(data, cand, options.eps,
                                        options.min_pts);
       if (frac <= 0) continue;

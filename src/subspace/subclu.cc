@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "cluster/dbscan.h"
 #include "common/runguard.h"
@@ -84,34 +83,7 @@ Result<SubspaceClustering> RunSubclu(const Matrix& data,
     subspaces.reserve(level.size());
     for (const auto& [s, c] : level) subspaces.push_back(s);
 
-    std::set<std::vector<size_t>> candidates;
-    for (size_t i = 0; i < subspaces.size(); ++i) {
-      for (size_t j = i + 1; j < subspaces.size(); ++j) {
-        // Join when the (k-2)-prefix matches.
-        bool ok = true;
-        for (size_t p = 0; p + 1 < subspaces[i].size(); ++p) {
-          if (subspaces[i][p] != subspaces[j][p]) {
-            ok = false;
-            break;
-          }
-        }
-        if (!ok || subspaces[i].back() >= subspaces[j].back()) continue;
-        std::vector<size_t> cand = subspaces[i];
-        cand.push_back(subspaces[j].back());
-        // Prune: every (k-1)-dim projection must contain clusters.
-        bool all_present = true;
-        for (size_t skip = 0; skip < cand.size() && all_present; ++skip) {
-          std::vector<size_t> proj;
-          for (size_t p = 0; p < cand.size(); ++p) {
-            if (p != skip) proj.push_back(cand[p]);
-          }
-          if (level.find(proj) == level.end()) all_present = false;
-        }
-        if (all_present) candidates.insert(std::move(cand));
-      }
-    }
-
-    for (const std::vector<size_t>& cand : candidates) {
+    for (const std::vector<size_t>& cand : AprioriCandidates(subspaces)) {
       // Pick the (k-1)-dim projection with the fewest clustered objects
       // (SUBCLU's best-subspace heuristic) and re-cluster only those.
       size_t best_count = n + 1;
@@ -121,16 +93,16 @@ Result<SubspaceClustering> RunSubclu(const Matrix& data,
         for (size_t p = 0; p < cand.size(); ++p) {
           if (p != skip) proj.push_back(cand[p]);
         }
-        auto it = level.find(proj);
-        if (it == level.end()) continue;
+        // AprioriCandidates keeps only candidates whose every projection
+        // is in `level`.
+        const std::vector<std::vector<int>>& clusters = level.at(proj);
         size_t count = 0;
-        for (const auto& c : it->second) count += c.size();
+        for (const auto& c : clusters) count += c.size();
         if (count < best_count) {
           best_count = count;
-          best = &it->second;
+          best = &clusters;
         }
       }
-      if (best == nullptr) continue;
 
       std::vector<std::vector<int>> found;
       for (const std::vector<int>& base_cluster : *best) {

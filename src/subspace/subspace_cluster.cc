@@ -110,6 +110,31 @@ Result<double> SubspacePairF1(const SubspaceClustering& found,
   return 2.0 * precision * recall / (precision + recall);
 }
 
+std::vector<std::vector<size_t>> AprioriCandidates(
+    const std::vector<std::vector<size_t>>& level) {
+  std::vector<std::vector<size_t>> candidates;
+  for (size_t i = 0; i < level.size(); ++i) {
+    const std::vector<size_t>& a = level[i];
+    for (size_t j = i + 1; j < level.size(); ++j) {
+      const std::vector<size_t>& b = level[j];
+      // Sorted: entries sharing a's (k-1)-prefix are contiguous after it.
+      if (!std::equal(a.begin(), a.end() - 1, b.begin())) break;
+      std::vector<size_t> cand = a;
+      cand.push_back(b.back());
+      // Dropping either of the last two dimensions gives a parent; every
+      // other projection must have survived too (downward closure).
+      bool all_present = true;
+      for (size_t skip = 0; skip + 2 < cand.size() && all_present; ++skip) {
+        std::vector<size_t> proj = cand;
+        proj.erase(proj.begin() + static_cast<std::ptrdiff_t>(skip));
+        all_present = std::binary_search(level.begin(), level.end(), proj);
+      }
+      if (all_present) candidates.push_back(std::move(cand));
+    }
+  }
+  return candidates;
+}
+
 std::vector<SubspaceCluster> UnitsToClusters(
     const std::vector<GridUnit>& units, const std::string& source) {
   // Group unit indices by subspace.

@@ -54,6 +54,14 @@ struct SubspaceClustering {
 Result<double> SubspacePairF1(const SubspaceClustering& found,
                               const std::vector<int>& truth);
 
+/// One apriori level step over the subspace lattice (slide 71): joins the
+/// entries of `level` (distinct k-dimensional subspaces, each ascending,
+/// the list sorted) that share their first k-1 dimensions, and keeps a
+/// joined (k+1)-subspace only when every k-dimensional projection is in
+/// `level`. The result is sorted and duplicate-free.
+std::vector<std::vector<size_t>> AprioriCandidates(
+    const std::vector<std::vector<size_t>>& level);
+
 /// Merges grid units (same subspace, adjacent cells) into subspace clusters:
 /// the CLIQUE cluster-formation step (connected components of dense units;
 /// slide 69). Units must all come from the same `Grid`.

@@ -367,7 +367,12 @@ TEST(RunLedgerTest, GeneratesDistinctRunIds) {
   const std::string a = ledger::GenerateRunId(1);
   const std::string b = ledger::GenerateRunId(1);
   EXPECT_EQ(a.rfind("run-", 0), 0u);
+  EXPECT_EQ(a.size(), 20u);  // "run-" + 16 hex digits
   EXPECT_NE(a, b);
+  // The daemon's job ids share the mixer under their own prefix.
+  const std::string job = ledger::GenerateRunId(1, "job");
+  EXPECT_EQ(job.rfind("job-", 0), 0u);
+  EXPECT_EQ(job.size(), 20u);
 }
 
 TEST(RunLedgerTest, RecordJsonCarriesEnvelopeAndBuildInfo) {

@@ -209,11 +209,6 @@ TEST(StringsTest, TrimWhitespace) {
   EXPECT_EQ(TrimString("   "), "");
 }
 
-TEST(StringsTest, JoinRoundTrip) {
-  EXPECT_EQ(JoinStrings({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(JoinStrings({}, ","), "");
-}
-
 TEST(StringsTest, ParseDoubleValid) {
   double v = 0;
   EXPECT_TRUE(ParseDouble("3.25", &v));

@@ -275,6 +275,24 @@ TEST_F(FaultInjectionTest, SpectralDeadlineDuringEigensolveReturnsPromptly) {
   EXPECT_LE(MsBetween(std::max(opened, deadline), returned), bound_ms);
 }
 
+// A Gram build cancelled at its start still allocates and zeroes its Gram
+// (`gram_doubles`) and the median pass's n(n-1)/2 distances before its
+// per-row polls stop it. That floor is most of a prompt cancel's latency
+// and grows with the build: 5-30 ms optimized at n = 2000, 0.25-0.37 s
+// under ThreadSanitizer. So each Gram-phase cancel bound is the larger of
+// its optimized-build constant and three times the floor, timed here by
+// allocating and zeroing the same buffers. The timing runs no build, so it
+// does not depend on the polls under test: a build that stopped polling
+// still runs whole (about 0.3 s optimized) and overruns the bound.
+double GramCancelBoundMs(size_t gram_doubles, size_t n, double floor_ms) {
+  const SteadyClock::time_point start = SteadyClock::now();
+  std::vector<double> gram(gram_doubles);
+  std::vector<double> dists(n * (n - 1) / 2);
+  volatile double touched = gram.back() + dists.back();
+  (void)touched;
+  return std::max(floor_ms, 3.0 * MsBetween(start, SteadyClock::now()));
+}
+
 TEST_F(FaultInjectionTest, SpectralCancelDuringAffinityReturnsPromptly) {
   // n = 2000 in 512 dimensions: the affinity's median pass and Gram fill
   // (2M distances of 512 terms each, then 2M exponentials) take about
@@ -282,8 +300,9 @@ TEST_F(FaultInjectionTest, SpectralCancelDuringAffinityReturnsPromptly) {
   // the affinity span opens ends the call long before the build would:
   // 35-65 ms in optimized and ASan builds, most of it allocating the 32 MB
   // affinity and the 16 MB distance buffer.
-  constexpr double kBoundMs = 150.0;
-  const Matrix data = MakeUniformCube(2000, 512, 41)->data();
+  constexpr size_t kN = 2000;
+  const Matrix data = MakeUniformCube(kN, 512, 41)->data();
+  const double bound_ms = GramCancelBoundMs(kN * kN, kN, 150.0);
   CancelToken cancel;
   SpectralOptions opts;
   opts.k = 3;
@@ -303,7 +322,7 @@ TEST_F(FaultInjectionTest, SpectralCancelDuringAffinityReturnsPromptly) {
   ASSERT_TRUE(seen) << "the affinity span was never observed open";
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
-  EXPECT_LE(MsBetween(tripped, returned), kBoundMs);
+  EXPECT_LE(MsBetween(tripped, returned), bound_ms);
 }
 
 TEST_F(FaultInjectionTest, MscCancelDuringHsicPhaseSkipsRemainingPairs) {
@@ -344,10 +363,12 @@ TEST_F(FaultInjectionTest, MscCancelDuringGramBuildReturnsPromptly) {
   // the HSIC phase about 1 s. Both passes poll the token once per row, so
   // a token tripped when the first kernel span opens ends the call well
   // inside one build.
-  constexpr double kBoundMs = 250.0;
+  constexpr size_t kN = 2000;
   auto ds = MakeBlobs({{{0, 0, 0, 0, 0, 0}, 1.0, 1000},
                        {{5, 5, 5, 5, 5, 5}, 1.0, 1000}},
                       31);
+  // Each column's Gram is packed: its upper triangle, n(n+1)/2 doubles.
+  const double bound_ms = GramCancelBoundMs(kN * (kN + 1) / 2, kN, 250.0);
   CancelToken cancel;
   MscOptions opts;
   opts.k = 2;
@@ -367,7 +388,7 @@ TEST_F(FaultInjectionTest, MscCancelDuringGramBuildReturnsPromptly) {
   ASSERT_TRUE(seen) << "the kernel span was never observed open";
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
-  EXPECT_LE(MsBetween(tripped, returned), kBoundMs);
+  EXPECT_LE(MsBetween(tripped, returned), bound_ms);
 }
 
 // ---- Silhouette cancel points ---------------------------------------------

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 
+#include "common/rng.h"
 #include "data/generators.h"
 #include "metrics/partition_similarity.h"
 #include "subspace/asclu.h"
@@ -16,6 +17,7 @@
 #include "subspace/statpc.h"
 #include "subspace/subclu.h"
 #include "subspace/subspace_cluster.h"
+#include "support/apriori_oracle.h"
 
 namespace multiclust {
 namespace {
@@ -85,6 +87,60 @@ TEST(UnitsToClustersTest, MergesAdjacentUnits) {
     }
   }
   EXPECT_TRUE(found_merged);
+}
+
+using Level = std::vector<std::vector<size_t>>;
+
+TEST(AprioriCandidatesTest, EdgeLevels) {
+  EXPECT_TRUE(AprioriCandidates({}).empty());
+  EXPECT_TRUE(AprioriCandidates({{3}}).empty());
+  EXPECT_TRUE(AprioriCandidates({{0, 2, 5}}).empty());
+  EXPECT_EQ(AprioriCandidates({{0}, {2}, {5}}),
+            (Level{{0, 2}, {0, 5}, {2, 5}}));
+  // {0,1} and {0,2} join to {0,1,2}, whose projection {1,2} is a hole.
+  EXPECT_TRUE(AprioriCandidates({{0, 1}, {0, 2}, {1, 3}}).empty());
+  EXPECT_EQ(AprioriCandidates({{0, 1}, {0, 2}, {1, 2}, {1, 3}}),
+            (Level{{0, 1, 2}}));
+}
+
+TEST(AprioriCandidatesTest, MatchesBruteForceOracle) {
+  Rng rng(26);
+  size_t pruned = 0;
+  for (size_t d = 2; d <= 8; ++d) {
+    for (size_t k = 1; k <= 4 && k < d; ++k) {
+      // Every k-subset of [0, d), lexicographic.
+      Level full;
+      for (size_t mask = 0; mask < (size_t{1} << d); ++mask) {
+        std::vector<size_t> s;
+        for (size_t j = 0; j < d; ++j) {
+          if (mask & (size_t{1} << j)) s.push_back(j);
+        }
+        if (s.size() == k) full.push_back(s);
+      }
+      std::sort(full.begin(), full.end());
+      for (const double keep : {0.3, 0.6, 0.85, 1.0}) {
+        for (int rep = 0; rep < 5; ++rep) {
+          Level level;
+          for (const auto& s : full) {
+            if (rng.NextDouble() < keep) level.push_back(s);
+          }
+          const Level got = AprioriCandidates(level);
+          EXPECT_EQ(got, test::AprioriOracle(level, k, d))
+              << "d=" << d << " k=" << k << " keep=" << keep;
+          // Pairs sharing a (k-1)-prefix that the projection check dropped.
+          size_t joins = 0;
+          for (size_t i = 0; i < level.size(); ++i) {
+            for (size_t j = i + 1; j < level.size(); ++j) {
+              joins += std::equal(level[i].begin(), level[i].end() - 1,
+                                  level[j].begin());
+            }
+          }
+          pruned += joins - got.size();
+        }
+      }
+    }
+  }
+  EXPECT_GT(pruned, 0u);
 }
 
 TEST(CliqueTest, FindsPlantedSubspaceClusters) {
