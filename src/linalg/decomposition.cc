@@ -145,10 +145,33 @@ constexpr int kFilterDegree = 8;
 // in each product grows by about sigma / half-width.
 constexpr double kMinFilterWidth = 1e-3;
 
-// Row j of the result is a * q_j, for the b x n block `q`.
-Matrix BlockProduct(const Matrix& a, const Matrix& q) {
-  return (a * q.Transpose()).Transpose();
-}
+// Row j of `out` (b x n) is a * q_j, for the b x n block `q`: the bits of
+// (a * q.Transpose()).Transpose(), through n x b scratch that lives as
+// long as the solver, so a product allocates nothing. The scratch holds
+// zero columns up to a multiple of 4, GemmRows's vector width: every
+// output element is still the same ascending-k chain of separately rounded
+// multiply-adds, whichever block computes it, and the padding keeps the b
+// columns out of the scalar tail.
+class BlockProduct {
+ public:
+  BlockProduct(size_t n, size_t b)
+      : b_(b), qt_(n, (b + 3) / 4 * 4), prod_(n, qt_.cols()) {}
+
+  void operator()(const Matrix& a, const Matrix& q, Matrix* out) {
+    const size_t n = qt_.rows();
+    for (size_t t = 0; t < n; ++t) {
+      for (size_t j = 0; j < b_; ++j) qt_.at(t, j) = q.at(j, t);
+    }
+    a.MultiplyInto(qt_, &prod_);
+    for (size_t j = 0; j < b_; ++j) {
+      for (size_t t = 0; t < n; ++t) out->at(j, t) = prod_.at(t, j);
+    }
+  }
+
+ private:
+  size_t b_;
+  Matrix qt_, prod_;
+};
 
 }  // namespace
 
@@ -190,11 +213,13 @@ Result<SymmetricEigen> TopKEigen(const Matrix& a, size_t k, double tol,
   }
   OrthonormalizeRows(&q, &rng);
 
+  BlockProduct block_product(n, b);
+  Matrix aq(b, n), next(b, n);
   for (size_t iter = 0; iter < max_iters; ++iter) {
     if (guard.Cancelled()) return guard.CancelledStatus();
     // Rayleigh-Ritz on span(q): h = q a q^T (symmetric by construction),
     // then both q and a q rotate into the eigenbasis of h.
-    const Matrix aq = BlockProduct(a, q);  // row j = a q_j
+    block_product(a, q, &aq);  // row j = a q_j
     Matrix h(b, b);
     for (size_t i = 0; i < b; ++i) {
       for (size_t j = i; j < b; ++j) {
@@ -256,7 +281,7 @@ Result<SymmetricEigen> TopKEigen(const Matrix& a, size_t k, double tol,
       telemetry::CountFlops(3 * b * n, 3 * b * n * sizeof(double));
       Matrix prev = q;  // q stays the Ritz block a deadline returns
       for (int degree = 2; degree <= kFilterDegree; ++degree) {
-        Matrix next = BlockProduct(a, ar);
+        block_product(a, ar, &next);
         const double* cur = ar.row_data(0);
         const double* before = prev.row_data(0);
         double* out = next.row_data(0);
@@ -264,7 +289,10 @@ Result<SymmetricEigen> TopKEigen(const Matrix& a, size_t k, double tol,
           out[i] = 2.0 * inv_e * (out[i] - c * cur[i]) - before[i];
         }
         telemetry::CountFlops(4 * b * n, 4 * b * n * sizeof(double));
-        prev = std::exchange(ar, std::move(next));
+        // prev = the old ar, ar = the new block; the old prev's storage
+        // takes the next product.
+        std::swap(prev, ar);
+        std::swap(ar, next);
         // One poll per product; the filtered block is not an answer yet.
         if (guard.Cancelled()) return guard.CancelledStatus();
         if (guard.DeadlineExpired()) return ritz_pairs();

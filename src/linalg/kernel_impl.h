@@ -200,15 +200,20 @@ void CenterRow(const double* row, double rm_i, const double* rm, double total,
 
 // --- fused / composite f64 kernels. ---
 
-// out[j] = exp(-gamma * ||x - rows_j||^2) for j in [0, count); rows_j is
-// rows + j*d. Distances are vectorized; exp stays scalar libm.
+// out[j] = ||x - rows_j||^2 for j in [0, count); rows_j is rows + j*d.
+// Each entry is SquaredDistance of its pair, bit for bit.
 template <typename V>
-void GaussianRow(const double* x, const double* rows, size_t count, size_t d,
-                 double gamma, double* out) {
+void SquaredDistanceRow(const double* x, const double* rows, size_t count,
+                        size_t d, double* out) {
   for (size_t j = 0; j < count; ++j) {
-    const double s = SquaredDistance<V>(x, rows + j * d, d);
-    out[j] = std::exp(-gamma * s);
+    out[j] = SquaredDistance<V>(x, rows + j * d, d);
   }
+}
+
+// s[j] = exp(-gamma * s[j]) in place, one scalar libm exp per element.
+template <typename V>
+void GaussianFromSquared(double gamma, double* s, size_t n) {
+  for (size_t j = 0; j < n; ++j) s[j] = std::exp(-gamma * s[j]);
 }
 
 // --- row-lane distance kernels (four rows ride the four lanes). ---

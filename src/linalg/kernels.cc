@@ -73,13 +73,17 @@ void CenterRow(const double* row, double rm_i, const double* rm, double total,
                double* out, size_t n) {
   impl::CenterRow<Double4>(row, rm_i, rm, total, out, n);
 }
-void GaussianRow(const double* x, const double* rows, size_t count, size_t d,
-                 double gamma, double* out) {
-  // Telemetry FLOP tally at call granularity (one row against `count`
-  // rows): ~3 flops per element for the squared distance plus the exp.
-  telemetry::CountFlops(3 * count * d + count,
-                        (count * d + d + count) * sizeof(double));
-  impl::GaussianRow<Double4>(x, rows, count, d, gamma, out);
+// The Gaussian Gram's two steps tally at call granularity (one row
+// against `count` rows): 3d flops per pair for the squared distance, which
+// reads the rows and x, then one flop (the exp) and one double per entry.
+void SquaredDistanceRow(const double* x, const double* rows, size_t count,
+                        size_t d, double* out) {
+  telemetry::CountFlops(3 * count * d, (count * d + d) * sizeof(double));
+  impl::SquaredDistanceRow<Double4>(x, rows, count, d, out);
+}
+void GaussianFromSquared(double gamma, double* s, size_t n) {
+  telemetry::CountFlops(n, n * sizeof(double));
+  impl::GaussianFromSquared<Double4>(gamma, s, n);
 }
 // The row-lane kernels tally at call granularity (one row block per
 // call). Per (row, centre) pair: d subs, d muls and d adds for a squared

@@ -61,9 +61,13 @@ void CenterRow(const double* row, double rm_i, const double* rm, double total,
                double* out, size_t n);
 
 // --- fused / composite. ---
-/// out[j] = exp(-gamma * ||x - rows_j||^2), rows_j = rows + j*d.
-void GaussianRow(const double* x, const double* rows, size_t count, size_t d,
-                 double gamma, double* out);
+/// out[j] = ||x - rows_j||^2, rows_j = rows + j*d; each entry has the
+/// bits of SquaredDistance(x, rows_j, d).
+void SquaredDistanceRow(const double* x, const double* rows, size_t count,
+                        size_t d, double* out);
+/// s[j] = exp(-gamma * s[j]) in place: the Gaussian kernel of a squared
+/// distance, for a Gram filled by SquaredDistanceRow.
+void GaussianFromSquared(double gamma, double* s, size_t n);
 /// Row-lane batches of the nearest-centre and own-centre distance scans,
 /// for the `count` rows x_r = x + r*d. Every distance (or dot product) is
 /// bit-identical to SquaredDistance (or Dot) of the same pair, so the
@@ -119,8 +123,9 @@ void AxpySqDiff(double alpha, const double* x, const double* m, double* y,
                 size_t n);
 void CenterRow(const double* row, double rm_i, const double* rm, double total,
                double* out, size_t n);
-void GaussianRow(const double* x, const double* rows, size_t count, size_t d,
-                 double gamma, double* out);
+void SquaredDistanceRow(const double* x, const double* rows, size_t count,
+                        size_t d, double* out);
+void GaussianFromSquared(double gamma, double* s, size_t n);
 void NearestSquaredRows(const double* x, size_t count, const double* centers,
                         size_t k, size_t d, int* out);
 void NearestNormFormRows(const double* x, size_t count, const double* centers,

@@ -52,9 +52,12 @@ void CenterRow(const double* row, double rm_i, const double* rm, double total,
                double* out, size_t n) {
   impl::CenterRow<Double4>(row, rm_i, rm, total, out, n);
 }
-void GaussianRow(const double* x, const double* rows, size_t count, size_t d,
-                 double gamma, double* out) {
-  impl::GaussianRow<Double4>(x, rows, count, d, gamma, out);
+void SquaredDistanceRow(const double* x, const double* rows, size_t count,
+                        size_t d, double* out) {
+  impl::SquaredDistanceRow<Double4>(x, rows, count, d, out);
+}
+void GaussianFromSquared(double gamma, double* s, size_t n) {
+  impl::GaussianFromSquared<Double4>(gamma, s, n);
 }
 void NearestSquaredRows(const double* x, size_t count, const double* centers,
                         size_t k, size_t d, int* out) {

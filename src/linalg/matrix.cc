@@ -1,5 +1,6 @@
 #include "linalg/matrix.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -68,6 +69,12 @@ Matrix Matrix::Transpose() const {
 Matrix Matrix::operator*(const Matrix& other) const {
   if (cols_ != other.rows_) return Matrix();
   Matrix out(rows_, other.cols_);
+  MultiplyInto(other, &out);
+  return out;
+}
+
+void Matrix::MultiplyInto(const Matrix& other, Matrix* out) const {
+  std::fill(out->data_.begin(), out->data_.end(), 0.0);
   // Each output row is produced by exactly one chunk, and the kernel keeps
   // the inner-dimension accumulation order ascending per element, so the
   // product is bit-identical for any thread count and any cache blocking.
@@ -76,9 +83,8 @@ Matrix Matrix::operator*(const Matrix& other) const {
   const size_t grain = row_work == 0 ? rows_ : 32768 / row_work + 1;
   ParallelFor(0, rows_, grain, [&](size_t lo, size_t hi) {
     kernels::GemmRows(data_.data(), cols_, other.data_.data(), other.cols_,
-                      out.data_.data(), lo, hi);
+                      out->data_.data(), lo, hi);
   });
-  return out;
 }
 
 Matrix Matrix::operator+(const Matrix& other) const {

@@ -72,6 +72,9 @@ class Matrix {
   /// Matrix product; aborts on dimension mismatch in debug, returns empty
   /// matrix in release. Prefer `Multiply` for checked use.
   Matrix operator*(const Matrix& other) const;
+  /// The product into `out`, which must be rows() x other.cols(): the
+  /// bits of operator*, in storage the caller reuses across products.
+  void MultiplyInto(const Matrix& other, Matrix* out) const;
   Matrix operator+(const Matrix& other) const;
   Matrix operator-(const Matrix& other) const;
   Matrix operator*(double scalar) const;

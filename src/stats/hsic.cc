@@ -1,7 +1,9 @@
 #include "stats/hsic.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/parallel.h"
@@ -17,46 +19,134 @@ bool Cancelled(const BudgetTracker* budget) {
   return budget != nullptr && budget->Cancelled();
 }
 
-// Once `budget` is cancelled the fill stops and the value is meaningless.
-double MedianSquaredDistance(const Matrix& data, const BudgetTracker* budget) {
+// Entry (i, j), j > i, of a Gram's strict upper triangle lives at
+// tail(i)[j - i - 1]: row i's tail is contiguous in the packed and in the
+// dense layout alike. Every pass below polls `budget` once per row; once it
+// is cancelled the rows left are skipped and the values are meaningless.
+
+// Writes each pair's squared distance into the triangle, once.
+template <typename Tail>
+void FillSquaredDistances(const Matrix& data, const Tail& tail,
+                          const BudgetTracker* budget) {
   const size_t n = data.rows();
-  if (n < 2) return 1.0;
-  std::vector<double> dists(n * (n - 1) / 2);
-  // Pair (i, j), j > i, lands at a closed-form offset, so rows fill
-  // disjoint slices in parallel and the vector matches the serial fill.
-  ParallelFor(0, n, 16, [&](size_t lo, size_t hi) {
+  if (n < 2) return;
+  ParallelFor(0, n - 1, 16, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi && !Cancelled(budget); ++i) {
-      size_t idx = i * (n - 1) - i * (i - 1) / 2;
-      for (size_t j = i + 1; j < n; ++j) {
-        dists[idx++] = kernels::SquaredDistance(data.row_data(i),
-                                                data.row_data(j), data.cols());
-      }
+      kernels::SquaredDistanceRow(data.row_data(i), data.row_data(i + 1),
+                                  n - i - 1, data.cols(), tail(i));
     }
   });
-  if (dists.empty() || Cancelled(budget)) return 1.0;
-  std::nth_element(dists.begin(), dists.begin() + dists.size() / 2,
-                   dists.end());
-  const double med = dists[dists.size() / 2];
+}
+
+// The median heuristic's scale, read in place from a filled triangle: the
+// element of rank m/2 (0-based, ascending) of its m = n(n-1)/2 squared
+// distances -- the double std::nth_element puts there -- or 1.0 when that
+// is <= 1e-12. Squared distances are non-negative (never -0), so their
+// IEEE bit patterns sort like the values and an exact radix select finds
+// the same double: each level counts, in per-chunk integer histograms,
+// the entries that match the bits fixed so far by their next 12 bits, and
+// fixes the digit holding the target rank. Once that bucket is small it is
+// gathered and nth_element picks the target inside it. Integer counts and
+// an order statistic do not depend on the chunking, so neither does the
+// result. Scratch: the histograms and the final bucket.
+template <typename Tail>
+double TriangleMedian(size_t n, const Tail& tail,
+                      const BudgetTracker* budget) {
+  const size_t m = n < 2 ? 0 : n * (n - 1) / 2;
+  if (m == 0) return 1.0;
+  // Row ranges [bounds[c], bounds[c + 1]) of about equal pair counts.
+  constexpr size_t kChunkPairs = size_t{1} << 16, kMaxChunks = 16;
+  const size_t num_chunks =
+      std::min(kMaxChunks, (m + kChunkPairs - 1) / kChunkPairs);
+  std::vector<size_t> bounds(num_chunks + 1, n - 1);
+  bounds[0] = 0;
+  for (size_t i = 0, c = 1, seen = 0; i + 1 < n; ++i) {
+    seen += n - 1 - i;
+    while (c < num_chunks && seen * num_chunks >= c * m) bounds[c++] = i + 1;
+  }
+  const auto for_each_pair = [&](size_t lo, size_t hi, const auto& fn) {
+    for (size_t c = lo; c < hi; ++c) {
+      for (size_t i = bounds[c]; i < bounds[c + 1] && !Cancelled(budget);
+           ++i) {
+        const double* row = tail(i);
+        for (size_t j = 0; j < n - i - 1; ++j) fn(row[j]);
+      }
+    }
+  };
+
+  constexpr int kDigitBits = 12;
+  constexpr size_t kGatherMax = 4096;
+  uint64_t prefix = 0, fixed = 0;  // the target's bits fixed so far
+  size_t rank = m / 2, bucket = m;
+  int shift = 64;
+  while (shift > 0 && bucket > kGatherMax) {
+    const int width = std::min(kDigitBits, shift);
+    shift -= width;
+    const uint64_t digit_mask = (uint64_t{1} << width) - 1;
+    const std::vector<uint64_t> hist = ParallelReduce(
+        0, num_chunks, 1, std::vector<uint64_t>(digit_mask + 1, 0),
+        [&](size_t lo, size_t hi) {
+          std::vector<uint64_t> h(digit_mask + 1, 0);
+          for_each_pair(lo, hi, [&](double v) {
+            const uint64_t u = std::bit_cast<uint64_t>(v);
+            if ((u & fixed) == prefix) ++h[(u >> shift) & digit_mask];
+          });
+          return h;
+        },
+        [](std::vector<uint64_t> acc, const std::vector<uint64_t>& part) {
+          for (size_t b = 0; b < acc.size(); ++b) acc[b] += part[b];
+          return acc;
+        });
+    if (Cancelled(budget)) return 1.0;
+    uint64_t digit = 0;
+    while (rank >= hist[digit]) rank -= hist[digit++];
+    bucket = hist[digit];
+    prefix |= digit << shift;
+    fixed |= digit_mask << shift;
+  }
+  double med = std::bit_cast<double>(prefix);  // once every bit is fixed
+  if (shift > 0) {
+    std::vector<double> vals = ParallelReduce(
+        0, num_chunks, 1, std::vector<double>(),
+        [&](size_t lo, size_t hi) {
+          std::vector<double> part;
+          for_each_pair(lo, hi, [&](double v) {
+            if ((std::bit_cast<uint64_t>(v) & fixed) == prefix) {
+              part.push_back(v);
+            }
+          });
+          return part;
+        },
+        [](std::vector<double> acc, const std::vector<double>& part) {
+          acc.insert(acc.end(), part.begin(), part.end());
+          return acc;
+        });
+    if (Cancelled(budget)) return 1.0;
+    std::nth_element(vals.begin(), vals.begin() + rank, vals.end());
+    med = vals[rank];
+  }
   return med > 1e-12 ? med : 1.0;
 }
 
-// Writes row i of the Gram's upper triangle, entries (i, i..n-1), to
-// row_start(i): 1.0, then one GaussianRow over the tail rows i+1..n-1.
-// Rows are independent (bit-identical at any thread count); they are left
-// unfilled once `budget` is cancelled.
+// Fills the Gram's upper triangle, entries (i, i..n-1) of row i at
+// row_start(i): squared distances, the median gamma when gamma <= 0, then
+// exp(-gamma * s) in place and 1.0 on the diagonal. Rows are independent
+// (bit-identical at any thread count).
 template <typename RowStart>
 void FillGaussianUpper(const Matrix& data, double gamma,
                        const RowStart& row_start,
                        const BudgetTracker* budget = nullptr) {
   const size_t n = data.rows();
-  if (gamma <= 0.0) gamma = 1.0 / MedianSquaredDistance(data, budget);
+  const auto tail = [&](size_t i) { return row_start(i) + 1; };
+  FillSquaredDistances(data, tail, budget);
+  if (gamma <= 0.0 && !Cancelled(budget)) {
+    gamma = 1.0 / TriangleMedian(n, tail, budget);
+  }
   ParallelFor(0, n, 16, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi && !Cancelled(budget); ++i) {
       double* out = row_start(i);
       out[0] = 1.0;
-      if (i + 1 >= n) continue;
-      kernels::GaussianRow(data.row_data(i), data.row_data(i + 1), n - i - 1,
-                           data.cols(), gamma, out + 1);
+      kernels::GaussianFromSquared(gamma, out + 1, n - i - 1);
     }
   });
 }
@@ -143,6 +233,17 @@ std::vector<double> PairwiseHsic(const std::vector<PackedGram>& grams,
 
 }  // namespace
 
+double MedianSquaredDistance(const Matrix& data,
+                             const BudgetTracker* budget) {
+  const size_t n = data.rows();
+  std::vector<double> triangle(n < 2 ? 0 : n * (n - 1) / 2);
+  const auto tail = [&](size_t i) {
+    return triangle.data() + i * (n - 1) - i * (i - 1) / 2;
+  };
+  FillSquaredDistances(data, tail, budget);
+  return TriangleMedian(n, tail, budget);
+}
+
 Matrix GaussianKernelMatrix(const Matrix& data, double gamma,
                             const BudgetTracker* budget) {
   MULTICLUST_TRACE_SPAN("stats.hsic.kernel");
@@ -153,7 +254,7 @@ Matrix GaussianKernelMatrix(const Matrix& data, double gamma,
       data, gamma, [&](size_t i) { return &k.at(i, i); }, budget);
   if (Cancelled(budget)) return k;
   ParallelFor(0, n, 64, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
+    for (size_t i = lo; i < hi && !Cancelled(budget); ++i) {
       for (size_t j = 0; j < i; ++j) k.at(i, j) = k.at(j, i);
     }
   });

@@ -7,11 +7,24 @@
 
 namespace multiclust {
 
+/// The median heuristic's scale for the rows of `data`: element
+/// n(n-1)/2 / 2 (0-based, ascending) of the n(n-1)/2 pairwise squared
+/// distances, or 1.0 when that is <= 1e-12 or n < 2. A Gram built with
+/// gamma <= 0 uses gamma = 1 / this, picked from the distances it holds in
+/// its own upper triangle; this entry point fills n(n-1)/2 doubles of
+/// scratch for the same select. `budget` (optional, not owned) is polled
+/// once per row of each pass; once cancelled the value is meaningless.
+double MedianSquaredDistance(const Matrix& data,
+                             const BudgetTracker* budget = nullptr);
+
 /// Gaussian (RBF) kernel matrix of the rows of `data`. `gamma <= 0` selects
-/// the median-heuristic bandwidth (gamma = 1 / median squared distance).
-/// `budget` (optional, not owned) is polled once per row of the median
-/// pass and of the fill; once it is cancelled the call returns early and
-/// the matrix is meaningless, so the caller must check the budget.
+/// the median-heuristic bandwidth (gamma = 1 / MedianSquaredDistance).
+/// The fill writes each pair's squared distance once into the upper
+/// triangle, selects the median from those entries in place when gamma
+/// <= 0, then exponentiates them in place. `budget` (optional, not owned)
+/// is polled once per row of the distance, select, exp and mirror passes;
+/// once it is cancelled the call returns early and the matrix is
+/// meaningless, so the caller must check the budget.
 Matrix GaussianKernelMatrix(const Matrix& data, double gamma = 0.0,
                             const BudgetTracker* budget = nullptr);
 

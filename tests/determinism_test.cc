@@ -36,6 +36,7 @@
 #include "subspace/msc.h"
 #include "subspace/orclus.h"
 #include "subspace/proclus.h"
+#include "support/median_oracle.h"
 #include "support/nearest_oracle.h"
 #include "support/restart_algorithms.h"
 #include "support/silhouette_oracle.h"
@@ -769,17 +770,21 @@ TEST(SimdInvarianceTest, MatmulMatchesScalarBackend) {
 }
 
 TEST(SimdInvarianceTest, GaussianKernelMatchesScalarBackend) {
+  // The fused scalar-backend row kernel is the oracle, at a fixed gamma
+  // and at the buffered oracle's median gamma.
   const Matrix data = TestData(42);
-  const double gamma = 0.5;
-  const Matrix k = GaussianKernelMatrix(data, gamma);
   const size_t n = data.rows();
-  std::vector<double> row(n);
-  for (size_t i = 0; i + 1 < n; ++i) {
-    kernels::ref::GaussianRow(data.row_data(i), data.row_data(i + 1),
-                              n - i - 1, data.cols(), gamma, row.data());
-    for (size_t j = i + 1; j < n; ++j) {
-      ASSERT_EQ(k.at(i, j), row[j - i - 1]) << "entry (" << i << "," << j
-                                            << ")";
+  const double median_gamma =
+      1.0 / test::BufferedMedianSquaredDistance(data, nullptr);
+  for (const double gamma : {0.5, 0.0}) {
+    const Matrix k = GaussianKernelMatrix(data, gamma);
+    const Matrix ref =
+        test::GaussianGramOracle(data, gamma > 0.0 ? gamma : median_gamma);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(k.at(i, j), ref.at(i, j))
+            << "gamma " << gamma << " entry (" << i << "," << j << ")";
+      }
     }
   }
 }

@@ -276,33 +276,33 @@ TEST_F(FaultInjectionTest, SpectralDeadlineDuringEigensolveReturnsPromptly) {
 }
 
 // A Gram build cancelled at its start still allocates and zeroes its Gram
-// (`gram_doubles`) and the median pass's n(n-1)/2 distances before its
-// per-row polls stop it. That floor is most of a prompt cancel's latency
-// and grows with the build: 5-30 ms optimized at n = 2000, 0.25-0.37 s
-// under ThreadSanitizer. So each Gram-phase cancel bound is the larger of
-// its optimized-build constant and three times the floor, timed here by
-// allocating and zeroing the same buffers. The timing runs no build, so it
-// does not depend on the polls under test: a build that stopped polling
-// still runs whole (about 0.3 s optimized) and overruns the bound.
-double GramCancelBoundMs(size_t gram_doubles, size_t n, double floor_ms) {
+// (`gram_doubles`) before its per-row polls stop it; the median is picked
+// from the distances in the Gram itself, so there is no other buffer. That
+// floor is most of a prompt cancel's latency and grows with the build. So
+// each Gram-phase cancel bound is the larger of its optimized-build
+// constant and three times the floor, timed here by allocating and zeroing
+// the same Gram. The timing runs no build, so it does not depend on the
+// polls under test: a build that stopped polling still runs whole (about
+// 0.3 s optimized) and overruns the bound.
+double GramCancelBoundMs(size_t gram_doubles, double floor_ms) {
   const SteadyClock::time_point start = SteadyClock::now();
   std::vector<double> gram(gram_doubles);
-  std::vector<double> dists(n * (n - 1) / 2);
-  volatile double touched = gram.back() + dists.back();
+  volatile double touched = gram.back();
   (void)touched;
   return std::max(floor_ms, 3.0 * MsBetween(start, SteadyClock::now()));
 }
 
 TEST_F(FaultInjectionTest, SpectralCancelDuringAffinityReturnsPromptly) {
-  // n = 2000 in 512 dimensions: the affinity's median pass and Gram fill
-  // (2M distances of 512 terms each, then 2M exponentials) take about
-  // 0.3-0.5 s. Both poll the token once per row, so a token tripped when
-  // the affinity span opens ends the call long before the build would:
-  // 35-65 ms in optimized and ASan builds, most of it allocating the 32 MB
-  // affinity and the 16 MB distance buffer.
+  // n = 2000 in 2048 dimensions: the affinity's distance pass (2M
+  // distances of 2048 terms each), median select and exp pass take about
+  // 0.5 s optimized at four threads; at 512 dimensions a build that never
+  // polled ran whole inside the bound. Each pass polls the token once per
+  // row, so a token tripped when the affinity span opens ends the call
+  // long before the build would: 3-4 ms optimized, most of it the
+  // allocation of the 32 MB affinity.
   constexpr size_t kN = 2000;
-  const Matrix data = MakeUniformCube(kN, 512, 41)->data();
-  const double bound_ms = GramCancelBoundMs(kN * kN, kN, 150.0);
+  const Matrix data = MakeUniformCube(kN, 2048, 41)->data();
+  const double bound_ms = GramCancelBoundMs(kN * kN, 150.0);
   CancelToken cancel;
   SpectralOptions opts;
   opts.k = 3;
@@ -358,17 +358,17 @@ TEST_F(FaultInjectionTest, MscCancelDuringHsicPhaseSkipsRemainingPairs) {
 }
 
 TEST_F(FaultInjectionTest, MscCancelDuringGramBuildReturnsPromptly) {
-  // n = 2000 in six dimensions: one Gram build (a median pass over 2M
-  // distances, then 2M exponentials) takes about 0.1 s at two threads and
-  // the HSIC phase about 1 s. Both passes poll the token once per row, so
-  // a token tripped when the first kernel span opens ends the call well
-  // inside one build.
+  // n = 2000 in six dimensions: one Gram build (2M distances written into
+  // the packed Gram, a median select over them in place, then 2M
+  // exponentials) takes tens of ms and the HSIC phase several times that.
+  // Every pass polls the token once per row, so a token tripped when the
+  // first kernel span opens ends the call well inside one build.
   constexpr size_t kN = 2000;
   auto ds = MakeBlobs({{{0, 0, 0, 0, 0, 0}, 1.0, 1000},
                        {{5, 5, 5, 5, 5, 5}, 1.0, 1000}},
                       31);
   // Each column's Gram is packed: its upper triangle, n(n+1)/2 doubles.
-  const double bound_ms = GramCancelBoundMs(kN * (kN + 1) / 2, kN, 250.0);
+  const double bound_ms = GramCancelBoundMs(kN * (kN + 1) / 2, 250.0);
   CancelToken cancel;
   MscOptions opts;
   opts.k = 2;

@@ -176,19 +176,24 @@ TEST(SimdKernelTest, ReductionCloseToNaiveReference) {
   EXPECT_NEAR(k::SquaredDistance(a.data(), b.data(), n), naive_sq, 1e-12 * n);
 }
 
-TEST(SimdKernelTest, GaussianRowMatchesRefBitwise) {
+TEST(SimdKernelTest, GaussianGramKernelsMatchRefBitwise) {
   const size_t d = 13, count = 9;
   const auto x = RandVec(d, 61);
   const auto rows = RandVec(count * d, 67);
   std::vector<double> fast(count), ref(count);
-  k::GaussianRow(x.data(), rows.data(), count, d, 0.73, fast.data());
-  k::ref::GaussianRow(x.data(), rows.data(), count, d, 0.73, ref.data());
+  k::SquaredDistanceRow(x.data(), rows.data(), count, d, fast.data());
+  k::ref::SquaredDistanceRow(x.data(), rows.data(), count, d, ref.data());
   EXPECT_EQ(fast, ref);
   for (size_t j = 0; j < count; ++j) {
-    EXPECT_NEAR(fast[j],
-                std::exp(-0.73 * k::ref::SquaredDistance(
-                                     x.data(), rows.data() + j * d, d)),
-                0.0);
+    EXPECT_EQ(fast[j],
+              k::ref::SquaredDistance(x.data(), rows.data() + j * d, d));
+  }
+  const std::vector<double> squared = fast;
+  k::GaussianFromSquared(0.73, fast.data(), count);
+  k::ref::GaussianFromSquared(0.73, ref.data(), count);
+  EXPECT_EQ(fast, ref);
+  for (size_t j = 0; j < count; ++j) {
+    EXPECT_EQ(fast[j], std::exp(-0.73 * squared[j]));
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "data/generators.h"
 #include "stats/contingency.h"
@@ -12,6 +14,7 @@
 #include "stats/kde.h"
 #include "stats/tails.h"
 #include "support/hsic_oracle.h"
+#include "support/median_oracle.h"
 
 namespace multiclust {
 namespace {
@@ -341,6 +344,106 @@ TEST(HsicMatrixTest, CancelledBudgetReturnsCancelled) {
   const Result<Matrix> m =
       HsicMatrix(DependentColumns(50, 3, false, 66), 0.0, &guard);
   EXPECT_EQ(m.status().code(), StatusCode::kCancelled);
+}
+
+// Inputs for the median heuristic's select, each shaped to reach one of
+// its paths: ties and duplicate rows (integer values, a repeated block),
+// a constant matrix (median 0, the 1.0 fallback), all rows equal but the
+// last, two values only (a median bucket of more ties than the gather
+// bound, so every bit is fixed by the histograms), and signed values whose
+// columns span 16 orders of magnitude.
+enum class MedianInput { kTies, kConstant, kAllButOne, kTwoValues, kScales };
+
+Matrix MedianData(MedianInput kind, size_t n, size_t d, uint64_t seed) {
+  Rng rng(seed);
+  Matrix m(n, d);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t c = 0; c < d; ++c) {
+      double v = 0.0;
+      switch (kind) {
+        case MedianInput::kTies:
+          v = i % 5 == 4 && i > 0 ? m.at(i - 1, c)
+                                  : std::floor(rng.Uniform(-3.0, 3.0));
+          break;
+        case MedianInput::kConstant:
+          v = -1.5;
+          break;
+        case MedianInput::kAllButOne:
+          v = i + 1 == n ? 7.0 : 2.0;
+          break;
+        case MedianInput::kTwoValues:
+          v = static_cast<double>(rng.NextIndex(2));
+          break;
+        case MedianInput::kScales:
+          v = rng.Gaussian(0, 1) * std::pow(10.0, 8.0 - 4.0 * (c % 5));
+          break;
+      }
+      m.at(i, c) = v;
+    }
+  }
+  return m;
+}
+
+// The in-place radix select returns the buffered oracle's median bit for
+// bit, and every gamma <= 0 Gram equals the fused oracle kernel's Gram at
+// gamma = 1 / that median, at pool sizes 1, 2 and 4. n = 600 and 1200
+// split the select into several chunks.
+TEST(MedianHeuristicTest, InPlaceSelectMatchesBufferedOracleBitwise) {
+  const MedianInput kinds[] = {MedianInput::kTies, MedianInput::kConstant,
+                               MedianInput::kAllButOne,
+                               MedianInput::kTwoValues, MedianInput::kScales};
+  for (const size_t threads : {1u, 2u, 4u}) {
+    SetThreadCount(threads);
+    for (const MedianInput kind : kinds) {
+      for (const size_t n : {2u, 3u, 251u, 600u, 1200u}) {
+        for (const size_t d : {1u, 2u, 3u, 7u}) {
+          const Matrix data = MedianData(kind, n, d, 90 + n + d);
+          const double oracle = test::BufferedMedianSquaredDistance(data,
+                                                                    nullptr);
+          const double med = MedianSquaredDistance(data);
+          const std::string where =
+              "kind=" + std::to_string(static_cast<int>(kind)) +
+              " n=" + std::to_string(n) + " d=" + std::to_string(d) +
+              " threads=" + std::to_string(threads);
+          ASSERT_TRUE(SameBits(med, oracle))
+              << where << ": " << med << " vs " << oracle;
+          if (n > 251) continue;  // the Gram checks below are O(n^2) each
+          const Matrix k = GaussianKernelMatrix(data, 0.0);
+          const Matrix expect = test::GaussianGramOracle(data, 1.0 / oracle);
+          ASSERT_EQ(std::memcmp(k.row_data(0), expect.row_data(0),
+                                n * n * sizeof(double)),
+                    0)
+              << where;
+        }
+      }
+    }
+  }
+  SetThreadCount(0);
+}
+
+TEST(MedianHeuristicTest, HsicMatrixUsesOracleGramsAtMedianGamma) {
+  for (const size_t threads : {1u, 4u}) {
+    SetThreadCount(threads);
+    for (const size_t n : {3u, 251u}) {
+      const Matrix data = DependentColumns(n, 4, true, 70 + n);
+      const Matrix m = HsicMatrix(data, 0.0).value();
+      std::vector<Matrix> grams;
+      for (size_t a = 0; a < data.cols(); ++a) {
+        const Matrix col = data.SelectColumns({a});
+        grams.push_back(test::GaussianGramOracle(
+            col, 1.0 / test::BufferedMedianSquaredDistance(col, nullptr)));
+      }
+      for (size_t a = 0; a < data.cols(); ++a) {
+        for (size_t b = a + 1; b < data.cols(); ++b) {
+          EXPECT_TRUE(SameBits(m.at(a, b),
+                               test::DenseHsicOfGrams(grams[a], grams[b])))
+              << "n=" << n << " threads=" << threads << " (" << a << "," << b
+              << ")";
+        }
+      }
+    }
+  }
+  SetThreadCount(0);
 }
 
 TEST(KernelMatrixTest, DiagonalOnesSymmetric) {

@@ -17,17 +17,9 @@ namespace test {
 /// copies, and the row-against-row trace over 256-row chunks. `Hsic()`
 /// and every off-diagonal entry of `HsicMatrix()` must return exactly
 /// these bits. Header-only so stats_test and determinism_test share one
-/// copy.
-inline Result<double> DenseHsic(const Matrix& x, const Matrix& y,
-                                double gamma_x = 0.0, double gamma_y = 0.0) {
-  if (x.rows() != y.rows()) {
-    return Status::InvalidArgument("Hsic: samples must be paired (same rows)");
-  }
-  const size_t n = x.rows();
-  if (n < 2) return Status::InvalidArgument("Hsic: need at least 2 rows");
-
-  const Matrix k = GaussianKernelMatrix(x, gamma_x);
-  const Matrix l = GaussianKernelMatrix(y, gamma_y);
+/// copy. DenseHsicOfGrams takes the two Grams ready-made.
+inline double DenseHsicOfGrams(const Matrix& k, const Matrix& l) {
+  const size_t n = k.rows();
   auto centre = [n](const Matrix& m) {
     std::vector<double> row_mean(n, 0.0);
     ParallelFor(0, n, 128, [&](size_t lo, size_t hi) {
@@ -60,6 +52,16 @@ inline Result<double> DenseHsic(const Matrix& x, const Matrix& y,
       [](double a, double b) { return a + b; });
   const double denom = static_cast<double>(n - 1) * static_cast<double>(n - 1);
   return trace / denom;
+}
+
+inline Result<double> DenseHsic(const Matrix& x, const Matrix& y,
+                                double gamma_x = 0.0, double gamma_y = 0.0) {
+  if (x.rows() != y.rows()) {
+    return Status::InvalidArgument("Hsic: samples must be paired (same rows)");
+  }
+  if (x.rows() < 2) return Status::InvalidArgument("Hsic: need at least 2 rows");
+  return DenseHsicOfGrams(GaussianKernelMatrix(x, gamma_x),
+                          GaussianKernelMatrix(y, gamma_y));
 }
 
 }  // namespace test

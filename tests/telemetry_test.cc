@@ -352,12 +352,14 @@ TEST(ResourceProfileTest, SpectralFlopsCoverTheEigensolver) {
 }
 
 // HsicMatrix counts its work exactly: each of the d Gram builds is n - 1
-// GaussianRow calls over the tails (4 flops per pair in one column,
-// 2 count + 1 doubles each), then one tally for the trace phase: 3 flops
-// per centred entry (n^2 per Gram) and 2 per trace product (n^2 per
-// pair), one double each. An explicit gamma skips the median pass, which
-// is not counted either way.
-TEST(ResourceProfileTest, HsicMatrixCountsExactFlops) {
+// SquaredDistanceRow calls over the tails (3 flops per pair in one column,
+// count + 1 doubles each) and n - 1 GaussianFromSquared calls over the
+// same tails (1 flop and 1 double per pair), then one tally for the trace
+// phase: 3 flops per centred entry (n^2 per Gram) and 2 per trace product
+// (n^2 per pair), one double each. The median gamma selects from the
+// distances already written, so it counts exactly what a fixed gamma
+// counts.
+void ExpectHsicMatrixExactFlops(double gamma) {
   const size_t n = 10, d = 3, pairs = 3;
   Matrix data(n, d);
   for (size_t i = 0; i < n; ++i) {
@@ -367,12 +369,20 @@ TEST(ResourceProfileTest, HsicMatrixCountsExactFlops) {
   }
   const size_t tail_pairs = n * (n - 1) / 2;  // 45
   telemetry::ResourceScope scope;
-  ASSERT_TRUE(HsicMatrix(data, 0.5).ok());
+  ASSERT_TRUE(HsicMatrix(data, gamma).ok());
   const telemetry::ResourceProfile p = scope.Snapshot();
   EXPECT_EQ(p.flops, d * 4 * tail_pairs + n * n * (3 * d + 2 * pairs));
   EXPECT_EQ(p.kernel_bytes, (d * (2 * tail_pairs + (n - 1)) +
                              n * n * (3 * d + 2 * pairs)) *
                                 sizeof(double));
+}
+
+TEST(ResourceProfileTest, HsicMatrixCountsExactFlops) {
+  ExpectHsicMatrixExactFlops(0.5);
+}
+
+TEST(ResourceProfileTest, HsicMatrixMedianGammaCountsExactFlops) {
+  ExpectHsicMatrixExactFlops(0.0);
 }
 
 // EigenSymmetric counts its rotations: at least one sweep of n(n-1)/2
