@@ -12,16 +12,18 @@ namespace multiclust {
 
 Matrix PairwiseDistances(const Matrix& data) {
   const size_t n = data.rows();
+  const size_t d = data.cols();
   Matrix dist(n, n);
   // Upper triangle in parallel (each row owned by one chunk), then a
   // mirror pass — every entry comes from the same expression regardless of
-  // thread count.
+  // thread count. Row i's tail rows i+1..n-1 are contiguous, so one row
+  // kernel call fills its squared distances.
   ParallelFor(0, n, 16, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        dist.at(i, j) = std::sqrt(kernels::SquaredDistance(
-            data.row_data(i), data.row_data(j), data.cols()));
-      }
+      const double* row = data.row_data(i);
+      double* upper = dist.row_data(i) + i + 1;
+      kernels::SquaredDistanceRow(row, row + d, n - i - 1, d, upper);
+      for (size_t j = 0; j < n - i - 1; ++j) upper[j] = std::sqrt(upper[j]);
     }
   });
   ParallelFor(0, n, 64, [&](size_t lo, size_t hi) {

@@ -63,12 +63,18 @@ Matrix InitCenters(const Matrix& data, size_t k, bool plus_plus, Rng* rng) {
   // parallelize without affecting the sampled sequence.
   centers.CopyRowFrom(data, rng->NextIndex(n), 0);
   std::vector<double> d2(n, std::numeric_limits<double>::infinity());
+  constexpr size_t kGrain = 512;
   for (size_t c = 1; c < k; ++c) {
-    ParallelFor(0, n, 512, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        const double dist = kernels::SquaredDistance(
-            data.row_data(i), centers.row_data(c - 1), d);
-        d2[i] = std::min(d2[i], dist);
+    ParallelFor(0, n, kGrain, [&](size_t lo, size_t hi) {
+      // A serial pool runs the whole range as one chunk.
+      double dist[kGrain];
+      for (size_t b = lo; b < hi; b += kGrain) {
+        const size_t count = std::min(kGrain, hi - b);
+        kernels::SquaredDistanceRow(centers.row_data(c - 1), data.row_data(b),
+                                    count, d, dist);
+        for (size_t i = 0; i < count; ++i) {
+          d2[b + i] = std::min(d2[b + i], dist[i]);
+        }
       }
     });
     centers.CopyRowFrom(data, rng->Categorical(d2), c);

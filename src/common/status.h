@@ -12,12 +12,12 @@ namespace multiclust {
 enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
-  kOutOfRange,
+  kOutOfRange,  ///< no named constructor; kept so encoded statuses decode
   kNotFound,
   kFailedPrecondition,
   kComputationError,  ///< numerical failure (no convergence, singular matrix)
   kIoError,
-  kUnimplemented,
+  kUnimplemented,  ///< no named constructor, like kOutOfRange
   kInternal,
   kCancelled,  ///< run aborted cooperatively via a CancelToken
   kAborted,    ///< run terminated mid-flight (e.g. simulated crash); a
@@ -46,9 +46,6 @@ class Status {
   static Status InvalidArgument(std::string msg) {
     return Status(StatusCode::kInvalidArgument, std::move(msg));
   }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
   }
@@ -60,9 +57,6 @@ class Status {
   }
   static Status IoError(std::string msg) {
     return Status(StatusCode::kIoError, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

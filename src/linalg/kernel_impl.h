@@ -10,11 +10,13 @@
 /// Conventions:
 ///  - f64 dot/sum/distance reductions stride by 8, accumulating into TWO
 ///    independent 4-lane vectors (the single-vector chain would serialize
-///    on add latency); the tail (n % 8) is zero-padded into an 8-slot
-///    buffer so every length takes the same combine path. The final
-///    combine is one vector add (acc0 + acc1) followed by the fixed lane
-///    order documented on ReduceSum — fixed for every backend, which is
-///    all the bit-identity contract needs.
+///    on add latency). The vectors are then stored as eight slot doubles,
+///    each tail term (n % 8 of them) is added to its slot as one scalar
+///    op, and the slots combine in one fixed order (CombineSlots) — fixed
+///    for every backend, which is all the bit-identity contract needs. No
+///    tail is staged through a zero-padded buffer.
+///  - a hot loop over rows calls a row-lane kernel once per row block,
+///    never a per-pair reduction per (row, partner) pair.
 ///  - elementwise kernels (axpy & friends) vectorize the main body and
 ///    finish the tail scalar; per-element operation order is identical to
 ///    the plain scalar loop, so they are bit-identical to it by
@@ -28,9 +30,19 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "linalg/simd.h"
+
+// Forces inlining of the small lane helpers (the slot reductions and their
+// per-coordinate terms) into the row loops that call them: as calls they
+// cost more than their arithmetic.
+#if defined(__GNUC__) || defined(__clang__)
+#define MULTICLUST_SIMD_INLINE inline __attribute__((always_inline))
+#else
+#define MULTICLUST_SIMD_INLINE inline
+#endif
 
 namespace multiclust {
 namespace kernels {
@@ -38,43 +50,43 @@ namespace impl {
 
 // --- f64 reductions (4-lane model). ---
 
+// The eight slots of a two-accumulator reduction: s[l] is lane l of acc0
+// and s[l + 4] lane l of acc1. The order is acc0 + acc1, then the lanes
+// of that sum as (l0 + l1) + (l2 + l3).
+inline double CombineSlots(const double* s) {
+  return ((s[0] + s[4]) + (s[1] + s[5])) + ((s[2] + s[6]) + (s[3] + s[7]));
+}
+
 template <typename V>
 double Dot(const double* a, const double* b, size_t n) {
   V acc0 = V::Zero(), acc1 = V::Zero();
   const size_t main = n & ~static_cast<size_t>(7);
-  size_t i = 0;
-  for (; i < main; i += 8) {
+  for (size_t i = 0; i < main; i += 8) {
     acc0 = V::MulAdd(V::Load(a + i), V::Load(b + i), acc0);
     acc1 = V::MulAdd(V::Load(a + i + 4), V::Load(b + i + 4), acc1);
   }
-  if (i < n) {
-    double ta[8] = {0, 0, 0, 0, 0, 0, 0, 0}, tb[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    for (size_t j = 0; i + j < n; ++j) {
-      ta[j] = a[i + j];
-      tb[j] = b[i + j];
-    }
-    acc0 = V::MulAdd(V::Load(ta), V::Load(tb), acc0);
-    acc1 = V::MulAdd(V::Load(ta + 4), V::Load(tb + 4), acc1);
+  double s[8];
+  acc0.Store(s);
+  acc1.Store(s + 4);
+  for (size_t j = 0; main + j < n; ++j) {
+    s[j] = s[j] + (a[main + j] * b[main + j]);
   }
-  return (acc0 + acc1).ReduceSum();
+  return CombineSlots(s);
 }
 
 template <typename V>
 double Sum(const double* x, size_t n) {
   V acc0 = V::Zero(), acc1 = V::Zero();
   const size_t main = n & ~static_cast<size_t>(7);
-  size_t i = 0;
-  for (; i < main; i += 8) {
+  for (size_t i = 0; i < main; i += 8) {
     acc0 = acc0 + V::Load(x + i);
     acc1 = acc1 + V::Load(x + i + 4);
   }
-  if (i < n) {
-    double t[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    for (size_t j = 0; i + j < n; ++j) t[j] = x[i + j];
-    acc0 = acc0 + V::Load(t);
-    acc1 = acc1 + V::Load(t + 4);
-  }
-  return (acc0 + acc1).ReduceSum();
+  double s[8];
+  acc0.Store(s);
+  acc1.Store(s + 4);
+  for (size_t j = 0; main + j < n; ++j) s[j] = s[j] + x[main + j];
+  return CombineSlots(s);
 }
 
 template <typename V>
@@ -86,51 +98,41 @@ template <typename V>
 double SquaredDistance(const double* a, const double* b, size_t n) {
   V acc0 = V::Zero(), acc1 = V::Zero();
   const size_t main = n & ~static_cast<size_t>(7);
-  size_t i = 0;
-  for (; i < main; i += 8) {
+  for (size_t i = 0; i < main; i += 8) {
     const V d0 = V::Load(a + i) - V::Load(b + i);
     const V d1 = V::Load(a + i + 4) - V::Load(b + i + 4);
     acc0 = V::MulAdd(d0, d0, acc0);
     acc1 = V::MulAdd(d1, d1, acc1);
   }
-  if (i < n) {
-    double ta[8] = {0, 0, 0, 0, 0, 0, 0, 0}, tb[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    for (size_t j = 0; i + j < n; ++j) {
-      ta[j] = a[i + j];
-      tb[j] = b[i + j];
-    }
-    const V d0 = V::Load(ta) - V::Load(tb);
-    const V d1 = V::Load(ta + 4) - V::Load(tb + 4);
-    acc0 = V::MulAdd(d0, d0, acc0);
-    acc1 = V::MulAdd(d1, d1, acc1);
+  double s[8];
+  acc0.Store(s);
+  acc1.Store(s + 4);
+  for (size_t j = 0; main + j < n; ++j) {
+    const double diff = a[main + j] - b[main + j];
+    s[j] = s[j] + (diff * diff);
   }
-  return (acc0 + acc1).ReduceSum();
+  return CombineSlots(s);
 }
 
 // sum_j (x[j] - mean[j])^2 / var[j] — the diagonal-covariance Gaussian
-// quadratic form. The tail pads var with 1.0 so padded lanes contribute
-// 0/1 = 0 instead of 0/0 = NaN.
+// quadratic form. One accumulator: slot l is its lane l, and the tail's
+// terms go to slots 0 .. n%4 - 1.
 template <typename V>
 double QuadDiag(const double* x, const double* mean, const double* var,
                 size_t n) {
   V acc = V::Zero();
   const size_t main = n & ~static_cast<size_t>(3);
-  size_t i = 0;
-  for (; i < main; i += 4) {
+  for (size_t i = 0; i < main; i += 4) {
     const V d = V::Load(x + i) - V::Load(mean + i);
     acc = acc + (d * d) / V::Load(var + i);
   }
-  if (i < n) {
-    double tx[4] = {0, 0, 0, 0}, tm[4] = {0, 0, 0, 0}, tv[4] = {1, 1, 1, 1};
-    for (size_t j = 0; i + j < n; ++j) {
-      tx[j] = x[i + j];
-      tm[j] = mean[i + j];
-      tv[j] = var[i + j];
-    }
-    const V d = V::Load(tx) - V::Load(tm);
-    acc = acc + (d * d) / V::Load(tv);
+  double s[4];
+  acc.Store(s);
+  for (size_t j = 0; main + j < n; ++j) {
+    const double d = x[main + j] - mean[main + j];
+    s[j] = s[j] + ((d * d) / var[main + j]);
   }
-  return acc.ReduceSum();
+  return (s[0] + s[1]) + (s[2] + s[3]);
 }
 
 // --- f64 elementwise (bit-identical to the plain scalar loop). ---
@@ -198,18 +200,6 @@ void CenterRow(const double* row, double rm_i, const double* rm, double total,
   for (; i < n; ++i) out[i] = ((row[i] - rm_i) - rm[i]) + total;
 }
 
-// --- fused / composite f64 kernels. ---
-
-// out[j] = ||x - rows_j||^2 for j in [0, count); rows_j is rows + j*d.
-// Each entry is SquaredDistance of its pair, bit for bit.
-template <typename V>
-void SquaredDistanceRow(const double* x, const double* rows, size_t count,
-                        size_t d, double* out) {
-  for (size_t j = 0; j < count; ++j) {
-    out[j] = SquaredDistance<V>(x, rows + j * d, d);
-  }
-}
-
 // s[j] = exp(-gamma * s[j]) in place, one scalar libm exp per element.
 template <typename V>
 void GaussianFromSquared(double gamma, double* s, size_t n) {
@@ -218,34 +208,94 @@ void GaussianFromSquared(double gamma, double* s, size_t n) {
 
 // --- row-lane distance kernels (four rows ride the four lanes). ---
 //
-// Each group of four rows is transposed to lane-major order and each
-// centre coordinate is broadcast, so one vector op advances four
-// (row, centre) pairs. Eight slot accumulators s[j % 8] replay the
-// per-pair SquaredDistance / Dot kernels lane for lane: slot l < 4 is
-// lane l of acc0, slot l + 4 is lane l of acc1, and the combine
-// ((s0+s4)+(s1+s5)) + ((s2+s6)+(s3+s7)) is acc0 + acc1 followed by
-// ReduceSum's fixed order. The per-pair kernels' zero-padded tail slots
-// only add +0 to an accumulator that started at +0 and so is never -0
-// (+0 + -0 = +0); adding +0 leaves it unchanged, so the row-lane kernels
-// skip those slots. Every distance or
-// dot product is therefore bit-identical to SquaredDistance / Dot on the
-// same backend, and with them identical across backends.
+// Each group of four rows is read in lane-major order (coordinate t of
+// the four rows is one vector) and each coordinate of the other operand
+// is broadcast, so one vector op advances four pairs. Eight slot
+// accumulators s[t % 8] replay the per-pair SquaredDistance / Dot kernels
+// lane for lane: slot l < 4 is lane l of acc0, slot l + 4 is lane l of
+// acc1, every slot adds its coordinates' terms in the same ascending
+// order from the same +0, and the combine
+// ((s0+s4)+(s1+s5)) + ((s2+s6)+(s3+s7)) is CombineSlots. Every distance
+// or dot product is therefore bit-identical to SquaredDistance / Dot on
+// the same backend, and with them identical across backends. The rows a
+// partial last group lacks repeat its first row; their lanes are
+// computed and dropped.
 
-// lanes[4*t + l] = x_{l, t} for the first `width` rows of x (stride d);
-// lanes of missing rows are zero.
-inline void TransposeRows(const double* x, size_t width, size_t d,
-                          double* lanes) {
-  for (size_t t = 0; t < d; ++t) {
-    for (size_t l = 0; l < 4; ++l) {
-      lanes[4 * t + l] = l < width ? x[l * d + t] : 0.0;
-    }
+// Four row pointers, one per lane.
+struct RowQuad {
+  const double* r[4];
+
+  // The group of `width` rows at x with stride d.
+  static RowQuad Of(const double* x, size_t width, size_t d) {
+    return {{x, width > 1 ? x + d : x, width > 2 ? x + 2 * d : x,
+             width > 3 ? x + 3 * d : x}};
+  }
+  // Coordinate t of the four rows.
+  template <typename V>
+  MULTICLUST_SIMD_INLINE V Lanes(size_t t) const {
+    return V::Set(r[0][t], r[1][t], r[2][t], r[3][t]);
+  }
+};
+
+// lanes[4*t + l] = x_{l, t} for t < d: each coordinate's lane vector is
+// built in registers and stored once.
+template <typename V>
+MULTICLUST_SIMD_INLINE void TransposeRows(const double* x, size_t width,
+                                          size_t d, double* lanes) {
+  const RowQuad q = RowQuad::Of(x, width, d);
+  for (size_t t = 0; t < d; ++t) q.Lanes<V>(t).Store(lanes + 4 * t);
+}
+
+// Lane-major scratch for TransposeRows. A compile-time width D > 0 gets a
+// plain array, which the compiler can keep in registers; a run-time width
+// uses the stack up to 16 coordinates and the heap beyond.
+template <size_t D>
+class LaneBuffer {
+ public:
+  explicit LaneBuffer(size_t) {}
+  double* data() { return lanes_; }
+
+ private:
+  double lanes_[4 * D];
+};
+
+template <>
+class LaneBuffer<0> {
+ public:
+  explicit LaneBuffer(size_t d) {
+    if (d > kStackCoords) heap_.resize(4 * d);
+  }
+  double* data() { return heap_.empty() ? stack_ : heap_.data(); }
+
+ private:
+  static constexpr size_t kStackCoords = 16;
+  double stack_[4 * kStackCoords];
+  std::vector<double> heap_;
+};
+
+// For d in 1..8, calls body(std::integral_constant<size_t, d>{}) and
+// returns true; otherwise returns false. A row-lane kernel re-enters
+// itself through it with its width as the template argument D, so at the
+// common small widths SlotReduce unrolls completely.
+template <typename Body>
+MULTICLUST_SIMD_INLINE bool WithFixedDim(size_t d, const Body& body) {
+  switch (d) {
+    case 1: body(std::integral_constant<size_t, 1>{}); return true;
+    case 2: body(std::integral_constant<size_t, 2>{}); return true;
+    case 3: body(std::integral_constant<size_t, 3>{}); return true;
+    case 4: body(std::integral_constant<size_t, 4>{}); return true;
+    case 5: body(std::integral_constant<size_t, 5>{}); return true;
+    case 6: body(std::integral_constant<size_t, 6>{}); return true;
+    case 7: body(std::integral_constant<size_t, 7>{}); return true;
+    case 8: body(std::integral_constant<size_t, 8>{}); return true;
+    default: return false;
   }
 }
 
 // Runs slot = term(t, slot) for coordinate t = 0 .. d-1 into slot t % 8,
 // then combines the slots in the per-pair kernels' order.
 template <typename V, typename Term>
-V SlotReduce(size_t d, const Term& term) {
+MULTICLUST_SIMD_INLINE V SlotReduce(size_t d, const Term& term) {
   V s0 = V::Zero(), s1 = V::Zero(), s2 = V::Zero(), s3 = V::Zero();
   V s4 = V::Zero(), s5 = V::Zero(), s6 = V::Zero(), s7 = V::Zero();
   size_t t = 0;
@@ -272,89 +322,165 @@ V SlotReduce(size_t d, const Term& term) {
   return ((s0 + s4) + (s1 + s5)) + ((s2 + s6) + (s3 + s7));
 }
 
+// Stores the first `width` lanes of v to out.
+template <typename V>
+MULTICLUST_SIMD_INLINE void StoreLanes(V v, size_t width, double* out) {
+  if (width == 4) {
+    v.Store(out);
+    return;
+  }
+  double lane[4];
+  v.Store(lane);
+  for (size_t l = 0; l < width; ++l) out[l] = lane[l];
+}
+
+// out[j] = ||x - rows_j||^2 for j in [0, count); rows_j is rows + j*d.
+// Each entry is SquaredDistance of its pair, bit for bit. Rows wider than
+// 16 coordinates run the per-pair kernel: its contiguous 8-wide loads
+// then beat gathering four rows into lanes.
+template <typename V, size_t D = 0>
+void SquaredDistanceRow(const double* x, const double* rows, size_t count,
+                        size_t d, double* out) {
+  if constexpr (D == 0) {
+    if (WithFixedDim(d, [&](auto dim) {
+          SquaredDistanceRow<V, decltype(dim)::value>(x, rows, count, d, out);
+        })) {
+      return;
+    }
+    if (d > 16) {
+      for (size_t j = 0; j < count; ++j) {
+        out[j] = SquaredDistance<V>(x, rows + j * d, d);
+      }
+      return;
+    }
+  } else {
+    d = D;
+  }
+  for (size_t j0 = 0; j0 < count; j0 += 4) {
+    const size_t width = count - j0 < 4 ? count - j0 : 4;
+    const RowQuad q = RowQuad::Of(rows + j0 * d, width, d);
+    StoreLanes(SlotReduce<V>(d, [&](size_t t, V acc) {
+                 const V diff = V::Broadcast(x[t]) - q.Lanes<V>(t);
+                 return V::MulAdd(diff, diff, acc);
+               }),
+               width, out + j0);
+  }
+}
+
+// out[l] = the index c < k of the smallest dist(c) in lane l, for the
+// first `width` lanes: the per-pair scan's strict-< argmin, so ties and
+// NaN distances keep the lowest index. Running best distance and index
+// are lanes; SelectLess is false on NaN, like the scalar `<`.
+template <typename V, typename Dist>
+MULTICLUST_SIMD_INLINE void ArgminLanes(size_t k, const Dist& dist,
+                                        size_t width, int* out) {
+  V best = k > 0 ? dist(0) : V::Zero();
+  V best_c = V::Zero();
+  for (size_t c = 1; c < k; ++c) {
+    const V s = dist(c);
+    best_c = V::SelectLess(s, best, V::Broadcast(static_cast<double>(c)),
+                           best_c);
+    best = V::SelectLess(s, best, s, best);
+  }
+  double idx[4];
+  best_c.Store(idx);
+  for (size_t l = 0; l < width; ++l) out[l] = static_cast<int>(idx[l]);
+}
+
 // out[r] = argmin_c ||x_r - centers_c||^2 for the `count` rows
 // x_r = x + r*d, strict-< tie-breaking (lowest index).
-template <typename V>
+template <typename V, size_t D = 0>
 void NearestSquaredRows(const double* x, size_t count, const double* centers,
                         size_t k, size_t d, int* out) {
-  std::vector<double> lanes(4 * d);
-  const double* xl = lanes.data();
+  if constexpr (D == 0) {
+    if (WithFixedDim(d, [&](auto dim) {
+          NearestSquaredRows<V, decltype(dim)::value>(x, count, centers, k, d,
+                                                      out);
+        })) {
+      return;
+    }
+  } else {
+    d = D;
+  }
+  LaneBuffer<D> buffer(d);
+  double* const xl = buffer.data();
   for (size_t r0 = 0; r0 < count; r0 += 4) {
     const size_t width = count - r0 < 4 ? count - r0 : 4;
-    TransposeRows(x + r0 * d, width, d, lanes.data());
-    double best[4] = {0, 0, 0, 0};
-    int best_c[4] = {0, 0, 0, 0};
-    for (size_t c = 0; c < k; ++c) {
+    TransposeRows<V>(x + r0 * d, width, d, xl);
+    const auto dist = [&](size_t c) {
       const double* ctr = centers + c * d;
-      double s[4];
-      SlotReduce<V>(d, [&](size_t t, V acc) {
+      return SlotReduce<V>(d, [&](size_t t, V acc) {
         const V diff = V::Load(xl + 4 * t) - V::Broadcast(ctr[t]);
         return V::MulAdd(diff, diff, acc);
-      }).Store(s);
-      for (size_t l = 0; l < width; ++l) {
-        if (c == 0 || s[l] < best[l]) {
-          best[l] = s[l];
-          best_c[l] = static_cast<int>(c);
-        }
-      }
-    }
-    for (size_t l = 0; l < width; ++l) out[r0 + l] = best_c[l];
+      });
+    };
+    ArgminLanes<V>(k, dist, width, out + r0);
   }
 }
 
 // out[r] = argmin_c x_norms[r] - 2 x_r.c + center_norms[c] for the
 // `count` rows x_r = x + r*d, strict-< tie-breaking (lowest index).
-template <typename V>
+template <typename V, size_t D = 0>
 void NearestNormFormRows(const double* x, size_t count, const double* centers,
                          size_t k, size_t d, const double* x_norms,
                          const double* center_norms, int* out) {
-  std::vector<double> lanes(4 * d);
-  const double* xl = lanes.data();
+  if constexpr (D == 0) {
+    if (WithFixedDim(d, [&](auto dim) {
+          NearestNormFormRows<V, decltype(dim)::value>(
+              x, count, centers, k, d, x_norms, center_norms, out);
+        })) {
+      return;
+    }
+  } else {
+    d = D;
+  }
+  LaneBuffer<D> buffer(d);
+  double* const xl = buffer.data();
+  const V two = V::Broadcast(2.0);
   for (size_t r0 = 0; r0 < count; r0 += 4) {
     const size_t width = count - r0 < 4 ? count - r0 : 4;
-    TransposeRows(x + r0 * d, width, d, lanes.data());
-    double best[4] = {0, 0, 0, 0};
-    int best_c[4] = {0, 0, 0, 0};
-    for (size_t c = 0; c < k; ++c) {
+    TransposeRows<V>(x + r0 * d, width, d, xl);
+    const V xn = RowQuad::Of(x_norms + r0, width, 1).Lanes<V>(0);
+    const auto dist = [&](size_t c) {
       const double* ctr = centers + c * d;
-      double dot[4];
-      SlotReduce<V>(d, [&](size_t t, V acc) {
+      const V dot = SlotReduce<V>(d, [&](size_t t, V acc) {
         return V::MulAdd(V::Load(xl + 4 * t), V::Broadcast(ctr[t]), acc);
-      }).Store(dot);
-      for (size_t l = 0; l < width; ++l) {
-        const double dist = x_norms[r0 + l] - 2.0 * dot[l] + center_norms[c];
-        if (c == 0 || dist < best[l]) {
-          best[l] = dist;
-          best_c[l] = static_cast<int>(c);
-        }
-      }
-    }
-    for (size_t l = 0; l < width; ++l) out[r0 + l] = best_c[l];
+      });
+      return (xn - two * dot) + V::Broadcast(center_norms[c]);
+    };
+    ArgminLanes<V>(k, dist, width, out + r0);
   }
 }
 
 // out[r] = SquaredDistance(x_r, centers + labels[r]*d, d) for the `count`
 // rows x_r = x + r*d; a row with a negative label gets +0. Both operands
-// are per lane here: the four rows' own centres are transposed alongside.
-template <typename V>
+// are per lane here: each row is paired with its own centre (a row
+// without one is paired with itself, and its lane is dropped).
+template <typename V, size_t D = 0>
 void AssignedSquaredDistances(const double* x, size_t count,
                               const double* centers, const int* labels,
                               size_t d, double* out) {
-  std::vector<double> lanes(8 * d);
-  const double* xl = lanes.data();
-  double* cl = lanes.data() + 4 * d;
+  if constexpr (D == 0) {
+    if (WithFixedDim(d, [&](auto dim) {
+          AssignedSquaredDistances<V, decltype(dim)::value>(x, count, centers,
+                                                            labels, d, out);
+        })) {
+      return;
+    }
+  } else {
+    d = D;
+  }
   for (size_t r0 = 0; r0 < count; r0 += 4) {
     const size_t width = count - r0 < 4 ? count - r0 : 4;
-    TransposeRows(x + r0 * d, width, d, lanes.data());
+    const RowQuad rows = RowQuad::Of(x + r0 * d, width, d);
+    RowQuad own = rows;
     for (size_t l = 0; l < 4; ++l) {
       const int c = l < width ? labels[r0 + l] : -1;
-      for (size_t t = 0; t < d; ++t) {
-        cl[4 * t + l] = c >= 0 ? centers[static_cast<size_t>(c) * d + t] : 0.0;
-      }
+      if (c >= 0) own.r[l] = centers + static_cast<size_t>(c) * d;
     }
     double s[4];
     SlotReduce<V>(d, [&](size_t t, V acc) {
-      const V diff = V::Load(xl + 4 * t) - V::Load(cl + 4 * t);
+      const V diff = rows.Lanes<V>(t) - own.Lanes<V>(t);
       return V::MulAdd(diff, diff, acc);
     }).Store(s);
     for (size_t l = 0; l < width; ++l) {
@@ -445,7 +571,7 @@ void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
 // every (l, c) sum adds the same roots in the same order as a loop over
 // cluster c's members in ascending row order: the plain scalar loop's
 // bits, for any row count, d and labelling count. Missing rows of a last
-// partial group are zero-padded lanes whose results are dropped.
+// partial group repeat its first row, and their lanes are dropped.
 template <typename V>
 void ClusterDistanceSumsMulti(const double* x, size_t count,
                               const double* data, size_t n, size_t d,
@@ -484,16 +610,11 @@ void ClusterDistanceSumsMulti(const double* x, size_t count,
       (V::Load(a) + root).Store(a);
     }
   };
-  // Four rows transposed to lane-major: lanes[4*t + l] = x_{r0+l, t}.
-  std::vector<double> lanes(4 * d);
+  LaneBuffer<0> buffer(d);
+  double* const xl = buffer.data();
   for (size_t r0 = 0; r0 < count; r0 += 4) {
     const size_t width = count - r0 < 4 ? count - r0 : 4;
-    for (size_t t = 0; t < d; ++t) {
-      for (size_t l = 0; l < 4; ++l) {
-        lanes[4 * t + l] = l < width ? x[(r0 + l) * d + t] : 0.0;
-      }
-    }
-    const double* xl = lanes.data();
+    TransposeRows<V>(x + r0 * d, width, d, xl);
     std::fill(acc.begin(), acc.end(), 0.0);
     size_t j = 0;
     for (; j + 4 <= n; j += 4) {

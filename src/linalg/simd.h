@@ -69,6 +69,10 @@ struct Double4 {
   static Double4 Zero() { return {_mm256_setzero_pd()}; }
   static Double4 Broadcast(double x) { return {_mm256_set1_pd(x)}; }
   static Double4 Load(const double* p) { return {_mm256_loadu_pd(p)}; }
+  /// Lanes (a, b, c, d): lane 0 is a.
+  static Double4 Set(double a, double b, double c, double d) {
+    return {_mm256_set_pd(d, c, b, a)};
+  }
   void Store(double* p) const { _mm256_storeu_pd(p, v); }
 
   Double4 operator+(Double4 o) const { return {_mm256_add_pd(v, o.v)}; }
@@ -84,11 +88,10 @@ struct Double4 {
     return {_mm256_add_pd(acc.v, _mm256_mul_pd(a.v, b.v))};
   }
 
-  /// Lane sum in the fixed order (l0 + l1) + (l2 + l3).
-  double ReduceSum() const {
-    alignas(32) double lane[4];
-    _mm256_store_pd(lane, v);
-    return (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  /// Lane-wise a < b ? t : f. The ordered compare is false when either
+  /// side is NaN, like the scalar `<`.
+  static Double4 SelectLess(Double4 a, Double4 b, Double4 t, Double4 f) {
+    return {_mm256_blendv_pd(f.v, t.v, _mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ))};
   }
 };
 
@@ -106,6 +109,10 @@ struct Double4 {
   static Double4 Broadcast(double x) { return {vdupq_n_f64(x), vdupq_n_f64(x)}; }
   static Double4 Load(const double* p) {
     return {vld1q_f64(p), vld1q_f64(p + 2)};
+  }
+  static Double4 Set(double a, double b, double c, double d) {
+    return {vcombine_f64(vdup_n_f64(a), vdup_n_f64(b)),
+            vcombine_f64(vdup_n_f64(c), vdup_n_f64(d))};
   }
   void Store(double* p) const {
     vst1q_f64(p, lo);
@@ -134,9 +141,10 @@ struct Double4 {
             vaddq_f64(acc.hi, vmulq_f64(a.hi, b.hi))};
   }
 
-  double ReduceSum() const {
-    return (vgetq_lane_f64(lo, 0) + vgetq_lane_f64(lo, 1)) +
-           (vgetq_lane_f64(hi, 0) + vgetq_lane_f64(hi, 1));
+  // vcltq_f64 is false on unordered lanes, like the scalar `<`.
+  static Double4 SelectLess(Double4 a, Double4 b, Double4 t, Double4 f) {
+    return {vbslq_f64(vcltq_f64(a.lo, b.lo), t.lo, f.lo),
+            vbslq_f64(vcltq_f64(a.hi, b.hi), t.hi, f.hi)};
   }
 };
 
@@ -153,6 +161,9 @@ struct Double4 {
   static Double4 Zero() { return {{0.0, 0.0, 0.0, 0.0}}; }
   static Double4 Broadcast(double x) { return {{x, x, x, x}}; }
   static Double4 Load(const double* p) { return {{p[0], p[1], p[2], p[3]}}; }
+  static Double4 Set(double a, double b, double c, double d) {
+    return {{a, b, c, d}};
+  }
   void Store(double* p) const {
     for (int i = 0; i < 4; ++i) p[i] = v[i];
   }
@@ -192,7 +203,11 @@ struct Double4 {
     return r;
   }
 
-  double ReduceSum() const { return (v[0] + v[1]) + (v[2] + v[3]); }
+  static Double4 SelectLess(Double4 a, Double4 b, Double4 t, Double4 f) {
+    Double4 r;
+    for (int i = 0; i < 4; ++i) r.v[i] = a.v[i] < b.v[i] ? t.v[i] : f.v[i];
+    return r;
+  }
 };
 
 }  // inline namespace backend_scalar

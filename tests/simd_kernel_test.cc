@@ -17,6 +17,10 @@
 #include "linalg/kernels.h"
 #include "support/nearest_oracle.h"
 
+// The lane-op tests below run on the scalar backend, whatever the build.
+#define MULTICLUST_SIMD_FORCE_SCALAR 1
+#include "linalg/simd.h"
+
 namespace multiclust {
 namespace {
 
@@ -53,6 +57,147 @@ TEST(SimdKernelTest, ReductionsBitIdenticalToRef) {
               k::ref::SquaredDistance(a.data(), b.data(), n))
         << "n=" << n;
   }
+}
+
+// The reductions' contract written out as plain scalar code: term i is
+// added to slot i % 8 (slot l < 4 is lane l of acc0, slot l + 4 lane l
+// of acc1), then the slots combine as acc0 + acc1 and then its lanes as
+// (l0 + l1) + (l2 + l3). Each term passes through a volatile so the
+// oracle's adds are never fused with its products.
+template <typename Term>
+double SlotReplay(size_t n, const Term& term) {
+  double s[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+  for (size_t i = 0; i < n; ++i) {
+    volatile double t = term(i);
+    s[i % 8] = s[i % 8] + t;
+  }
+  return ((s[0] + s[4]) + (s[1] + s[5])) + ((s[2] + s[6]) + (s[3] + s[7]));
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Every tail length 0..17 (no 8-block, one, two), with negative zeros,
+// exact cancellations and a NaN: the slot-wise scalar tails must give the
+// slot replay's bits, fast and ref alike.
+TEST(SimdKernelTest, ReductionTailsMatchSlotReplayBitwise) {
+  for (size_t n = 0; n <= 17; ++n) {
+    for (uint64_t rep = 0; rep < 8; ++rep) {
+      auto a = RandVec(n, 401 + 31 * n + rep);
+      auto b = RandVec(n, 433 + 31 * n + rep);
+      // Magnitudes 2^-30 .. 2^30, so that a term added to the wrong slot
+      // changes the rounding.
+      for (size_t i = 0; i < n; ++i) {
+        a[i] = std::ldexp(a[i], static_cast<int>((i * 13 + rep * 7) % 61) - 30);
+      }
+      if (n >= 2) {  // -0 products and terms
+        a[0] = -1.0;
+        b[0] = 0.0;
+        a[1] = -0.0;
+        b[1] = -0.0;
+      }
+      if (n >= 11) a[10] = -a[2];  // slot 2 of Sum cancels exactly
+      const auto dot = [&](size_t i) { return a[i] * b[i]; };
+      const auto sum = [&](size_t i) { return a[i]; };
+      const auto sq = [&](size_t i) {
+        const double diff = a[i] - b[i];
+        return diff * diff;
+      };
+      for (bool use_ref : {false, true}) {
+        const double got_dot = use_ref ? k::ref::Dot(a.data(), b.data(), n)
+                                       : k::Dot(a.data(), b.data(), n);
+        const double got_sum =
+            use_ref ? k::ref::Sum(a.data(), n) : k::Sum(a.data(), n);
+        const double got_sq =
+            use_ref ? k::ref::SquaredDistance(a.data(), b.data(), n)
+                    : k::SquaredDistance(a.data(), b.data(), n);
+        EXPECT_TRUE(SameBits(got_dot, SlotReplay(n, dot)))
+            << "n=" << n << " rep=" << rep << " ref=" << use_ref;
+        EXPECT_TRUE(SameBits(got_sum, SlotReplay(n, sum)))
+            << "n=" << n << " rep=" << rep << " ref=" << use_ref;
+        EXPECT_TRUE(SameBits(got_sq, SlotReplay(n, sq)))
+            << "n=" << n << " rep=" << rep << " ref=" << use_ref;
+      }
+      if (n >= 3) {  // a NaN anywhere poisons the sum on both builds
+        a[n - 1] = std::numeric_limits<double>::quiet_NaN();
+        EXPECT_TRUE(std::isnan(k::Dot(a.data(), b.data(), n)));
+        EXPECT_TRUE(
+            std::isnan(k::ref::SquaredDistance(a.data(), b.data(), n)));
+      }
+    }
+  }
+  // A lone -0 product lands in a +0 slot: +0 + -0 = +0.
+  const double minus_one = -1.0, zero = 0.0, minus_zero = -0.0;
+  for (double got : {k::Dot(&minus_one, &zero, 1),
+                     k::ref::Dot(&minus_one, &zero, 1),
+                     k::Sum(&minus_zero, 1), k::ref::Sum(&minus_zero, 1)}) {
+    EXPECT_EQ(got, 0.0);
+    EXPECT_FALSE(std::signbit(got));
+  }
+}
+
+// QuadDiag has one accumulator: term i goes to slot i % 4, and the slots
+// combine as (s0 + s1) + (s2 + s3).
+TEST(SimdKernelTest, QuadDiagTailMatchesSlotReplayBitwise) {
+  for (size_t n = 0; n <= 17; ++n) {
+    const auto x = RandVec(n, 503 + n);
+    const auto mean = RandVec(n, 509 + n);
+    auto var = RandVec(n, 521 + n);
+    for (auto& v : var) v = 0.25 + std::abs(v);
+    double s[4] = {0, 0, 0, 0};
+    for (size_t i = 0; i < n; ++i) {
+      const double diff = x[i] - mean[i];
+      volatile double sq = diff * diff;
+      volatile double t = sq / var[i];
+      s[i % 4] = s[i % 4] + t;
+    }
+    const double want = (s[0] + s[1]) + (s[2] + s[3]);
+    EXPECT_TRUE(SameBits(k::QuadDiag(x.data(), mean.data(), var.data(), n),
+                         want))
+        << "n=" << n;
+    EXPECT_TRUE(SameBits(
+        k::ref::QuadDiag(x.data(), mean.data(), var.data(), n), want))
+        << "n=" << n;
+  }
+}
+
+// Double4::Set and Double4::SelectLess, lane by lane, on the scalar
+// backend (the AVX2 and NEON versions are checked through the row-lane
+// kernels, whose results must equal the scalar backend's).
+TEST(SimdKernelTest, ScalarBackendSetAndSelectLessLaneSemantics) {
+  using simd::Double4;
+  double lanes[4];
+  Double4::Set(1.5, -2.0, 0.0, -0.0).Store(lanes);
+  EXPECT_EQ(lanes[0], 1.5);
+  EXPECT_EQ(lanes[1], -2.0);
+  EXPECT_FALSE(std::signbit(lanes[2]));
+  EXPECT_TRUE(std::signbit(lanes[3]));
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Lanes: a < b; a == b; a NaN; b NaN.
+  const Double4 a = Double4::Set(1.0, 2.0, nan, 3.0);
+  const Double4 b = Double4::Set(2.0, 2.0, 1.0, nan);
+  const Double4 t = Double4::Set(10.0, 11.0, 12.0, 13.0);
+  const Double4 f = Double4::Set(20.0, 21.0, 22.0, 23.0);
+  Double4::SelectLess(a, b, t, f).Store(lanes);
+  EXPECT_EQ(lanes[0], 10.0);
+  EXPECT_EQ(lanes[1], 21.0);
+  EXPECT_EQ(lanes[2], 22.0);
+  EXPECT_EQ(lanes[3], 23.0);
+  // -0 < +0 is false, as for the scalar `<`.
+  Double4::SelectLess(Double4::Broadcast(-0.0), Double4::Zero(), t, f)
+      .Store(lanes);
+  EXPECT_EQ(lanes[0], 20.0);
+  EXPECT_EQ(lanes[3], 23.0);
+  // Lane order survives a Load/Store round trip through Set.
+  const double in[4] = {4.0, 3.0, 2.0, 1.0};
+  Double4::SelectLess(Double4::Load(in), Double4::Broadcast(2.5), t, f)
+      .Store(lanes);
+  EXPECT_EQ(lanes[0], 20.0);
+  EXPECT_EQ(lanes[1], 21.0);
+  EXPECT_EQ(lanes[2], 12.0);
+  EXPECT_EQ(lanes[3], 13.0);
 }
 
 TEST(SimdKernelTest, QuadDiagBitIdenticalAndTailSafe) {
@@ -310,6 +455,105 @@ TEST(SimdKernelTest, RowLaneKernelsMatchPerPairKernelsAndRef) {
     }
   }
   EXPECT_EQ(cases, 21u * 9u * 8u);
+}
+
+// Every width d 1..17 (each compile-time width and the run-time path)
+// and every row count 1..9 (full and partial four-row groups): each
+// row-lane kernel must equal its ref:: build and the per-pair kernels,
+// bit for bit. The centres carry an exact tie (a duplicate of an earlier
+// centre: the lower index must win) and, in some cases, a NaN coordinate
+// in centre 0 (every distance to it is NaN, so label 0 sticks) or in a
+// later centre (it never wins). One row carries a NaN (label 0).
+TEST(SimdKernelTest, RowLaneKernelsBitwiseForEveryWidthAndPartialGroup) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  size_t cases = 0;
+  for (size_t d = 1; d <= 17; ++d) {
+    for (size_t count = 1; count <= 9; ++count) {
+      for (int nan_mode = 0; nan_mode < 3; ++nan_mode) {
+        const size_t kc = 4;
+        const uint64_t seed = 7000 + 100 * d + 10 * count + nan_mode;
+        auto x = RandVec(count * d, seed);
+        auto centers = RandVec(kc * d, seed + 3);
+        std::copy(centers.begin() + d, centers.begin() + 2 * d,
+                  centers.begin() + 3 * d);  // centre 3 ties centre 1
+        std::copy(centers.begin() + d, centers.begin() + 2 * d,
+                  x.begin());  // row 0 sits on the tied centres
+        if (nan_mode == 1) centers[d / 2] = nan;
+        if (nan_mode == 2) centers[2 * d + d - 1] = nan;
+        if (count >= 6) x[5 * d + d / 2] = nan;
+        std::vector<double> xn(count), cn(kc);
+        for (size_t r = 0; r < count; ++r) {
+          xn[r] = k::SquaredNorm(x.data() + r * d, d);
+        }
+        for (size_t c = 0; c < kc; ++c) {
+          cn[c] = k::SquaredNorm(centers.data() + c * d, d);
+        }
+
+        // One row against `count` rows, for each centre as the row.
+        for (size_t c = 0; c < kc; ++c) {
+          const double* row = centers.data() + c * d;
+          // Four sentinels past the end catch a partial group's store.
+          std::vector<double> fast(count + 4, -1.0), ref(count + 4, -2.0),
+              want(count), want_ref(count);
+          k::SquaredDistanceRow(row, x.data(), count, d, fast.data());
+          k::ref::SquaredDistanceRow(row, x.data(), count, d, ref.data());
+          for (size_t j = count; j < count + 4; ++j) {
+            ASSERT_EQ(fast[j], -1.0) << "d=" << d << " n=" << count;
+            ASSERT_EQ(ref[j], -2.0) << "d=" << d << " n=" << count;
+          }
+          fast.resize(count);
+          ref.resize(count);
+          for (size_t j = 0; j < count; ++j) {
+            want[j] = k::SquaredDistance(row, x.data() + j * d, d);
+            want_ref[j] = k::ref::SquaredDistance(row, x.data() + j * d, d);
+          }
+          ASSERT_TRUE(SameBits(fast, want)) << "d=" << d << " n=" << count;
+          ASSERT_TRUE(SameBits(ref, want_ref)) << "d=" << d << " n=" << count;
+          ASSERT_TRUE(SameBits(want, want_ref)) << "d=" << d;
+        }
+
+        std::vector<int> sq(count, -7), sq_ref(count, -8), nf(count, -7),
+            nf_ref(count, -8);
+        k::NearestSquaredRows(x.data(), count, centers.data(), kc, d,
+                              sq.data());
+        k::ref::NearestSquaredRows(x.data(), count, centers.data(), kc, d,
+                                   sq_ref.data());
+        k::NearestNormFormRows(x.data(), count, centers.data(), kc, d,
+                               xn.data(), cn.data(), nf.data());
+        k::ref::NearestNormFormRows(x.data(), count, centers.data(), kc, d,
+                                    xn.data(), cn.data(), nf_ref.data());
+        for (size_t r = 0; r < count; ++r) {
+          const double* row = x.data() + r * d;
+          const int want_sq = test::NearestSquared(row, centers.data(), kc, d);
+          const int want_nf = test::NearestNormForm(row, centers.data(), kc,
+                                                    d, xn[r], cn.data());
+          ASSERT_EQ(want_sq, test::NearestSquared(row, centers.data(), kc, d,
+                                                  k::ref::SquaredDistance));
+          ASSERT_EQ(want_nf,
+                    test::NearestNormForm(row, centers.data(), kc, d, xn[r],
+                                          cn.data(), k::ref::Dot));
+          ASSERT_EQ(sq[r], want_sq) << "d=" << d << " n=" << count
+                                    << " r=" << r << " nan=" << nan_mode;
+          ASSERT_EQ(sq_ref[r], want_sq) << "d=" << d << " n=" << count;
+          ASSERT_EQ(nf[r], want_nf) << "d=" << d << " n=" << count
+                                    << " r=" << r << " nan=" << nan_mode;
+          ASSERT_EQ(nf_ref[r], want_nf) << "d=" << d << " n=" << count;
+        }
+        // The pinned outcomes: the tie goes to centre 1 (not 3), a NaN
+        // centre 0 keeps label 0 for every row, a NaN row gets label 0.
+        if (nan_mode == 1) {
+          for (size_t r = 0; r < count; ++r) ASSERT_EQ(sq[r], 0);
+        } else {
+          ASSERT_EQ(sq[0], 1) << "d=" << d << " n=" << count;
+        }
+        if (count >= 6) {
+          ASSERT_EQ(sq[5], 0);
+        }
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 17u * 9u * 3u);
 }
 
 TEST(SimdKernelTest, GemmRowsMatchesRefAndNaive) {
