@@ -35,37 +35,12 @@ struct State {
   }
 };
 
-// Per-cluster member counts and coordinate sums of one clustering, added
-// in ascending row order (unassigned rows skipped).
-struct ClusterSums {
-  std::vector<size_t> counts;
-  Matrix sums;
-};
-
-ClusterSums SumByCluster(const Matrix& data, const std::vector<int>& labels,
-                         size_t k) {
-  ClusterSums cs{std::vector<size_t>(k, 0), Matrix(k, data.cols())};
-  for (size_t i = 0; i < data.rows(); ++i) {
-    const int c = labels[i];
-    if (c < 0) continue;
-    ++cs.counts[c];
-    kernels::Add(cs.sums.row_data(c), data.row_data(i), data.cols());
-  }
-  return cs;
-}
-
-// Cluster means (empty clusters keep their rep as mean).
-Matrix MeansOf(const ClusterSums& cs, const Matrix& fallback_reps) {
-  Matrix means = cs.sums;
+// Cluster means of `cs` (taken by value: its sums become the means); an
+// empty cluster keeps its rep as its mean.
+Matrix MeansOf(ClusterSums cs, const Matrix& reps) {
+  Matrix means = cs.TakeMeans();
   for (size_t c = 0; c < cs.counts.size(); ++c) {
-    if (cs.counts[c] == 0) {
-      means.SetRow(c, fallback_reps.Row(c));
-      continue;
-    }
-    double* m = means.row_data(c);
-    for (size_t j = 0; j < means.cols(); ++j) {
-      m[j] /= static_cast<double>(cs.counts[c]);
-    }
+    if (cs.counts[c] == 0) means.SetRow(c, reps.Row(c));
   }
   return means;
 }

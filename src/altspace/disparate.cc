@@ -35,24 +35,14 @@ double SquaredToProto(const Matrix& data, size_t i, const Matrix& protos,
   return s;
 }
 
+// Cluster means; an empty cluster is re-seeded at a random object.
 Matrix MeansOf(const Matrix& data, const std::vector<int>& labels, size_t k,
                Rng* rng) {
-  Matrix means(k, data.cols());
-  std::vector<size_t> counts(k, 0);
-  for (size_t i = 0; i < data.rows(); ++i) {
-    ++counts[labels[i]];
-    const double* row = data.row_data(i);
-    double* m = means.row_data(labels[i]);
-    for (size_t j = 0; j < data.cols(); ++j) m[j] += row[j];
-  }
+  ClusterSums cs = SumByCluster(data, labels, k);
+  Matrix means = cs.TakeMeans();
   for (size_t c = 0; c < k; ++c) {
-    if (counts[c] == 0) {
+    if (cs.counts[c] == 0) {
       means.SetRow(c, data.Row(rng->NextIndex(data.rows())));
-      continue;
-    }
-    double* m = means.row_data(c);
-    for (size_t j = 0; j < data.cols(); ++j) {
-      m[j] /= static_cast<double>(counts[c]);
     }
   }
   return means;

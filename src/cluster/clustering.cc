@@ -1,5 +1,7 @@
 #include "cluster/clustering.h"
 
+#include <utility>
+
 #include "common/parallel.h"
 #include "linalg/kernels.h"
 #include "stats/contingency.h"
@@ -38,6 +40,30 @@ std::vector<int> AssignToNearest(const Matrix& data, const Matrix& centers) {
                                 data.cols(), labels.data() + lo);
   });
   return labels;
+}
+
+Matrix ClusterSums::TakeMeans() {
+  Matrix means = std::exchange(sums, Matrix());
+  for (size_t c = 0; c < counts.size(); ++c) {
+    if (counts[c] == 0) continue;
+    double* m = means.row_data(c);
+    for (size_t j = 0; j < means.cols(); ++j) {
+      m[j] /= static_cast<double>(counts[c]);
+    }
+  }
+  return means;
+}
+
+ClusterSums SumByCluster(const Matrix& data, const std::vector<int>& labels,
+                         size_t k) {
+  ClusterSums cs{std::vector<size_t>(k, 0), Matrix(k, data.cols())};
+  for (size_t i = 0; i < data.rows(); ++i) {
+    const int c = labels[i];
+    if (c < 0) continue;
+    ++cs.counts[c];
+    kernels::Add(cs.sums.row_data(c), data.row_data(i), data.cols());
+  }
+  return cs;
 }
 
 }  // namespace multiclust

@@ -76,6 +76,24 @@ class Clusterer {
 /// algorithms.
 std::vector<int> AssignToNearest(const Matrix& data, const Matrix& centers);
 
+/// Per-cluster member counts and coordinate sums of one labelling.
+struct ClusterSums {
+  std::vector<size_t> counts;
+  Matrix sums;
+
+  /// Divides each non-empty row of `sums` by its count and moves the
+  /// result out, leaving `sums` 0x0. Rows of empty clusters stay zero
+  /// for the caller to fill; `counts` still tells which they are.
+  Matrix TakeMeans();
+};
+
+/// Sums the rows of `data` by label (labels < 0 skipped; the others must
+/// be < k): one `kernels::Add` per row, rows in ascending order, serial,
+/// so the bits do not depend on the thread count. The one centroid update
+/// of k-means, dec-kmeans, disparate clustering and `ClusterMeans`.
+ClusterSums SumByCluster(const Matrix& data, const std::vector<int>& labels,
+                         size_t k);
+
 }  // namespace multiclust
 
 #endif  // MULTICLUST_CLUSTER_CLUSTERING_H_

@@ -98,11 +98,13 @@ struct LloydSeed {
   std::vector<int> labels;
 };
 
-// One Lloyd restart. `mid` is the checkpointed mid-restart state: read
-// when `resuming`, refreshed whenever `persist` serializes a snapshot.
-Result<LloydResult> RunLloyd(const Matrix& data, size_t k, size_t max_iters,
-                             double tol, bool plus_plus, Rng* rng,
-                             BudgetTracker* guard, size_t restart,
+// One Lloyd restart. `x_norms` are the rows' squared norms. `mid` is the
+// checkpointed mid-restart state: read when `resuming`, refreshed whenever
+// `persist` serializes a snapshot.
+Result<LloydResult> RunLloyd(const Matrix& data,
+                             const std::vector<double>& x_norms, size_t k,
+                             size_t max_iters, double tol, bool plus_plus,
+                             Rng* rng, BudgetTracker* guard, size_t restart,
                              ConvergenceRecorder* recorder, LloydSeed* mid,
                              bool resuming, ckpt::RestartPersistFn persist) {
   const size_t n = data.rows();
@@ -118,7 +120,6 @@ Result<LloydResult> RunLloyd(const Matrix& data, size_t k, size_t max_iters,
     r.centers = InitCenters(data, k, plus_plus, rng);
     r.labels.assign(n, 0);
   }
-  const std::vector<double> x_norms = RowSquaredNorms(data);
   // Persistence point before iteration `next_iter`.
   const auto checkpoint = [&](size_t next_iter, bool flush) {
     return persist(flush, [&] {
@@ -149,22 +150,14 @@ Result<LloydResult> RunLloyd(const Matrix& data, size_t k, size_t max_iters,
       });
     }
     MULTICLUST_TRACE_SPAN("cluster.kmeans.update");
-    Matrix next(k, d);
-    std::vector<size_t> counts(k, 0);
-    for (size_t i = 0; i < n; ++i) {
-      ++counts[r.labels[i]];
-      kernels::Add(next.row_data(r.labels[i]), data.row_data(i), d);
-    }
+    ClusterSums cs = SumByCluster(data, r.labels, k);
+    Matrix next = cs.TakeMeans();
     size_t reseeds = 0;
     for (size_t c = 0; c < k; ++c) {
-      if (counts[c] == 0) {
-        // Re-seed an empty cluster at a random object.
-        next.CopyRowFrom(data, rng->NextIndex(n), c);
-        ++reseeds;
-        continue;
-      }
-      double* ctr = next.row_data(c);
-      for (size_t j = 0; j < d; ++j) ctr[j] /= static_cast<double>(counts[c]);
+      if (cs.counts[c] != 0) continue;
+      // Re-seed an empty cluster at a random object.
+      next.CopyRowFrom(data, rng->NextIndex(n), c);
+      ++reseeds;
     }
     if (reseeds > 0) MC_METRIC_COUNT("cluster.kmeans.reseeds", reseeds);
     if (MC_FAULT_FIRES("kmeans", FaultKind::kInjectNaN, iter)) {
@@ -277,15 +270,16 @@ Result<Clustering> RunKMeans(const Matrix& data,
 
   KMeansCkptState state;
   state.outer_rng = Rng(options.seed);
+  const std::vector<double> x_norms = RowSquaredNorms(data);
   // A restart's child stream is split from the outer stream in restart
   // order; a resumed restart continues from its checkpointed child.
   const auto run_one = [&](size_t r, bool resuming,
                            ckpt::RestartPersistFn persist) {
     MC_METRIC_COUNT("cluster.kmeans.restarts", 1);
     if (!resuming) state.child_rng = state.outer_rng.Split();
-    return RunLloyd(data, options.k, options.max_iters, options.tol,
-                    options.plus_plus_init, &state.child_rng, &guard, r,
-                    &recorder, &state.seed, resuming, persist);
+    return RunLloyd(data, x_norms, options.k, options.max_iters,
+                    options.tol, options.plus_plus_init, &state.child_rng,
+                    &guard, r, &recorder, &state.seed, resuming, persist);
   };
   MC_RETURN_IF_ERROR(ckpt::RunRestarts(
       slot, &state, options.restarts, &guard, &recorder, run_one,

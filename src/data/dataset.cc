@@ -1,23 +1,23 @@
 #include "data/dataset.h"
 
 #include <string>
+#include <utility>
 
 #include "common/profile.h"
 #include "linalg/kernels.h"
 
 namespace multiclust {
 
-Dataset::Dataset(Matrix data) : data_(std::move(data)) {
-  column_names_.reserve(data_.cols());
-  for (size_t j = 0; j < data_.cols(); ++j) {
-    column_names_.push_back("c" + std::to_string(j));
-  }
-}
+Dataset::Dataset(Matrix data) : Dataset(std::move(data), {}) {}
 
 Dataset::Dataset(Matrix data, std::vector<std::string> column_names)
     : data_(std::move(data)), column_names_(std::move(column_names)) {
   while (column_names_.size() < data_.cols()) {
-    column_names_.push_back("c" + std::to_string(column_names_.size()));
+    // Built by appending: GCC 12 warns -Wrestrict on the inlined
+    // `"c" + std::to_string(j)`.
+    std::string name = "c";
+    name += std::to_string(column_names_.size());
+    column_names_.push_back(std::move(name));
   }
 }
 

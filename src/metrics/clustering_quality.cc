@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "cluster/clustering.h"
 #include "common/parallel.h"
 #include "common/trace.h"
 #include "linalg/kernels.h"
@@ -195,22 +196,7 @@ Result<Matrix> ClusterMeans(const Matrix& data,
   }
   std::vector<int> dense;
   const size_t k = DenseRelabel(labels, &dense);
-  Matrix means(k, data.cols());
-  std::vector<size_t> counts(k, 0);
-  for (size_t i = 0; i < data.rows(); ++i) {
-    if (dense[i] < 0) continue;
-    ++counts[dense[i]];
-    for (size_t j = 0; j < data.cols(); ++j) {
-      means.at(dense[i], j) += data.at(i, j);
-    }
-  }
-  for (size_t c = 0; c < k; ++c) {
-    if (counts[c] == 0) continue;
-    for (size_t j = 0; j < data.cols(); ++j) {
-      means.at(c, j) /= static_cast<double>(counts[c]);
-    }
-  }
-  return means;
+  return SumByCluster(data, dense, k).TakeMeans();
 }
 
 double NoiseFraction(const std::vector<int>& labels) {

@@ -94,13 +94,13 @@ Status Daemon::AppendLedger(const std::shared_ptr<Job>& job,
   rec.status = status;
   rec.exit_code = exit_code;
   rec.seed = job->spec.seed;
-  if (job->fingerprint != 0) {
-    rec.fingerprint = FingerprintHex(job->fingerprint);
+  if (job->result.fingerprint != 0) {
+    rec.fingerprint = FingerprintHex(job->result.fingerprint);
   }
   rec.workload = WorkloadName(job->spec);
   rec.strategy = job->spec.strategy;
-  if (status == "ok") rec.objective = job->objective;
-  rec.report_path = job->report_path;
+  if (status == "ok") rec.objective = job->result.objective;
+  rec.report_path = job->result.report_path;
   rec.checkpoint_dir = JobDir(job->id) + "/ckpt";
   rec.note = note;
   rec.job = job->id;
@@ -153,9 +153,9 @@ Status Daemon::RecoverJobs() {
     job->tenant = rec.tenant.empty() ? "default" : rec.tenant;
     if (ledger::IsTerminalStatus(rec.status)) {
       job->state = StateForLedgerStatus(rec.status);
-      job->report_path = rec.report_path;
-      if (!std::isnan(rec.objective)) job->objective = rec.objective;
-      job->error = rec.note;
+      job->result.report_path = rec.report_path;
+      if (!std::isnan(rec.objective)) job->result.objective = rec.objective;
+      job->result.error = rec.note;
       queue_.RegisterRecovered(job);
       continue;
     }
@@ -172,9 +172,9 @@ Status Daemon::RecoverJobs() {
                               : ParseRequest(line);
     if (!req.ok()) {
       job->state = JobState::kError;
-      job->error = "unrecoverable: " + req.status().ToString();
+      job->result.error = "unrecoverable: " + req.status().ToString();
       queue_.RegisterRecovered(job);
-      (void)AppendLedger(job, "error", 1, job->error);
+      (void)AppendLedger(job, "error", 1, job->result.error);
       continue;
     }
     job->spec = req->spec;
@@ -545,27 +545,27 @@ void AppendJobInfo(const JobInfo& info, const std::string& job_id,
   w->String(JobStateName(info.state));
   w->Key("tenant");
   w->String(info.tenant);
-  if (!info.error.empty()) {
+  if (!info.result.error.empty()) {
     w->Key("message");
-    w->String(info.error);
+    w->String(info.result.error);
   }
   if (!info.cancel_cause.empty()) {
     w->Key("cancel_cause");
     w->String(info.cancel_cause);
   }
-  if (!info.report_path.empty()) {
+  if (!info.result.report_path.empty()) {
     w->Key("report");
-    w->String(info.report_path);
+    w->String(info.result.report_path);
   }
   if (info.state == JobState::kDone) {
     w->Key("objective");
-    w->Double(info.objective);
+    w->Double(info.result.objective);
     w->Key("degraded");
-    w->Bool(info.degraded);
+    w->Bool(info.result.degraded);
   }
-  if (info.fingerprint != 0) {
+  if (info.result.fingerprint != 0) {
     w->Key("fingerprint");
-    w->String(FingerprintHex(info.fingerprint));
+    w->String(FingerprintHex(info.result.fingerprint));
   }
 }
 

@@ -121,11 +121,7 @@ void JobQueue::Finish(const std::shared_ptr<Job>& job, JobState terminal,
                       const JobResult& result) {
   std::lock_guard<std::mutex> lock(mu_);
   job->state = terminal;
-  job->error = result.error;
-  job->report_path = result.report_path;
-  job->objective = result.objective;
-  job->degraded = result.degraded;
-  job->fingerprint = result.fingerprint;
+  job->result = result;
   switch (terminal) {
     case JobState::kDone:
       ++stats_.done_total;
@@ -147,7 +143,7 @@ void JobQueue::Finish(const std::shared_ptr<Job>& job, JobState terminal,
 void JobQueue::MarkResumed(const std::shared_ptr<Job>& job,
                            uint64_t fingerprint) {
   std::lock_guard<std::mutex> lock(mu_);
-  job->fingerprint = fingerprint;
+  job->result.fingerprint = fingerprint;
   ++job->resumes;
   job->resume = true;
 }
@@ -228,12 +224,8 @@ JobInfo JobQueue::Info(const std::string& job_id) const {
   info.found = true;
   info.state = job.state;
   info.tenant = job.tenant;
-  info.error = job.error;
+  info.result = job.result;
   info.cancel_cause = job.cancel_cause;
-  info.report_path = job.report_path;
-  info.objective = job.objective;
-  info.degraded = job.degraded;
-  info.fingerprint = job.fingerprint;
   info.resume = job.resume;
   return info;
 }

@@ -32,6 +32,17 @@ enum class JobState {
 const char* JobStateName(JobState state);
 bool IsTerminalJobState(JobState state);
 
+/// Result fields a worker publishes with the terminal transition. Passed
+/// through JobQueue::Finish so readers (status/result handlers) only ever
+/// see them under the queue mutex — never a torn concurrent write.
+struct JobResult {
+  std::string error;
+  std::string report_path;
+  double objective = 0.0;
+  bool degraded = false;
+  uint64_t fingerprint = 0;
+};
+
 /// One job's full in-memory record, shared between the acceptor, the
 /// workers, the watchdog and status queries. `JobQueue`'s mutex guards
 /// every mutable member; the immutable ones (id, tenant, spec) are safe to
@@ -54,30 +65,17 @@ struct Job {
   /// Wall-clock instants for the watchdog (queue TTL, deadline + grace).
   std::chrono::steady_clock::time_point enqueued_at;
   std::chrono::steady_clock::time_point started_at;
-  /// Set with the terminal state: the run's outcome / rejection cause.
-  std::string error;
+  /// The run's outcome, published with the terminal state (and its
+  /// fingerprint by MarkResumed): `result.error` is the outcome or
+  /// rejection cause, `result.report_path` is written on success.
+  JobResult result;
   /// Why a cancellation happened ("client", "watchdog", "drain", empty
   /// otherwise).
   std::string cancel_cause;
-  std::string report_path;  ///< written by the worker on success
-  double objective = 0.0;
-  bool degraded = false;
-  uint64_t fingerprint = 0;
   /// In-daemon suspension count (kAborted outcomes re-enqueued with
   /// resume=true); bounded so an unlimited crash fault cannot loop a job
   /// forever.
   size_t resumes = 0;
-};
-
-/// Result fields a worker publishes with the terminal transition. Passed
-/// through JobQueue::Finish so readers (status/result handlers) only ever
-/// see them under the queue mutex — never a torn concurrent write.
-struct JobResult {
-  std::string error;
-  std::string report_path;
-  double objective = 0.0;
-  bool degraded = false;
-  uint64_t fingerprint = 0;
 };
 
 /// Mutex-consistent snapshot of one job for the status/result/watch
@@ -86,12 +84,8 @@ struct JobInfo {
   bool found = false;
   JobState state = JobState::kQueued;
   std::string tenant;
-  std::string error;
+  JobResult result;
   std::string cancel_cause;
-  std::string report_path;
-  double objective = 0.0;
-  bool degraded = false;
-  uint64_t fingerprint = 0;
   bool resume = false;
 };
 

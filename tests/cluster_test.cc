@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "cluster/clustering.h"
 #include "cluster/dbscan.h"
 #include "cluster/gmm.h"
 #include "cluster/hierarchical.h"
 #include "cluster/kmeans.h"
 #include "cluster/spectral.h"
+#include "common/rng.h"
 #include "data/generators.h"
 #include "metrics/clustering_quality.h"
 #include "metrics/partition_similarity.h"
@@ -47,6 +50,58 @@ TEST(AssignToNearestTest, Basic) {
   const Matrix centers = Matrix::FromRows({{1, 1}, {10, 10}});
   EXPECT_EQ(AssignToNearest(data, centers), (std::vector<int>{0, 1}));
   EXPECT_EQ(AssignToNearest(data, Matrix()), (std::vector<int>{-1, -1}));
+}
+
+// SumByCluster and TakeMeans against a plain scalar loop, bit for bit:
+// noise rows are skipped, an empty cluster keeps count 0 and a zero row,
+// and d = 7 runs Add's scalar tail while d = 4 does not.
+TEST(SumByClusterTest, MatchesScalarLoopBitwise) {
+  for (const size_t d : {size_t{4}, size_t{7}}) {
+    SCOPED_TRACE(d);
+    const size_t n = 41;
+    const size_t k = 4;  // cluster 3 stays empty
+    Rng rng(17 + d);
+    Matrix data(n, d);
+    std::vector<int> labels(n);
+    for (size_t i = 0; i < n; ++i) {
+      // Rows alternate six decades in magnitude, so another addition order
+      // would round differently.
+      for (size_t j = 0; j < d; ++j) {
+        data.at(i, j) = rng.Uniform(-1.0, 1.0) * (i % 2 == 0 ? 1e6 : 1.0);
+      }
+      labels[i] = i % 5 == 0 ? -1 : static_cast<int>(i % 3);
+    }
+    std::vector<size_t> counts(k, 0);
+    Matrix sums(k, d);
+    for (size_t i = 0; i < n; ++i) {
+      if (labels[i] < 0) continue;
+      ++counts[labels[i]];
+      for (size_t j = 0; j < d; ++j) sums.at(labels[i], j) += data.at(i, j);
+    }
+
+    ClusterSums cs = SumByCluster(data, labels, k);
+    EXPECT_EQ(cs.counts, counts);
+    EXPECT_EQ(cs.counts[3], 0u);
+    ASSERT_EQ(cs.sums.rows(), k);
+    EXPECT_EQ(std::memcmp(cs.sums.row_data(0), sums.row_data(0),
+                          k * d * sizeof(double)),
+              0);
+
+    const Matrix means = cs.TakeMeans();
+    EXPECT_EQ(cs.sums.rows(), 0u);
+    ASSERT_EQ(means.rows(), k);
+    ASSERT_EQ(means.cols(), d);
+    for (size_t c = 0; c < k; ++c) {
+      for (size_t j = 0; j < d; ++j) {
+        const double want =
+            counts[c] == 0 ? 0.0
+                           : sums.at(c, j) / static_cast<double>(counts[c]);
+        const double got = means.at(c, j);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+            << "c=" << c << " j=" << j;
+      }
+    }
+  }
 }
 
 TEST(KMeansTest, RecoversBlobs) {

@@ -133,7 +133,9 @@ TEST(HarnessTest, SeriesAndTablePointersSurviveLaterRegistrations) {
   Harness h("bench_unit", "t");
   std::vector<bench::Series*> series;
   for (int i = 0; i < 16; ++i) {
-    series.push_back(h.AddSeries("s" + std::to_string(i), "x", "y"));
+    std::string name = "s";  // appended: `"s" + ...` warns -Wrestrict
+    name += std::to_string(i);
+    series.push_back(h.AddSeries(name, "x", "y"));
   }
   // Writing through the first pointer after 15 further registrations used
   // to be a use-after-free (vector reallocation).

@@ -393,6 +393,16 @@ TEST(ClusterMeansTest, ComputesMeans) {
   ASSERT_TRUE(means.ok());
   EXPECT_DOUBLE_EQ(means->at(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(means->at(1, 1), 10.0);
+  // Non-dense labels: ids are densified in order of first appearance
+  // (5 -> 0, 2 -> 1) and the noise row is left out.
+  const Matrix sparse = Matrix::FromRows({{1, 3}, {100, 100}, {7, 8}, {2, 6}});
+  auto dense = ClusterMeans(sparse, {5, -1, 2, 5});
+  ASSERT_TRUE(dense.ok());
+  ASSERT_EQ(dense->rows(), 2u);
+  EXPECT_DOUBLE_EQ(dense->at(0, 0), 1.5);
+  EXPECT_DOUBLE_EQ(dense->at(0, 1), 4.5);
+  EXPECT_DOUBLE_EQ(dense->at(1, 0), 7.0);
+  EXPECT_DOUBLE_EQ(dense->at(1, 1), 8.0);
 }
 
 TEST(NoiseFractionTest, Basic) {
