@@ -396,9 +396,15 @@ void RecordSilhouette(bench::Harness* h) {
     h->Scalar(base + "_speedup", serial_ms / fast_ms, HostDependent("x"));
     identical = identical && std::memcmp(&fast, &serial, sizeof(double)) == 0;
   }
+  // n = 2001 ends in a partial quad and a partial 256-row block; checked,
+  // not timed.
+  const SilhouetteInput odd = MakeSilhouetteInput(2001);
+  const double fast = Silhouette(odd.data, odd.labels).value();
+  const double serial = test::SerialSilhouette(odd.data, odd.labels).value();
+  identical = identical && std::memcmp(&fast, &serial, sizeof(double)) == 0;
   h->Check("silhouette_bitwise_equal_serial", identical,
-           "Silhouette must return the serial loop's bits at n=2000 and "
-           "n=8000");
+           "Silhouette must return the serial loop's bits at n=2000, "
+           "n=2001 and n=8000");
 
   // One Silhouettes pass over select_k's five candidate labellings against
   // five Silhouette calls: the same bits, one distance pass instead of five.

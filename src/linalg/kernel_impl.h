@@ -557,105 +557,224 @@ void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
   }
 }
 
-// For every labelling l < num_labellings: out[l][r*ks[l] + c] = sum over
-// the rows j in ascending order with labels[l][j] == c of ||x_r - data_j||,
-// for the `count` rows x_r = x + r*d. A label < 0 skips that labelling.
+// --- the symmetric silhouette tile. ---
 //
-// Lanes run across four rows x_r, never across the rows j: each data row
-// is broadcast, so every lane runs exactly the scalar recurrence
-//   s = 0; for t ascending: s += (x_rt - y_t)^2;  root = sqrt(s)
-// with separately rounded mul + add. Each root is computed once and added
-// to the (l, labels[l][j]) accumulator of every labelling. j runs
-// ascending, four rows in flight at a time (four independent distance
-// chains) whose roots still enter the sums one at a time in j order, so
-// every (l, c) sum adds the same roots in the same order as a loop over
-// cluster c's members in ascending row order: the plain scalar loop's
-// bits, for any row count, d and labelling count. Missing rows of a last
-// partial group repeat its first row, and their lanes are dropped.
-template <typename V>
-void ClusterDistanceSumsMulti(const double* x, size_t count,
-                              const double* data, size_t n, size_t d,
-                              const int* const* labels, const size_t* ks,
-                              size_t num_labellings, double* const* out) {
-  const size_t num = num_labellings;
-  // Accumulator slots, four lanes each: labelling l's cluster c is slot
-  // base[l] + c, and every noise row adds into one discarded slot.
-  std::vector<size_t> base(num + 1, 0);
-  for (size_t l = 0; l < num; ++l) base[l + 1] = base[l] + ks[l];
-  const size_t discard = base[num];
-  std::vector<double> acc(4 * (discard + 1));
-  double* const accs = acc.data();
-  // slot[j*num + l]: offset of row j's accumulator under labelling l, so
-  // the add loop has no branch and no per-labelling base. 32 bits keep
-  // the table small; the offsets stay below 4 * (sum of ks + 1).
-  std::vector<uint32_t> slot(n * num);
-  for (size_t j = 0; j < n; ++j) {
-    for (size_t l = 0; l < num; ++l) {
-      const int c = labels[l][j];
-      slot[j * num + l] = static_cast<uint32_t>(
-          4 * (c >= 0 ? base[l] + static_cast<size_t>(c) : discard));
+// Per-cluster distance sums of every row against every row, under several
+// labellings at once, with each unordered pair's root computed once. The
+// accumulators are the caller's: quad q = rows 4q .. 4q+3 owns `stride`
+// = 4 * (sum of ks + 1) doubles at acc + q * stride, four lanes (its
+// rows) per slot. Labelling l's cluster c is slot base_l + c (base_l the
+// sum of the earlier ks) and the last slot is the quad's discard slot,
+// where noise rows and the padding rows of a partial last quad add.
+//
+// root(i, j) and root(j, i) are the same bits: each coordinate's
+// difference is rounded separately and fl(a - b) = -fl(b - a), so the
+// squares, their ascending sum and the root agree. Each root is computed
+// once, rows in lanes against a broadcast partner quad, and goes to two
+// chains: the rows' sums (rows in lanes, partners ascending) and, after a
+// 4 x 4 transpose, the partners' sums (partners in lanes, rows
+// ascending). A quad against itself adds to its own rows' sums only: its
+// 16 roots already hold both directions.
+
+// For num in 1..6, calls body(std::integral_constant<size_t, num>{}) and
+// returns true; otherwise returns false.
+template <typename Body>
+MULTICLUST_SIMD_INLINE bool WithFixedLabellings(size_t num, const Body& body) {
+  switch (num) {
+    case 1: body(std::integral_constant<size_t, 1>{}); return true;
+    case 2: body(std::integral_constant<size_t, 2>{}); return true;
+    case 3: body(std::integral_constant<size_t, 3>{}); return true;
+    case 4: body(std::integral_constant<size_t, 4>{}); return true;
+    case 5: body(std::integral_constant<size_t, 5>{}); return true;
+    case 6: body(std::integral_constant<size_t, 6>{}); return true;
+    default: return false;
+  }
+}
+
+// acc[slots[l]] += v for each labelling l; L > 0 is num at compile time.
+template <size_t L, typename V>
+MULTICLUST_SIMD_INLINE void AddToSlots(double* acc, const uint32_t* slots,
+                                       size_t num, V v) {
+  for (size_t l = 0; l < (L > 0 ? L : num); ++l) {
+    double* a = acc + slots[l];
+    (V::Load(a) + v).Store(a);
+  }
+}
+
+// root[q][p]: the roots of row quad q (lane-major at lanes[q]) against
+// partner p, each the ascending-coordinate sum of separately rounded
+// squares. Q row quads share every partner broadcast.
+template <typename V, size_t Q>
+MULTICLUST_SIMD_INLINE void QuadRoots(const double* const* lanes,
+                                      const RowQuad& partners, size_t d,
+                                      V (&root)[Q][4]) {
+  V s[Q][4];
+  for (size_t q = 0; q < Q; ++q) {
+    for (size_t p = 0; p < 4; ++p) s[q][p] = V::Zero();
+  }
+  for (size_t t = 0; t < d; ++t) {
+    V x[Q];
+    for (size_t q = 0; q < Q; ++q) x[q] = V::Load(lanes[q] + 4 * t);
+    for (size_t p = 0; p < 4; ++p) {
+      const V y = V::Broadcast(partners.r[p][t]);
+      for (size_t q = 0; q < Q; ++q) {
+        const V diff = x[q] - y;
+        s[q][p] = V::MulAdd(diff, diff, s[q][p]);
+      }
     }
   }
-  const auto add = [&](size_t j, V root) {
-    const uint32_t* s = slot.data() + j * num;
-    // One labelling (every single Silhouette call) skips the loop
-    // bookkeeping, which measurably slows a pass that is this tight.
-    if (num == 1) {
-      double* a = accs + s[0];
-      (V::Load(a) + root).Store(a);
-      return;
+  for (size_t q = 0; q < Q; ++q) {
+    for (size_t p = 0; p < 4; ++p) root[q][p] = s[q][p].Sqrt();
+  }
+}
+
+// Q row quads against one later partner quad: each root goes to both
+// chains. row_acc[q] and row_slots (4 * Q rows) belong to the row quads,
+// partner_acc and partner_slots (4 rows) to the partner quad.
+template <typename V, size_t L, size_t Q>
+MULTICLUST_SIMD_INLINE void AddPairQuads(const double* const* lanes,
+                                         double* const* row_acc,
+                                         const uint32_t* row_slots,
+                                         const RowQuad& partners,
+                                         double* partner_acc,
+                                         const uint32_t* partner_slots,
+                                         size_t d, size_t num) {
+  V root[Q][4];
+  QuadRoots<V, Q>(lanes, partners, d, root);
+  for (size_t p = 0; p < 4; ++p) {
+    for (size_t q = 0; q < Q; ++q) {
+      AddToSlots<L>(row_acc[q], partner_slots + p * num, num, root[q][p]);
     }
-    for (size_t l = 0; l < num; ++l) {
-      double* a = accs + s[l];
-      (V::Load(a) + root).Store(a);
+  }
+  for (size_t q = 0; q < Q; ++q) {
+    V::Transpose(root[q][0], root[q][1], root[q][2], root[q][3]);
+    for (size_t r = 0; r < 4; ++r) {
+      AddToSlots<L>(partner_acc, row_slots + (4 * q + r) * num, num,
+                    root[q][r]);
+    }
+  }
+}
+
+// The quad at lanes against its own rows: the row chains only.
+template <typename V, size_t L>
+MULTICLUST_SIMD_INLINE void AddDiagonalQuad(const double* lanes, double* acc,
+                                            const uint32_t* slots,
+                                            const RowQuad& self, size_t d,
+                                            size_t num) {
+  V root[1][4];
+  QuadRoots<V, 1>(&lanes, self, d, root);
+  for (size_t p = 0; p < 4; ++p) {
+    AddToSlots<L>(acc, slots + p * num, num, root[0][p]);
+  }
+}
+
+// Adds the tile's pairs to the accumulators acc (layout above) of the n
+// rows of `data`. A diagonal tile (rows == cols) adds every pair of its
+// rows, i with itself included, once; an off-diagonal tile
+// (rows_end <= cols_begin) adds every (row, col) pair to both. Ranges
+// start at a multiple of 4 and end at one or at n. L > 0 is the
+// labelling count at compile time.
+//
+// Order: row quads go in strips of two, ascending; each strip meets the
+// partner quads in ascending order. So a row's chain takes this tile's
+// partners in ascending order, and a partner's chain takes this tile's
+// rows in ascending order. In a diagonal tile, quad a's chain first takes
+// the partner-side adds of every earlier quad (earlier strips, then the
+// strip's first quad), then itself, then the later quads: ascending too.
+// Callers order the tiles so each chain meets them in ascending order.
+template <typename V, size_t L>
+void SymmetricTile(const double* data, size_t d, const int* const* labels,
+                   const size_t* ks, size_t num, size_t rows_begin,
+                   size_t rows_end, size_t cols_begin, size_t cols_end,
+                   double* acc) {
+  if constexpr (L > 0) num = L;
+  const bool diagonal = rows_begin == cols_begin;
+  // Slot offsets, num per row, for the rows then (off the diagonal) the
+  // cols, each range padded to whole quads.
+  size_t discard = 0;
+  for (size_t l = 0; l < num; ++l) discard += ks[l];
+  const size_t stride = 4 * (discard + 1);
+  const auto padded = [](size_t begin, size_t end) {
+    return (end - begin + 3) & ~static_cast<size_t>(3);
+  };
+  const size_t row_count = padded(rows_begin, rows_end);
+  const size_t col_count = diagonal ? 0 : padded(cols_begin, cols_end);
+  std::vector<uint32_t> slots((row_count + col_count) * num);
+  const auto fill = [&](size_t begin, size_t end, size_t count,
+                        uint32_t* out) {
+    for (size_t j = 0; j < count; ++j) {
+      size_t base = 0;
+      for (size_t l = 0; l < num; ++l) {
+        const int c = begin + j < end ? labels[l][begin + j] : -1;
+        out[j * num + l] = static_cast<uint32_t>(
+            4 * (c >= 0 ? base + static_cast<size_t>(c) : discard));
+        base += ks[l];
+      }
     }
   };
-  LaneBuffer<0> buffer(d);
-  double* const xl = buffer.data();
-  for (size_t r0 = 0; r0 < count; r0 += 4) {
-    const size_t width = count - r0 < 4 ? count - r0 : 4;
-    TransposeRows<V>(x + r0 * d, width, d, xl);
-    std::fill(acc.begin(), acc.end(), 0.0);
-    size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const double* y0 = data + j * d;
-      const double* y1 = y0 + d;
-      const double* y2 = y1 + d;
-      const double* y3 = y2 + d;
-      V s0 = V::Zero(), s1 = V::Zero(), s2 = V::Zero(), s3 = V::Zero();
-      for (size_t t = 0; t < d; ++t) {
-        const V xi = V::Load(xl + 4 * t);
-        const V d0 = xi - V::Broadcast(y0[t]);
-        const V d1 = xi - V::Broadcast(y1[t]);
-        const V d2 = xi - V::Broadcast(y2[t]);
-        const V d3 = xi - V::Broadcast(y3[t]);
-        s0 = V::MulAdd(d0, d0, s0);
-        s1 = V::MulAdd(d1, d1, s1);
-        s2 = V::MulAdd(d2, d2, s2);
-        s3 = V::MulAdd(d3, d3, s3);
-      }
-      add(j, s0.Sqrt());
-      add(j + 1, s1.Sqrt());
-      add(j + 2, s2.Sqrt());
-      add(j + 3, s3.Sqrt());
+  uint32_t* const row_slots = slots.data();
+  fill(rows_begin, rows_end, row_count, row_slots);
+  uint32_t* const col_slots =
+      diagonal ? row_slots : row_slots + row_count * num;
+  if (!diagonal) fill(cols_begin, cols_end, col_count, col_slots);
+
+  const auto quad_of = [&](size_t row) { return acc + (row / 4) * stride; };
+  const auto rows_at = [&](size_t row, size_t end) {
+    return RowQuad::Of(data + row * d, end - row < 4 ? end - row : 4, d);
+  };
+  LaneBuffer<0> lanes0(d), lanes1(d);
+  const double* const lanes[2] = {lanes0.data(), lanes1.data()};
+  for (size_t a = rows_begin; a < rows_end; a += 8) {
+    const bool two = rows_end - a > 4;
+    TransposeRows<V>(data + a * d, two ? 4 : rows_end - a, d, lanes0.data());
+    if (two) {
+      const size_t second_width = std::min<size_t>(rows_end - a - 4, 4);
+      TransposeRows<V>(data + (a + 4) * d, second_width, d, lanes1.data());
     }
-    for (; j < n; ++j) {
-      const double* y = data + j * d;
-      V s = V::Zero();
-      for (size_t t = 0; t < d; ++t) {
-        const V diff = V::Load(xl + 4 * t) - V::Broadcast(y[t]);
-        s = V::MulAdd(diff, diff, s);
+    double* const row_acc[2] = {quad_of(a), two ? quad_of(a + 4) : nullptr};
+    const uint32_t* const strip_slots = row_slots + (a - rows_begin) * num;
+    size_t j0 = cols_begin;
+    if (diagonal) {
+      AddDiagonalQuad<V, L>(lanes[0], row_acc[0], strip_slots,
+                            rows_at(a, rows_end), d, num);
+      if (two) {
+        AddPairQuads<V, L, 1>(lanes, row_acc, strip_slots,
+                              rows_at(a + 4, rows_end), row_acc[1],
+                              strip_slots + 4 * num, d, num);
+        AddDiagonalQuad<V, L>(lanes[1], row_acc[1], strip_slots + 4 * num,
+                              rows_at(a + 4, rows_end), d, num);
       }
-      add(j, s.Sqrt());
+      j0 = a + 8;
     }
-    for (size_t l = 0; l < num; ++l) {
-      for (size_t c = 0; c < ks[l]; ++c) {
-        const double* a = accs + 4 * (base[l] + c);
-        for (size_t r = 0; r < width; ++r) {
-          out[l][(r0 + r) * ks[l] + c] = a[r];
-        }
+    for (; j0 < cols_end; j0 += 4) {
+      const RowQuad partners = rows_at(j0, cols_end);
+      const uint32_t* const partner_slots = col_slots + (j0 - cols_begin) * num;
+      if (two) {
+        AddPairQuads<V, L, 2>(lanes, row_acc, strip_slots, partners,
+                              quad_of(j0), partner_slots, d, num);
+      } else {
+        AddPairQuads<V, L, 1>(lanes, row_acc, strip_slots, partners,
+                              quad_of(j0), partner_slots, d, num);
       }
     }
+  }
+}
+
+// The tile at compile-time labelling counts 1..6, and at a run-time
+// count (L = 0) beyond: with the count known, the add loops unroll.
+template <typename V>
+void ClusterDistanceSumsTile(const double* data, size_t d,
+                             const int* const* labels, const size_t* ks,
+                             size_t num, size_t rows_begin, size_t rows_end,
+                             size_t cols_begin, size_t cols_end,
+                             double* acc) {
+  const auto tile = [&](auto lab) {
+    SymmetricTile<V, decltype(lab)::value>(data, d, labels, ks, num,
+                                           rows_begin, rows_end, cols_begin,
+                                           cols_end, acc);
+  };
+  if (!WithFixedLabellings(num, tile)) {
+    tile(std::integral_constant<size_t, 0>{});
   }
 }
 

@@ -123,24 +123,40 @@ void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
                             sizeof(double));
   impl::GemmRows<Double4>(a, acols, b, bcols, c, row_begin, row_end);
 }
-void ClusterDistanceSumsMulti(const double* x, size_t count,
-                              const double* data, size_t n, size_t d,
-                              const int* const* labels, const size_t* ks,
-                              size_t num_labellings, double* const* out) {
-  // Telemetry tally at call granularity (one row block per call): per
-  // (row, j) pair d subs, d muls, d adds and the root, shared by every
-  // labelling, plus one add per labelling that labels j. Bytes: the
-  // block's rows, the data rows and labels, the sums.
-  size_t labelled = 0, slots = 0;
+void ClusterDistanceSumsTile(const double* data, size_t d,
+                             const int* const* labels, const size_t* ks,
+                             size_t num_labellings, size_t rows_begin,
+                             size_t rows_end, size_t cols_begin,
+                             size_t cols_end, double* acc) {
+  // Telemetry tally at call granularity (one tile per call): one root per
+  // unordered pair (d subs, d muls, d adds and the sqrt) and, per
+  // labelling, one add on each side that the other row is labelled for;
+  // a diagonal tile's pair of a row with itself adds once. The roots a
+  // quad computes twice against itself and the padding lanes are not
+  // counted. Bytes: the tile's rows, labels and accumulator slots.
+  const bool diagonal = rows_begin == cols_begin;
+  const size_t rows = rows_end - rows_begin;
+  const size_t cols = diagonal ? 0 : cols_end - cols_begin;
+  size_t adds = 0, slots = 1;
   for (size_t l = 0; l < num_labellings; ++l) {
-    for (size_t j = 0; j < n; ++j) labelled += labels[l][j] >= 0;
+    size_t labelled_rows = 0, labelled_cols = 0;
+    for (size_t i = rows_begin; i < rows_end; ++i) {
+      labelled_rows += labels[l][i] >= 0;
+    }
+    for (size_t j = cols_begin; !diagonal && j < cols_end; ++j) {
+      labelled_cols += labels[l][j] >= 0;
+    }
+    adds += diagonal ? rows * labelled_rows
+                     : rows * labelled_cols + cols * labelled_rows;
     slots += ks[l];
   }
-  telemetry::CountFlops(count * (n * (3 * d + 1) + labelled),
-                        (count * d + n * d + count * slots) * sizeof(double) +
-                            num_labellings * n * sizeof(int));
-  impl::ClusterDistanceSumsMulti<Double4>(x, count, data, n, d, labels, ks,
-                                          num_labellings, out);
+  const size_t pairs = diagonal ? rows * (rows + 1) / 2 : rows * cols;
+  telemetry::CountFlops(pairs * (3 * d + 1) + adds,
+                        (rows + cols) * (d + slots) * sizeof(double) +
+                            num_labellings * (rows + cols) * sizeof(int));
+  impl::ClusterDistanceSumsTile<Double4>(data, d, labels, ks, num_labellings,
+                                         rows_begin, rows_end, cols_begin,
+                                         cols_end, acc);
 }
 
 }  // namespace kernels

@@ -90,21 +90,37 @@ void AssignedSquaredDistances(const double* x, size_t count,
 /// (acols,bcols). Result is independent of the internal block sizes.
 void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
               double* c, size_t row_begin, size_t row_end);
-/// Per-cluster Euclidean distance sums of `count` rows x_r = x + r*d
-/// against the n rows of `data`, under `num_labellings` labellings of
-/// those rows at once: out[l][r*ks[l] + c] = sum over the rows j with
-/// labels[l][j] == c of ||x_r - data_j||, each distance the sqrt of the
-/// ascending-coordinate sum of squared differences, summed in ascending
-/// j. Labels must lie in [0, ks[l]); a label < 0 leaves row j out of that
-/// labelling. Every distance is computed once, whatever the labelling
-/// count, and each sum is bit-identical to the plain scalar double loop
-/// over cluster c's members in ascending row order (lanes run across
-/// rows, never across j). out[l] is (count x ks[l]); an empty cluster
-/// gives +0.
-void ClusterDistanceSumsMulti(const double* x, size_t count,
-                              const double* data, size_t n, size_t d,
-                              const int* const* labels, const size_t* ks,
-                              size_t num_labellings, double* const* out);
+/// One tile of the symmetric per-cluster distance-sum pass over the rows
+/// of the row-major (? x d) matrix `data`, under `num_labellings`
+/// labellings at once: for every pair (i, j) of the tile, the distance
+/// ||data_i - data_j|| (the sqrt of the ascending-coordinate sum of squared
+/// differences) is computed once and added to row i's sum for
+/// labels[l][j]'s cluster and to row j's sum for labels[l][i]'s, for every
+/// labelling l. Labels must lie in [0, ks[l]); a label < 0 leaves the row
+/// out of that labelling.
+///
+/// The tile is rows [rows_begin, rows_end) against cols [cols_begin,
+/// cols_end). A diagonal tile (equal ranges) covers each pair of its rows
+/// once, a row with itself included; otherwise rows_end <= cols_begin.
+/// Ranges start at a multiple of 4 and end at one or at the row count n.
+///
+/// `acc` is the caller's zeroed accumulator array of 4 * ceil(n / 4) *
+/// (S + 1) doubles, S the sum of ks: row i's sum for labelling l's
+/// cluster c is acc[(i / 4) * 4 * (S + 1) + 4 * (base_l + c) + i % 4],
+/// base_l the sum of ks[0 .. l). The last slot of each group of four rows
+/// takes the noise and padding adds.
+///
+/// Each sum takes this tile's terms in ascending partner order. Run the
+/// tiles so that each row's sums meet them in ascending partner order
+/// too (every tile (I, J) after the tiles (I', J') with I' + J' < I + J,
+/// say) and every sum is bit-identical to the plain scalar loop over the
+/// cluster's members in ascending row order. Tiles that share no row
+/// range touch disjoint accumulators.
+void ClusterDistanceSumsTile(const double* data, size_t d,
+                             const int* const* labels, const size_t* ks,
+                             size_t num_labellings, size_t rows_begin,
+                             size_t rows_end, size_t cols_begin,
+                             size_t cols_end, double* acc);
 
 /// Always-scalar reference instantiation of every kernel above
 /// (identical signatures, forced scalar backend, no autovectorization).
@@ -136,10 +152,11 @@ void AssignedSquaredDistances(const double* x, size_t count,
                               size_t d, double* out);
 void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
               double* c, size_t row_begin, size_t row_end);
-void ClusterDistanceSumsMulti(const double* x, size_t count,
-                              const double* data, size_t n, size_t d,
-                              const int* const* labels, const size_t* ks,
-                              size_t num_labellings, double* const* out);
+void ClusterDistanceSumsTile(const double* data, size_t d,
+                             const int* const* labels, const size_t* ks,
+                             size_t num_labellings, size_t rows_begin,
+                             size_t rows_end, size_t cols_begin,
+                             size_t cols_end, double* acc);
 }  // namespace ref
 
 }  // namespace kernels

@@ -78,12 +78,14 @@ void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
               double* c, size_t row_begin, size_t row_end) {
   impl::GemmRows<Double4>(a, acols, b, bcols, c, row_begin, row_end);
 }
-void ClusterDistanceSumsMulti(const double* x, size_t count,
-                              const double* data, size_t n, size_t d,
-                              const int* const* labels, const size_t* ks,
-                              size_t num_labellings, double* const* out) {
-  impl::ClusterDistanceSumsMulti<Double4>(x, count, data, n, d, labels, ks,
-                                          num_labellings, out);
+void ClusterDistanceSumsTile(const double* data, size_t d,
+                             const int* const* labels, const size_t* ks,
+                             size_t num_labellings, size_t rows_begin,
+                             size_t rows_end, size_t cols_begin,
+                             size_t cols_end, double* acc) {
+  impl::ClusterDistanceSumsTile<Double4>(data, d, labels, ks, num_labellings,
+                                         rows_begin, rows_end, cols_begin,
+                                         cols_end, acc);
 }
 
 }  // namespace ref

@@ -93,6 +93,18 @@ struct Double4 {
   static Double4 SelectLess(Double4 a, Double4 b, Double4 t, Double4 f) {
     return {_mm256_blendv_pd(f.v, t.v, _mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ))};
   }
+
+  /// In-place 4 x 4 transpose: lane c of row r becomes lane r of row c.
+  static void Transpose(Double4& r0, Double4& r1, Double4& r2, Double4& r3) {
+    const __m256d t0 = _mm256_unpacklo_pd(r0.v, r1.v);  // 00 10 02 12
+    const __m256d t1 = _mm256_unpackhi_pd(r0.v, r1.v);  // 01 11 03 13
+    const __m256d t2 = _mm256_unpacklo_pd(r2.v, r3.v);  // 20 30 22 32
+    const __m256d t3 = _mm256_unpackhi_pd(r2.v, r3.v);  // 21 31 23 33
+    r0.v = _mm256_permute2f128_pd(t0, t2, 0x20);
+    r1.v = _mm256_permute2f128_pd(t1, t3, 0x20);
+    r2.v = _mm256_permute2f128_pd(t0, t2, 0x31);
+    r3.v = _mm256_permute2f128_pd(t1, t3, 0x31);
+  }
 };
 
 }  // inline namespace backend_avx2
@@ -145,6 +157,14 @@ struct Double4 {
   static Double4 SelectLess(Double4 a, Double4 b, Double4 t, Double4 f) {
     return {vbslq_f64(vcltq_f64(a.lo, b.lo), t.lo, f.lo),
             vbslq_f64(vcltq_f64(a.hi, b.hi), t.hi, f.hi)};
+  }
+
+  static void Transpose(Double4& r0, Double4& r1, Double4& r2, Double4& r3) {
+    const Double4 a = r0, b = r1, c = r2, d = r3;
+    r0 = {vzip1q_f64(a.lo, b.lo), vzip1q_f64(c.lo, d.lo)};
+    r1 = {vzip2q_f64(a.lo, b.lo), vzip2q_f64(c.lo, d.lo)};
+    r2 = {vzip1q_f64(a.hi, b.hi), vzip1q_f64(c.hi, d.hi)};
+    r3 = {vzip2q_f64(a.hi, b.hi), vzip2q_f64(c.hi, d.hi)};
   }
 };
 
@@ -207,6 +227,17 @@ struct Double4 {
     Double4 r;
     for (int i = 0; i < 4; ++i) r.v[i] = a.v[i] < b.v[i] ? t.v[i] : f.v[i];
     return r;
+  }
+
+  static void Transpose(Double4& r0, Double4& r1, Double4& r2, Double4& r3) {
+    Double4* rows[4] = {&r0, &r1, &r2, &r3};
+    for (int r = 0; r < 4; ++r) {
+      for (int c = r + 1; c < 4; ++c) {
+        const double t = rows[r]->v[c];
+        rows[r]->v[c] = rows[c]->v[r];
+        rows[c]->v[r] = t;
+      }
+    }
   }
 };
 

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <memory>
+#include <new>
 
 #include "cluster/clustering.h"
 #include "common/parallel.h"
@@ -69,70 +72,83 @@ Result<std::vector<Result<double>>> Silhouettes(
   if (scored.empty()) return results;
   const size_t num = scored.size();
   std::vector<const int*> label_ptrs(num);
-  std::vector<size_t> ks(num);
+  std::vector<size_t> ks(num), base(num);
+  size_t slots = 1;  // the discard slot
   for (size_t l = 0; l < num; ++l) {
     label_ptrs[l] = scored[l].dense.data();
     ks[l] = scored[l].sizes.size();
+    base[l] = slots - 1;
+    slots += ks[l];
   }
 
-  // s(i) per labelling and row, over fixed row blocks. Each sum for row
-  // i includes the j == i term sqrt(0) = +0, an exact identity on a
-  // non-negative sum. The token is polled once per block.
-  constexpr size_t kRowBlock = 64;
-  std::vector<double> score(num * n, 0.0);
-  std::vector<unsigned char> counted_row(num * n, 0);
+  // Every row's per-cluster distance sums, 4 * (sum of ks + 1) doubles per
+  // four rows (the tile kernel's layout), 64-byte aligned so no slot
+  // straddles a cache line. calloc hands a large array over as fresh zero
+  // pages instead of filling it. Each sum for row i includes the i == i
+  // term sqrt(0) = +0, an exact identity on a non-negative sum.
+  const size_t stride = 4 * slots;
+  const size_t size = (n + 3) / 4 * stride;
+  const std::unique_ptr<void, decltype(&std::free)> storage(
+      std::calloc(size + 8, sizeof(double)), &std::free);
+  if (storage == nullptr) throw std::bad_alloc();
+  void* aligned = storage.get();
+  size_t space = (size + 8) * sizeof(double);
+  double* const acc = static_cast<double*>(
+      std::align(64, size * sizeof(double), aligned, space));
+
+  // Tile (I, J), I <= J, of kRowBlock-row blocks runs on anti-diagonal
+  // I + J: the tiles of one anti-diagonal share no block, so they touch
+  // disjoint sums and run in parallel, and every sum of a block meets the
+  // tiles in ascending partner order (the blocks below it, itself, the
+  // blocks above it). So the bits do not depend on the pool size. The
+  // token is polled once per tile.
+  constexpr size_t kRowBlock = 256;
+  const size_t blocks = (n + kRowBlock - 1) / kRowBlock;
   const auto cancelled = [&] {
     return cancel != nullptr && cancel->cancelled();
   };
-  ParallelFor(0, n, kRowBlock, [&](size_t lo, size_t hi) {
-    std::vector<std::vector<double>> dist_sum(num);
-    std::vector<double*> out(num);
-    for (size_t l = 0; l < num; ++l) {
-      dist_sum[l].resize(kRowBlock * ks[l]);
-      out[l] = dist_sum[l].data();
-    }
-    for (size_t block = lo; block < hi; block += kRowBlock) {
-      if (cancelled()) return;
-      const size_t block_end = std::min(block + kRowBlock, hi);
-      kernels::ClusterDistanceSumsMulti(
-          data.row_data(block), block_end - block, data.row_data(0), n,
-          data.cols(), label_ptrs.data(), ks.data(), num, out.data());
-      for (size_t l = 0; l < num; ++l) {
-        const std::vector<int>& dense = scored[l].dense;
-        const std::vector<size_t>& sizes = scored[l].sizes;
-        for (size_t i = block; i < block_end; ++i) {
-          if (dense[i] < 0) continue;
-          const double* sums = out[l] + (i - block) * ks[l];
-          const size_t own = dense[i];
-          if (sizes[own] <= 1) continue;  // silhouette undefined; skip
-          const double a = sums[own] / static_cast<double>(sizes[own] - 1);
-          double b = std::numeric_limits<double>::infinity();
-          for (size_t c = 0; c < ks[l]; ++c) {
-            if (c == own) continue;
-            b = std::min(b, sums[c] / static_cast<double>(sizes[c]));
-          }
-          if (!std::isfinite(b)) continue;
-          const double denom = std::max(a, b);
-          if (denom > 0) {
-            score[l * n + i] = (b - a) / denom;
-            counted_row[l * n + i] = 1;
-          }
-        }
+  for (size_t w = 0; w + 1 < 2 * blocks && !cancelled(); ++w) {
+    const size_t first = w < blocks ? 0 : w - (blocks - 1);
+    ParallelFor(first, w / 2 + 1, 1, [&](size_t lo, size_t hi) {
+      for (size_t block = lo; block < hi; ++block) {
+        if (cancelled()) return;
+        const size_t rows = block * kRowBlock;
+        const size_t cols = (w - block) * kRowBlock;
+        kernels::ClusterDistanceSumsTile(
+            data.row_data(0), data.cols(), label_ptrs.data(), ks.data(), num,
+            rows, std::min(rows + kRowBlock, n), cols,
+            std::min(cols + kRowBlock, n), acc);
       }
-    }
-  });
-  // The token only ever goes from unset to set, so a skipped block
+    });
+  }
+  // The token only ever goes from unset to set, so a skipped tile
   // implies it is set here.
   if (cancelled()) return Status::Cancelled("silhouette: cancelled by caller");
 
-  // Ascending serial reduction: the same bits for any thread count.
+  // s(i) per labelling, summed over the rows in ascending order: the
+  // same bits for any thread count.
   for (size_t l = 0; l < num; ++l) {
+    const std::vector<int>& dense = scored[l].dense;
+    const std::vector<size_t>& sizes = scored[l].sizes;
     double total = 0.0;
     size_t counted = 0;
     for (size_t i = 0; i < n; ++i) {
-      if (!counted_row[l * n + i]) continue;
-      total += score[l * n + i];
-      ++counted;
+      if (dense[i] < 0) continue;
+      const size_t own = dense[i];
+      if (sizes[own] <= 1) continue;  // silhouette undefined; skip
+      const double* sums = acc + i / 4 * stride + 4 * base[l] + i % 4;
+      const double a = sums[4 * own] / static_cast<double>(sizes[own] - 1);
+      double b = std::numeric_limits<double>::infinity();
+      for (size_t c = 0; c < ks[l]; ++c) {
+        if (c == own) continue;
+        b = std::min(b, sums[4 * c] / static_cast<double>(sizes[c]));
+      }
+      if (!std::isfinite(b)) continue;
+      const double denom = std::max(a, b);
+      if (denom > 0) {
+        total += (b - a) / denom;
+        ++counted;
+      }
     }
     results[scored[l].index] =
         counted == 0

@@ -26,12 +26,13 @@ Result<double> Silhouette(const Matrix& data, const std::vector<int>& labels,
                           const CancelToken* cancel = nullptr);
 
 /// Mean silhouette of each labelling of the rows of `data`, in one pass
-/// over the row pairs: every distance is computed once and shared by all
-/// labellings. Entry l is bit-identical to Silhouette(data,
-/// labellings[l]), with the same status when that labelling cannot be
-/// scored (size mismatch, fewer than 2 clusters, no scorable object).
-/// `cancel` (optional, not owned) is polled once per 64-row block; once
-/// set the call returns kCancelled.
+/// over the unordered row pairs: every distance is computed once and
+/// shared by both rows and all labellings. Entry l is bit-identical to
+/// Silhouette(data, labellings[l]), with the same status when that
+/// labelling cannot be scored (size mismatch, fewer than 2 clusters, no
+/// scorable object). Holds n * (sum of the ks + 1) doubles of sums.
+/// `cancel` (optional, not owned) is polled once per tile of 256 x 256
+/// row pairs; once set the call returns kCancelled.
 Result<std::vector<Result<double>>> Silhouettes(
     const Matrix& data, const std::vector<std::vector<int>>& labellings,
     const CancelToken* cancel = nullptr);

@@ -492,8 +492,9 @@ TEST(ThreadInvarianceTest, AffinityAndHsic) {
 }
 
 TEST(ThreadInvarianceTest, Silhouette) {
-  // 1000 rows = 15 full 64-row blocks plus a partial one; noise rows and
-  // a singleton cluster ride along.
+  // 1000 rows = three full 256-row blocks plus a partial one, so ten
+  // tiles on seven anti-diagonals; noise rows and a singleton cluster ride
+  // along.
   std::vector<ViewSpec> views(2);
   views[0] = {3, 4, 6.0, 1.0, ""};
   views[1] = {3, 3, 6.0, 1.0, ""};
@@ -505,7 +506,7 @@ TEST(ThreadInvarianceTest, Silhouette) {
   labels[999] = 42;
   const auto run = [&] { return Silhouette(data, labels).value(); };
   const double serial = WithThreads(1, run);
-  for (const size_t threads : {2u, 4u}) {
+  for (const size_t threads : {2u, 3u, 4u}) {
     const double parallel = WithThreads(threads, run);
     EXPECT_EQ(std::memcmp(&serial, &parallel, sizeof(double)), 0)
         << "threads=" << threads;
@@ -537,12 +538,49 @@ TEST(ThreadInvarianceTest, Silhouette) {
     });
     EXPECT_EQ(std::memcmp(&all1[l], &one, sizeof(double)), 0) << "l=" << l;
   }
-  for (const size_t threads : {2u, 4u}) {
+  for (const size_t threads : {2u, 3u, 4u}) {
     const std::vector<double> all = WithThreads(threads, run_all);
     ASSERT_EQ(all.size(), all1.size());
     EXPECT_EQ(std::memcmp(all.data(), all1.data(), all.size() * sizeof(double)),
               0)
         << "threads=" << threads;
+  }
+}
+
+TEST(ThreadInvarianceTest, SilhouettesWavefrontAtEveryPoolSize) {
+  // n = 517 and 1029 span three and five 256-row blocks and end in a
+  // partial quad; 523 also has an odd quad count. An odd pool splits the
+  // anti-diagonals unevenly. Every score of select_k's five candidate
+  // shapes (noise, a singleton cluster) has the serial loop's bits at
+  // every pool size.
+  std::vector<ViewSpec> views(2);
+  views[0] = {3, 4, 6.0, 1.0, ""};
+  views[1] = {3, 3, 6.0, 1.0, ""};
+  for (const size_t n : {517u, 523u, 1029u}) {
+    const Matrix data = MakeMultiView(n, views, 0, 29)->data();
+    std::vector<std::vector<int>> labellings;
+    for (int k = 2; k <= 6; ++k) {
+      std::vector<int> l(n);
+      for (size_t i = 0; i < n; ++i) {
+        l[i] = i % (13 + k) == 0 ? -1 : static_cast<int>((i * 11 + k) % k);
+      }
+      l[n - 1] = k;  // a singleton
+      labellings.push_back(std::move(l));
+    }
+    std::vector<double> want;
+    for (const std::vector<int>& l : labellings) {
+      want.push_back(test::SerialSilhouette(data, l).value());
+    }
+    for (const size_t threads : {1u, 2u, 3u, 4u}) {
+      const std::vector<Result<double>> scores =
+          WithThreads(threads, [&] { return Silhouettes(data, labellings); })
+              .value();
+      ASSERT_EQ(scores.size(), want.size());
+      for (size_t l = 0; l < want.size(); ++l) {
+        EXPECT_EQ(std::memcmp(&scores[l].value(), &want[l], sizeof(double)), 0)
+            << "n=" << n << " threads=" << threads << " l=" << l;
+      }
+    }
   }
 }
 
@@ -699,10 +737,10 @@ TEST(SimdInvarianceTest, DecKMeansMatchesScalarBackend) {
 }
 
 TEST(SimdInvarianceTest, SilhouettesMatchScalarBackend) {
-  // The batched silhouette pass's per-cluster distance sums, for five
-  // labellings of 301 rows (7 columns: a partial d, a partial row group),
-  // come out the same from the scalar build; so does every score, which
-  // equals the plain serial loop.
+  // The symmetric silhouette pass's per-cluster distance sums, for five
+  // labellings of 301 rows (7 columns; two row blocks, the last ending in
+  // a partial quad), come out the same from the scalar build; so does
+  // every score, which equals the plain serial loop.
   std::vector<ViewSpec> views(2);
   views[0] = {3, 4, 10.0, 1.0, ""};
   views[1] = {4, 3, 8.0, 1.0, ""};
@@ -718,31 +756,28 @@ TEST(SimdInvarianceTest, SilhouettesMatchScalarBackend) {
     labellings.push_back(std::move(l));
     ks.push_back(k);
   }
+  // The pass's accumulators, tile by tile over 256-row blocks.
   std::vector<const int*> label_ptrs;
-  std::vector<std::vector<double>> fast, ref;
-  std::vector<double*> fast_out, ref_out;
+  size_t slots = 1;
   for (size_t l = 0; l < labellings.size(); ++l) {
     label_ptrs.push_back(labellings[l].data());
-    fast.emplace_back(n * ks[l]);
-    ref.emplace_back(n * ks[l]);
+    slots += ks[l];
   }
-  for (size_t l = 0; l < labellings.size(); ++l) {
-    fast_out.push_back(fast[l].data());
-    ref_out.push_back(ref[l].data());
+  std::vector<double> fast((n + 3) / 4 * 4 * slots, 0.0), ref = fast;
+  for (size_t i = 0; i < n; i += 256) {
+    for (size_t j = i; j < n; j += 256) {
+      const size_t i_end = std::min<size_t>(i + 256, n);
+      const size_t j_end = std::min<size_t>(j + 256, n);
+      kernels::ClusterDistanceSumsTile(data.row_data(0), d, label_ptrs.data(),
+                                       ks.data(), ks.size(), i, i_end, j,
+                                       j_end, fast.data());
+      kernels::ref::ClusterDistanceSumsTile(
+          data.row_data(0), d, label_ptrs.data(), ks.data(), ks.size(), i,
+          i_end, j, j_end, ref.data());
+    }
   }
-  kernels::ClusterDistanceSumsMulti(data.row_data(0), n, data.row_data(0), n,
-                                    d, label_ptrs.data(), ks.data(),
-                                    ks.size(), fast_out.data());
-  kernels::ref::ClusterDistanceSumsMulti(data.row_data(0), n,
-                                         data.row_data(0), n, d,
-                                         label_ptrs.data(), ks.data(),
-                                         ks.size(), ref_out.data());
-  for (size_t l = 0; l < labellings.size(); ++l) {
-    EXPECT_EQ(std::memcmp(fast[l].data(), ref[l].data(),
-                          fast[l].size() * sizeof(double)),
-              0)
-        << "labelling " << l;
-  }
+  EXPECT_EQ(std::memcmp(fast.data(), ref.data(), fast.size() * sizeof(double)),
+            0);
   const std::vector<Result<double>> scores =
       Silhouettes(data, labellings).value();
   for (size_t l = 0; l < labellings.size(); ++l) {

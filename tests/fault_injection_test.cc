@@ -393,23 +393,27 @@ TEST_F(FaultInjectionTest, MscCancelDuringGramBuildReturnsPromptly) {
 
 // ---- Silhouette cancel points ---------------------------------------------
 
-// n = 8000 in two 3-d views of 3 clusters each: the shape of an auto-k
-// dec-kmeans job. One 64-row block of the silhouette pass takes about a
-// millisecond here, and the pass polls the token once per block.
-Matrix ViewData8k() {
+// n rows in two 3-d views of 3 clusters each: the shape of an auto-k
+// dec-kmeans job. The silhouette pass polls the token once per tile of
+// 256 x 256 row pairs (well under a millisecond). At n = 8000 an
+// optimized build at 4 threads ran a whole pass that never polls inside
+// the 50 ms bound, so the tests below use 2.5 and 4 times as many rows.
+Matrix ViewData(size_t n) {
   std::vector<ViewSpec> views(2);
   for (ViewSpec& v : views) {
     v.num_dims = 3;
     v.num_clusters = 3;
   }
-  return MakeMultiView(8000, views, 0, 31)->data();
+  return MakeMultiView(n, views, 0, 31)->data();
 }
 
 TEST_F(FaultInjectionTest, SelectKCancelDuringSilhouettePassReturnsPromptly) {
   // select_k runs every candidate's k-means, then one silhouette pass for
-  // them all (~0.1 s at n = 8000). Tripped once that pass's span opens,
-  // it must stop within a few blocks, not at the end of the pass.
-  const Matrix data = ViewData8k();
+  // them all (~0.5 s on one thread at n = 20000). Tripped once that
+  // pass's span opens, it must stop within a few tiles, not at the end of
+  // the pass. Before its first poll the pass relabels all five
+  // candidates, which takes up to ~20 ms under TSan at this size.
+  const Matrix data = ViewData(20000);
   CancelToken cancel;
   Result<size_t> k = Status::Internal("not run");
   SteadyClock::time_point tripped, returned;
@@ -430,10 +434,10 @@ TEST_F(FaultInjectionTest, SelectKCancelDuringSilhouettePassReturnsPromptly) {
 }
 
 TEST_F(FaultInjectionTest, ObjectiveStageCancelReturnsPromptly) {
-  // The objective scores every solution's silhouette (~0.05 s each at
-  // n = 8000). Tripped when the stage starts, the run must return
-  // kCancelled before the stage ends.
-  const Matrix data = ViewData8k();
+  // The objective scores every solution's silhouette (~0.6 s each on one
+  // thread at n = 32000). Tripped when the stage starts, the run must
+  // return kCancelled before the stage ends.
+  const Matrix data = ViewData(32000);
   CancelToken cancel;
   CancelAtStageSink sink(&cancel, "pipeline.objective");
   telemetry::SetProgressSink(&sink);

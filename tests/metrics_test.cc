@@ -248,10 +248,11 @@ TEST(SilhouetteTest, RequiresTwoClusters) {
   EXPECT_FALSE(Silhouette(data, {0, 0}).ok());
 }
 
-// A seeded random silhouette input: n in [2, 300] (up to five 64-row
-// blocks), d from 1 to 17, 1-6 clusters under sparse, unsorted label ids,
-// offset along the first coordinate. Depending on the seed it also has
-// noise rows, singleton clusters and duplicated rows.
+// A seeded random silhouette input: n in [2, 300] (up to two 256-row
+// blocks, so up to three tiles), d from 1 to 17, 1-6 clusters under
+// sparse, unsorted label ids, offset along the first coordinate.
+// Depending on the seed it also has noise rows, singleton clusters and
+// duplicated rows.
 struct SilhouetteCase {
   Matrix data;
   std::vector<int> labels;

@@ -598,25 +598,25 @@ TEST(SimdKernelTest, GemmRowsRowRangeOnlyTouchesRequestedRows) {
   }
 }
 
-// The plain scalar loop ClusterDistanceSumsMulti promises to reproduce,
+// The plain scalar loop the symmetric tile pass promises to reproduce,
 // one labelling at a time: cluster c's members in ascending row order,
 // each root added in that order.
-std::vector<double> MemberOrderSums(const double* x, size_t count,
-                                    const std::vector<double>& data, size_t d,
+std::vector<double> MemberOrderSums(const std::vector<double>& data, size_t d,
                                     const std::vector<int>& labels,
                                     size_t kc) {
+  const size_t n = labels.size();
   std::vector<std::vector<size_t>> members(kc);
-  for (size_t j = 0; j < labels.size(); ++j) {
+  for (size_t j = 0; j < n; ++j) {
     if (labels[j] >= 0) members[labels[j]].push_back(j);
   }
-  std::vector<double> out(count * kc);
-  for (size_t r = 0; r < count; ++r) {
+  std::vector<double> out(n * kc);
+  for (size_t r = 0; r < n; ++r) {
     for (size_t c = 0; c < kc; ++c) {
       double sum = 0.0;
       for (size_t m : members[c]) {
         double s = 0.0;
         for (size_t t = 0; t < d; ++t) {
-          const double diff = x[r * d + t] - data[m * d + t];
+          const double diff = data[r * d + t] - data[m * d + t];
           s += diff * diff;
         }
         sum += std::sqrt(s);
@@ -627,12 +627,72 @@ std::vector<double> MemberOrderSums(const double* x, size_t count,
   return out;
 }
 
-TEST(SimdKernelTest, ClusterDistanceSumsMultiBitIdenticalToRefAndMemberLoop) {
-  // Row counts and n cover every residue mod 4 (both the 4-wide j loop
-  // and its tail run); labellings carry noise (-1), a singleton cluster
-  // and, for k >= 3, an empty one; rows are scaled
-  // across magnitudes from 1e-160 to 1e150, and the block's rows are rows
-  // of the data, so each of them meets itself (a +0 term).
+using TileFn = void (*)(const double*, size_t, const int* const*,
+                        const size_t*, size_t, size_t, size_t, size_t, size_t,
+                        double*);
+
+// Runs `tile` over every tile (I <= J) of `block`-row blocks, I then J
+// ascending, and returns each labelling's (n x ks[l]) sums read from the
+// accumulator layout. Every accumulator the layout does not name (noise,
+// padding) is left out.
+std::vector<std::vector<double>> TiledSums(
+    TileFn tile, const std::vector<double>& data, size_t d,
+    const std::vector<std::vector<int>>& labels,
+    const std::vector<size_t>& ks, size_t block) {
+  const size_t n = labels[0].size(), num = labels.size();
+  std::vector<const int*> label_ptrs(num);
+  size_t slots = 1;
+  for (size_t l = 0; l < num; ++l) {
+    label_ptrs[l] = labels[l].data();
+    slots += ks[l];
+  }
+  std::vector<double> acc((n + 3) / 4 * 4 * slots, 0.0);
+  for (size_t i = 0; i < n; i += block) {
+    for (size_t j = i; j < n; j += block) {
+      tile(data.data(), d, label_ptrs.data(), ks.data(), num, i,
+           std::min(i + block, n), j, std::min(j + block, n), acc.data());
+    }
+  }
+  std::vector<std::vector<double>> out(num);
+  size_t base = 0;
+  for (size_t l = 0; l < num; ++l) {
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t c = 0; c < ks[l]; ++c) {
+        out[l].push_back(acc[i / 4 * 4 * slots + 4 * (base + c) + i % 4]);
+      }
+    }
+    base += ks[l];
+  }
+  return out;
+}
+
+// Labellings 0 .. num-1 of n rows: rows draw clusters 0 .. drawn-1 or
+// noise (-1); the last row alone is cluster ks-1, and for ks >= 3
+// cluster ks-2 stays empty.
+std::vector<std::vector<int>> NoisyLabellings(size_t n, size_t num,
+                                              uint64_t seed, size_t shift,
+                                              std::vector<size_t>* ks) {
+  Rng rng(seed);
+  std::vector<std::vector<int>> labels(num, std::vector<int>(n));
+  ks->assign(num, 0);
+  for (size_t l = 0; l < num; ++l) {
+    (*ks)[l] = 2 + (l + shift) % 8;  // 2 .. 9
+    const size_t drawn = (*ks)[l] >= 3 ? (*ks)[l] - 2 : 1;
+    for (size_t j = 0; j + 1 < n; ++j) {
+      const uint64_t draw = rng.NextIndex(drawn + 1);
+      labels[l][j] = draw == drawn ? -1 : static_cast<int>(draw);
+    }
+    labels[l][n - 1] = static_cast<int>((*ks)[l]) - 1;
+  }
+  return labels;
+}
+
+TEST(SimdKernelTest, ClusterDistanceSumsTileBitIdenticalToRefAndMemberLoop) {
+  // n covers every residue mod 4 (a partial last quad); blocks of 4, 12
+  // (an odd quad count) and 64 rows (one diagonal tile) cut it into
+  // diagonal and off-diagonal tiles; 1-7 labellings (7 takes the
+  // run-time count) carry noise, a singleton cluster and, for k >= 3, an
+  // empty one; rows are scaled across magnitudes from 1e-160 to 1e150.
   const double kScales[] = {1.0, 1e-3, 1e10, 1e-160, 1e150, 7.5};
   for (size_t d : {1, 2, 3, 5, 6, 9, 17, 21}) {
     for (size_t n : {5, 13, 38, 43}) {
@@ -640,46 +700,24 @@ TEST(SimdKernelTest, ClusterDistanceSumsMultiBitIdenticalToRefAndMemberLoop) {
       for (size_t j = 0; j < n; ++j) {
         for (size_t t = 0; t < d; ++t) pool[j * d + t] *= kScales[j % 6];
       }
-      for (size_t num = 1; num <= 6; ++num) {
-        Rng rng(1000 * d + 10 * n + num);
-        std::vector<std::vector<int>> labels(num, std::vector<int>(n));
-        std::vector<size_t> ks(num);
+      for (size_t num = 1; num <= 7; ++num) {
+        std::vector<size_t> ks;
+        const auto labels =
+            NoisyLabellings(n, num, 1000 * d + 10 * n + num, d + n, &ks);
+        std::vector<std::vector<double>> want(num);
         for (size_t l = 0; l < num; ++l) {
-          ks[l] = 2 + (l + d + n) % 8;  // 2 .. 9
-          // Rows draw clusters 0 .. drawn-1 or noise; the last row alone
-          // is cluster ks-1, and for ks >= 3 cluster ks-2 stays empty.
-          const size_t drawn = ks[l] >= 3 ? ks[l] - 2 : 1;
-          for (size_t j = 0; j + 1 < n; ++j) {
-            const uint64_t draw = rng.NextIndex(drawn + 1);
-            labels[l][j] = draw == drawn ? -1 : static_cast<int>(draw);
-          }
-          labels[l][n - 1] = static_cast<int>(ks[l]) - 1;
+          want[l] = MemberOrderSums(pool, d, labels[l], ks[l]);
         }
-        std::vector<const int*> label_ptrs(num);
-        for (size_t l = 0; l < num; ++l) label_ptrs[l] = labels[l].data();
-        for (size_t count : {0, 1, 2, 3, 4, 5, 7, 13}) {
-          if (count > n) continue;
-          std::vector<std::vector<double>> fast(num), ref(num);
-          std::vector<double*> fast_out(num), ref_out(num);
+        for (size_t block : {4, 12, 64}) {
+          const auto fast =
+              TiledSums(k::ClusterDistanceSumsTile, pool, d, labels, ks, block);
+          const auto ref = TiledSums(k::ref::ClusterDistanceSumsTile, pool, d,
+                                     labels, ks, block);
           for (size_t l = 0; l < num; ++l) {
-            fast[l].assign(count * ks[l], -1.0);
-            ref[l].assign(count * ks[l], -2.0);
-            fast_out[l] = fast[l].data();
-            ref_out[l] = ref[l].data();
-          }
-          k::ClusterDistanceSumsMulti(pool.data(), count, pool.data(), n, d,
-                                      label_ptrs.data(), ks.data(), num,
-                                      fast_out.data());
-          k::ref::ClusterDistanceSumsMulti(pool.data(), count, pool.data(), n,
-                                           d, label_ptrs.data(), ks.data(),
-                                           num, ref_out.data());
-          for (size_t l = 0; l < num; ++l) {
-            const auto want = MemberOrderSums(pool.data(), count, pool, d,
-                                              labels[l], ks[l]);
             EXPECT_TRUE(SameBits(fast[l], ref[l]))
-                << "d=" << d << " n=" << n << " count=" << count << " l=" << l;
-            EXPECT_TRUE(SameBits(fast[l], want))
-                << "d=" << d << " n=" << n << " count=" << count << " l=" << l;
+                << "d=" << d << " n=" << n << " block=" << block << " l=" << l;
+            EXPECT_TRUE(SameBits(fast[l], want[l]))
+                << "d=" << d << " n=" << n << " block=" << block << " l=" << l;
           }
         }
       }
@@ -687,39 +725,81 @@ TEST(SimdKernelTest, ClusterDistanceSumsMultiBitIdenticalToRefAndMemberLoop) {
   }
 }
 
-TEST(SimdKernelTest, ClusterDistanceSumsMultiSqrtExactAcrossMagnitudes) {
-  // d = 1 and one labelled row per call: each output is one root, of
-  // squared distances from subnormal to overflow (sqrt(inf) = inf) and
-  // exact zeros. Every lane's Double4::Sqrt must equal std::sqrt, and the
-  // second labelling's empty cluster must read +0.
+TEST(SimdKernelTest, ClusterDistanceSumsTileSpansThreeRowBlocks) {
+  // The pass's 256-row blocks: n = 517 and 1029 end in a partial quad,
+  // and 523 also has an odd quad count (131), so the last strip of the
+  // last diagonal tile holds one quad.
+  for (size_t n : {517, 523, 1029}) {
+    for (size_t d : {1, 6, 21}) {
+      const std::vector<double> pool = RandVec(n * d, 17 * n + d);
+      for (size_t num : {1, 5}) {
+        std::vector<size_t> ks;
+        const auto labels = NoisyLabellings(n, num, n + d + num, d, &ks);
+        const auto fast =
+            TiledSums(k::ClusterDistanceSumsTile, pool, d, labels, ks, 256);
+        const auto ref = TiledSums(k::ref::ClusterDistanceSumsTile, pool, d,
+                                   labels, ks, 256);
+        for (size_t l = 0; l < num; ++l) {
+          EXPECT_TRUE(SameBits(fast[l], ref[l]))
+              << "n=" << n << " d=" << d << " l=" << l;
+          EXPECT_TRUE(
+              SameBits(fast[l], MemberOrderSums(pool, d, labels[l], ks[l])))
+              << "n=" << n << " d=" << d << " l=" << l;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, ClusterDistanceSumsTileSqrtExactAcrossMagnitudes) {
+  // d = 1 and one labelled row: each sum is one root, of squared
+  // distances from subnormal to overflow (sqrt(inf) = inf) and exact
+  // zeros, taken on the row side or, transposed, on the partner side.
+  // Every lane's Double4::Sqrt must equal std::sqrt, and the second
+  // labelling's empty cluster must read +0.
   const std::vector<double> pool = {0.0,    1e-160, 3e-155, 1e-3,  0.5,
                                     1.0,    2.0,    1e10,   1e150, 1e154,
                                     1e155,  1e160,  -1e160, -2.0,  7.25,
-                                    -0.0};
+                                    -0.0,   3.5};
   const size_t n = pool.size();
-  const size_t ks[] = {1, 2};
+  const std::vector<size_t> ks = {1, 2};
   for (size_t m = 0; m < n; ++m) {
     std::vector<int> only_m(n, -1);
     only_m[m] = 0;
-    const int* labels[] = {only_m.data(), only_m.data()};
-    std::vector<double> fast(n), ref(n), fast2(2 * n), ref2(2 * n);
-    double* fast_out[] = {fast.data(), fast2.data()};
-    double* ref_out[] = {ref.data(), ref2.data()};
-    k::ClusterDistanceSumsMulti(pool.data(), n, pool.data(), n, 1, labels, ks,
-                                2, fast_out);
-    k::ref::ClusterDistanceSumsMulti(pool.data(), n, pool.data(), n, 1, labels,
-                                     ks, 2, ref_out);
-    EXPECT_TRUE(SameBits(fast, ref)) << "member " << m;
-    EXPECT_TRUE(SameBits(fast2, ref2)) << "member " << m;
-    for (size_t i = 0; i < n; ++i) {
-      const double diff = pool[i] - pool[m];
-      const double want = std::sqrt(diff * diff);
-      EXPECT_EQ(std::memcmp(&fast[i], &want, sizeof(double)), 0)
-          << "row " << i << " member " << m;
-      EXPECT_EQ(std::memcmp(&fast2[2 * i], &want, sizeof(double)), 0);
-      EXPECT_EQ(fast2[2 * i + 1], 0.0) << "an empty cluster must sum to +0";
-      EXPECT_FALSE(std::signbit(fast2[2 * i + 1]));
+    const std::vector<std::vector<int>> labels = {only_m, only_m};
+    for (size_t block : {4, 8, 20}) {
+      const auto fast =
+          TiledSums(k::ClusterDistanceSumsTile, pool, 1, labels, ks, block);
+      const auto ref = TiledSums(k::ref::ClusterDistanceSumsTile, pool, 1,
+                                 labels, ks, block);
+      EXPECT_TRUE(SameBits(fast[0], ref[0])) << "member " << m;
+      EXPECT_TRUE(SameBits(fast[1], ref[1])) << "member " << m;
+      for (size_t i = 0; i < n; ++i) {
+        const double diff = pool[i] - pool[m];
+        const double want = std::sqrt(diff * diff);
+        EXPECT_EQ(std::memcmp(&fast[0][i], &want, sizeof(double)), 0)
+            << "row " << i << " member " << m << " block " << block;
+        EXPECT_EQ(std::memcmp(&fast[1][2 * i], &want, sizeof(double)), 0);
+        EXPECT_EQ(fast[1][2 * i + 1], 0.0) << "an empty cluster must sum to +0";
+        EXPECT_FALSE(std::signbit(fast[1][2 * i + 1]));
+      }
     }
+  }
+}
+
+TEST(SimdKernelTest, ScalarBackendTransposeMovesLaneCOfRowRToLaneROfRowC) {
+  using V = simd::Double4;
+  double in[16], out[16];
+  for (int i = 0; i < 16; ++i) in[i] = i;
+  V r0 = V::Load(in), r1 = V::Load(in + 4), r2 = V::Load(in + 8),
+    r3 = V::Load(in + 12);
+  V::Transpose(r0, r1, r2, r3);
+  r0.Store(out);
+  r1.Store(out + 4);
+  r2.Store(out + 8);
+  r3.Store(out + 12);
+  for (int r = 0; r < 4; ++r) {
+    for (int c = 0; c < 4; ++c) EXPECT_EQ(out[4 * c + r], in[4 * r + c]);
   }
 }
 

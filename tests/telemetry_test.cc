@@ -247,26 +247,42 @@ TEST(ResourceProfileTest, RunDiagnosticsCarryResource) {
   EXPECT_GT(diag.resource.flops, 0u) << "kernel hooks should have fired";
 }
 
-// ClusterDistanceSumsMulti counts (3d + 1) flops per (row, j) pair for
-// the shared distance and root, plus one add per labelling that labels j,
-// and the doubles and labels it touches, once per call.
+// ClusterDistanceSumsTile counts (3d + 1) flops per unordered pair of
+// the tile for the shared distance and root (a diagonal tile's pair of a
+// row with itself included), plus, per labelling, one add on each side
+// for the other row's label (once for a row with itself), and the
+// doubles, labels and slots of its rows, once per call.
 TEST(ResourceProfileTest, ClusterDistanceSumsCountsExactFlops) {
-  const size_t count = 5, n = 10, d = 3;
+  const size_t n = 10, d = 3;
   const std::vector<double> data(n * d, 0.5);
   const std::vector<int> first = {-1, 0, 1, 1, 0, -1, 0, -1, 1, 1};  // 7
   const std::vector<int> second = {0, 1, 2, 0, 1, 2, 0, 1, 2, -1};   // 9
   const int* labels[] = {first.data(), second.data()};
   const size_t ks[] = {2, 3};
-  std::vector<double> out0(count * 2), out1(count * 3);
-  double* out[] = {out0.data(), out1.data()};
-  telemetry::ResourceScope scope;
-  kernels::ClusterDistanceSumsMulti(data.data(), count, data.data(), n, d,
-                                    labels, ks, 2, out);
-  const telemetry::ResourceProfile p = scope.Snapshot();
-  EXPECT_EQ(p.flops, 5u * (10u * (3u * 3u + 1u) + 7u + 9u));  // 580
-  EXPECT_EQ(p.kernel_bytes,
-            (5u * 3u + 10u * 3u + 5u * (2u + 3u)) * sizeof(double) +
-                2u * 10u * sizeof(int));
+  std::vector<double> acc(12 * 4 * 6, 0.0);
+  // Each call touches 10 rows: their 3 coordinates, 6 slots, 2 labels.
+  const size_t bytes =
+      10u * (3u + 6u) * sizeof(double) + 2u * 10u * sizeof(int);
+  {
+    // The diagonal tile of all 10 rows: 55 pairs, 10 * (7 + 9) adds.
+    telemetry::ResourceScope scope;
+    kernels::ClusterDistanceSumsTile(data.data(), d, labels, ks, 2, 0, n, 0, n,
+                                     acc.data());
+    const telemetry::ResourceProfile p = scope.Snapshot();
+    EXPECT_EQ(p.flops, 55u * (3u * 3u + 1u) + 10u * (7u + 9u));  // 710
+    EXPECT_EQ(p.kernel_bytes, bytes);
+  }
+  {
+    // Rows 0-3 against rows 4-9: 24 pairs. Labelled rows / cols: 3 / 4
+    // under the first labelling, 4 / 5 under the second.
+    telemetry::ResourceScope scope;
+    kernels::ClusterDistanceSumsTile(data.data(), d, labels, ks, 2, 0, 4, 4, n,
+                                     acc.data());
+    const telemetry::ResourceProfile p = scope.Snapshot();
+    EXPECT_EQ(p.flops, 24u * (3u * 3u + 1u) + (4u * 4u + 6u * 3u) +
+                           (4u * 5u + 6u * 4u));  // 318
+    EXPECT_EQ(p.kernel_bytes, bytes);
+  }
 }
 
 // The row-lane assignment kernels count their work once per call: 3d
@@ -306,12 +322,12 @@ TEST(ResourceProfileTest, RowLaneKernelsCountExactFlops) {
   }
 }
 
-// Silhouette's tally is the kernel's over every row block: each of the n
-// rows (noise included) against every row, one distance and root per
-// pair, and one add per non-noise row. A second labelling in the same
-// Silhouettes pass adds only its own adds.
+// Silhouette's tally is the kernel's over every tile: one distance and
+// root per unordered pair of the n rows (noise included, each row with
+// itself once), and, for each row, one add per non-noise row. A second
+// labelling in the same Silhouettes pass adds only its own adds.
 TEST(ResourceProfileTest, SilhouetteFlopsCoverEveryPair) {
-  const Matrix data = TestData(14);  // 120 rows: two 64-row blocks
+  const Matrix data = TestData(14);  // 120 rows: one diagonal tile
   ASSERT_EQ(data.rows(), 120u);
   std::vector<int> labels(data.rows()), other(data.rows());
   for (size_t i = 0; i < labels.size(); ++i) {
@@ -322,12 +338,28 @@ TEST(ResourceProfileTest, SilhouetteFlopsCoverEveryPair) {
   {
     telemetry::ResourceScope scope;
     ASSERT_TRUE(Silhouette(data, labels).ok());
-    EXPECT_EQ(scope.Snapshot().flops, 120u * (120u * pair + 108u));
+    EXPECT_EQ(scope.Snapshot().flops, 120u * 121u / 2u * pair + 120u * 108u);
   }
   {
     telemetry::ResourceScope scope;
     ASSERT_TRUE(Silhouettes(data, {labels, other}).ok());
-    EXPECT_EQ(scope.Snapshot().flops, 120u * (120u * pair + 108u + 120u));
+    EXPECT_EQ(scope.Snapshot().flops,
+              120u * 121u / 2u * pair + 120u * (108u + 120u));
+  }
+  {
+    // 600 rows: six tiles of 256-row blocks add up to the same formula.
+    std::vector<ViewSpec> views(2);
+    views[0] = {2, 2, 12.0, 0.8, ""};
+    views[1] = {2, 2, 8.0, 0.8, ""};
+    const Matrix big = MakeMultiView(600, views, 1, 14)->data();
+    std::vector<int> big_labels(big.rows());
+    for (size_t i = 0; i < big_labels.size(); ++i) {
+      big_labels[i] = i % 10 == 0 ? -1 : static_cast<int>(i % 3);
+    }
+    telemetry::ResourceScope scope;
+    ASSERT_TRUE(Silhouette(big, big_labels).ok());
+    EXPECT_EQ(scope.Snapshot().flops,
+              600u * 601u / 2u * (3 * big.cols() + 1) + 600u * 540u);
   }
 }
 
